@@ -38,7 +38,6 @@ from .games import (
     Game,
     ShapleyReport,
     as_mask,
-    gamma,
     is_monotone,
     is_supermodular,
     marginal_contribution,
@@ -61,9 +60,9 @@ from .runner import (
     RunRecord,
     SampleCapExceeded,
     StoppingRule,
-    expected_reward_estimate,
     run_adaptive,
     run_allocation,
+    run_many,
 )
 from .streams import substream
 

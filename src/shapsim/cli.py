@@ -17,8 +17,9 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -27,10 +28,10 @@ from .adversaries import (Adversary, BlockAttackAdversary, Budget,
 from .builtin_games import (make_collab_game, make_lb_game, make_max_gamma_game,
                             make_pair_game, make_synergy_game)
 from .csvio import format_number, render_csv, write_text
-from .dp import DPAdversary, StateCapExceeded, dp_build, parallel_runs, state_count
+from .dp import DPAdversary, DPTable, StateCapExceeded, dp_build, parallel_runs, state_count
 from .games import Game, shapley_exact
 from .hypergraph import HypergraphFormatError, load_hypergraph
-from .runner import SampleCapExceeded, StoppingRule, run_adaptive, run_allocation
+from .runner import SampleCapExceeded, StoppingRule, run_adaptive, run_allocation, run_many
 
 OUTPUT_DIR_ENV = "SHAPSIM_OUTPUT_DIR"
 
@@ -194,14 +195,17 @@ class ExperimentConfig:
             return Budget.rate(value)
         raise ConfigError(f"unknown budget_kind {kind!r}")
 
-    def build_adversary(self, game: Game, honest: int, planned_R: int | None) -> Adversary:
+    def adversary_factory(self, game: Game, honest: int,
+                          planned_R: int | None) -> Callable[[], Adversary]:
+        """A maker of fresh adversaries, one per run; a DP table is built here, once."""
         kind = self._get("adversary")
+        budget = self.budget  # called per adversary: each run spends its own budget
         if kind == "passive":
-            return PassiveAdversary()
+            return PassiveAdversary
         if kind == "cyclic":
-            return CyclicShiftAdversary(self.budget())
+            return lambda: CyclicShiftAdversary(budget())
         if kind == "eager":
-            return EagerAbortAdversary(self.budget())
+            return lambda: EagerAbortAdversary(budget())
         if kind == "block":
             block_len = self._int("block_len")
             if block_len is None:
@@ -209,17 +213,25 @@ class ExperimentConfig:
                 if eps is None:
                     raise ConfigError("block adversary needs block_len or eps")
                 block_len = max(1, math.ceil(game.n / (10.0 * eps)))
-            return BlockAttackAdversary(self.budget(), block_len,
-                                        greedy=self._bool("block_greedy"))
+            greedy = self._bool("block_greedy")
+            return lambda: BlockAttackAdversary(budget(), block_len, greedy=greedy)
         if kind == "dp":
             if planned_R is None:
                 raise ConfigError("dp adversary needs a predetermined sample count")
-            C = int(self._float("budget") or 0)
-            _gate_full_scale(self, state_count(game, honest) * (C + 1),
-                             DESK_STATE_BUDGET, "the adversary table")
-            table = dp_build(game, honest, planned_R, C, store_slices=planned_R <= 512)
-            return DPAdversary(table, self.budget())
+            table = self.dp_table(game, honest, planned_R, store_slices=planned_R <= 512)
+            return lambda: DPAdversary(table, budget())
         raise ConfigError(f"unknown adversary {kind!r}")
+
+    def dp_table(self, game: Game, honest: int, R: int, *,
+                 store_slices: bool = False) -> DPTable:
+        """The optimal adversary's table for ``R`` samples and the configured budget."""
+        if self._get("budget_kind") == "rate":
+            raise ConfigError("the dp adversary needs a violation count (budget_kind "
+                              "known or unknown), not a rate")
+        C = int(self._float("budget") or 0)
+        _gate_full_scale(self, state_count(game, honest) * (C + 1),
+                         DESK_STATE_BUDGET, "the adversary table")
+        return dp_build(game, honest, R, C, store_slices=store_slices)
 
     def stopping(self, game: Game, honest: int) -> StoppingRule:
         kind = self._get("stopping")
@@ -342,13 +354,17 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         eps, delta = cfg._float("eps"), cfg._float("delta")
         if eps is None or delta is None:
             raise ConfigError("adaptive stopping needs eps and delta")
-        adversary = cfg.build_adversary(game, honest, None)
+        if cfg._get("punish") != "count_only":
+            raise ConfigError("adaptive stopping supports only count_only punishment")
+        if cfg._get("max_samples") is not None:
+            raise ConfigError("adaptive stopping takes no max_samples cap")
+        adversary = cfg.adversary_factory(game, honest, None)()
         record = run_adaptive(game, adversary, eps, delta, cfg.gamma_for(game, honest),
-                              honest=honest, seed=cfg.seed)
+                              honest=honest, seed=cfg.seed, protocol=cfg._get("protocol"))
     else:
         stopping = cfg.stopping(game, honest)
         _gate_full_scale(cfg, stopping.R, DESK_SAMPLE_BUDGET, "this simulation")
-        adversary = cfg.build_adversary(game, honest, stopping.planned_R)
+        adversary = cfg.adversary_factory(game, honest, stopping.planned_R)()
         record = run_allocation(game, cfg._get("protocol"), adversary, stopping,
                                 honest=honest, seed=cfg.seed,
                                 punish=cfg._get("punish"),
@@ -443,18 +459,14 @@ def cmd_min_samples(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _sequential_cdf_runs(cfg_raw: dict[str, str], indices: list[int]) -> list[float]:
+def _cdf_runs(cfg_raw: dict[str, str], runs) -> np.ndarray:
+    """Honest allocations of the given run indices; also the ``--jobs`` worker."""
     cfg = ExperimentConfig(raw=cfg_raw)
     game, honest = cfg.build_game()
     stopping = cfg.stopping(game, honest)
-    out = []
-    for m in indices:
-        adversary = cfg.build_adversary(game, honest, stopping.planned_R)
-        record = run_allocation(game, cfg._get("protocol"), adversary, stopping,
-                                honest=honest, seed=cfg.seed, punish=cfg._get("punish"),
-                                stream_labels=("run", m))
-        out.append(record.x_honest)
-    return out
+    return run_many(game, cfg._get("protocol"),
+                    cfg.adversary_factory(game, honest, stopping.planned_R), stopping, runs,
+                    honest=honest, seed=cfg.seed, punish=cfg._get("punish"))
 
 
 def cmd_cdf(cfg: ExperimentConfig) -> int:
@@ -470,24 +482,17 @@ def cmd_cdf(cfg: ExperimentConfig) -> int:
             and cfg._get("punish") == "count_only" and stopping.planned_R is not None)
     if fast:
         R = stopping.planned_R
-        C = int(cfg._float("budget") or 0) if adversary_kind == "dp" else 0
-        if adversary_kind == "dp":
-            _gate_full_scale(cfg, state_count(game, honest) * (C + 1),
-                             DESK_STATE_BUDGET, "the adversary table")
-            table = dp_build(game, honest, R, C)
-        else:
-            table = None
+        table = cfg.dp_table(game, honest, R) if adversary_kind == "dp" else None
+        C = table.C if table is not None else 0
         stats = parallel_runs(game, honest, R, C, M, cfg.seed,
                               table=table, adversary=adversary_kind)
         x = stats.x_honest
     elif cfg.jobs > 1:
         chunks = np.array_split(np.arange(M), cfg.jobs)
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            parts = list(pool.map(_sequential_cdf_runs, [cfg.raw] * len(chunks),
-                                  [list(c) for c in chunks]))
-        x = np.concatenate([np.asarray(p) for p in parts])
+            x = np.concatenate(list(pool.map(_cdf_runs, [cfg.raw] * len(chunks), chunks)))
     else:
-        x = np.asarray(_sequential_cdf_runs(cfg.raw, list(range(M))))
+        x = _cdf_runs(cfg.raw, range(M))
 
     eps_hat = np.maximum(0.0, 1.0 - x / phi)
     order = np.sort(eps_hat)

@@ -39,24 +39,31 @@ from .games import Game, shapley_exact
 from .streams import substream
 
 DEFAULT_STATE_CAP = 2_000_000
+LOCKSTEP_CHUNK = 64  # P-sample indices whose floats parallel_runs draws per call
 
 
 class StateCapExceeded(ValueError):
     """The compressed state space would not fit in the configured cap."""
 
 
-def state_count(game: Game, honest: int) -> int:
-    """Size of the compressed pool-state space, without building it."""
+def _pool_classes(game: Game, honest: int) -> tuple[tuple[int, ...], ...]:
+    """Non-empty symmetry classes without the honest player, ordered by first member.
+
+    Games without declared classes use singletons (the bit-set fallback).
+    """
     if game.symmetry_classes is not None:
-        sizes = [len([p for p in cls if p != honest]) for cls in game.symmetry_classes]
+        raw = game.symmetry_classes
     elif game.n <= 20:
-        sizes = [1] * (game.n - 1)
+        raw = [(p,) for p in range(game.n)]
     else:
         raise ValueError("optimal-adversary tables need declared symmetry classes or n <= 20")
-    count = 1
-    for s in sizes:
-        count *= s + 1
-    return count
+    classes = [tuple(p for p in sorted(c) if p != honest) for c in raw]
+    return tuple(sorted((c for c in classes if c), key=lambda ms: ms[0]))
+
+
+def state_count(game: Game, honest: int) -> int:
+    """Size of the compressed pool-state space, without building it."""
+    return math.prod(len(c) + 1 for c in _pool_classes(game, honest))
 
 
 @dataclass(eq=False)
@@ -75,21 +82,7 @@ class StateSpace:
 
     @classmethod
     def build(cls, game: Game, honest: int, *, state_cap: int = DEFAULT_STATE_CAP) -> "StateSpace":
-        if game.symmetry_classes is not None:
-            raw = [tuple(sorted(c)) for c in game.symmetry_classes]
-        elif game.n <= 20:
-            raw = [(p,) for p in range(game.n)]
-        else:
-            raise ValueError(
-                "optimal-adversary tables need declared symmetry classes or n <= 20"
-            )
-        classes = []
-        for cls_members in raw:
-            members = tuple(p for p in cls_members if p != honest)
-            if members:
-                classes.append(members)
-        classes.sort(key=lambda ms: ms[0])
-        classes = tuple(classes)
+        classes = _pool_classes(game, honest)
         totals = np.array([len(c) for c in classes], dtype=np.int64)
         n_states = int(np.prod(totals + 1))
         if n_states > state_cap:
@@ -134,14 +127,6 @@ class StateSpace:
     def full_state(self) -> int:
         return int(self.totals @ self.strides)
 
-    def counts_of(self, sid: int) -> np.ndarray:
-        out = np.empty(len(self.classes), dtype=np.int64)
-        rem = sid
-        for d in range(len(self.classes)):
-            out[d] = rem // self.strides[d]
-            rem %= self.strides[d]
-        return out
-
     def state_of(self, pool: Sequence[int]) -> int:
         sid = 0
         for p in pool:
@@ -150,46 +135,13 @@ class StateSpace:
         return sid
 
 
-def _build_slice_reference(space: StateSpace, prev_row: np.ndarray, C: int) -> np.ndarray:
-    """Per-state builder; the plain-loop reference for :func:`_build_slice`."""
-    D = len(space.classes)
-    strides = space.strides
-    out = np.empty((space.n_states, C + 1), dtype=np.float64)
-    inf = math.inf
-    for size_group in space.by_size:
-        for sid in size_group:
-            counts = space.counts_of(int(sid))
-            acc = space.mu_star[sid] + prev_row  # honest-drawn branch, per c
-            m = 1 + int(counts.sum())
-            if m > 1:
-                nonzero = np.flatnonzero(counts)
-                vals = out[sid - strides[nonzero]]  # (len(nonzero), C+1)
-                best = vals.min(axis=0)
-                order = np.argsort(vals, axis=0, kind="stable")
-                second = vals[order[1], np.arange(C + 1)] if len(nonzero) > 1 else np.full(C + 1, inf)
-                argbest = nonzero[order[0]]
-                for pos, d in enumerate(nonzero):
-                    accept = vals[pos]
-                    # abort candidate classes: any with a member left after
-                    # excluding the drawn player itself
-                    if counts[d] >= 2:
-                        cand = best
-                    else:
-                        cand = np.where(argbest == d, second, best)
-                    abort = np.empty(C + 1)
-                    abort[0] = inf
-                    abort[1:] = cand[:-1]
-                    acc = acc + counts[d] * np.minimum(accept, abort)
-            out[sid] = acc / m
-    return out
-
-
 def _build_slice(space: StateSpace, prev_row: np.ndarray, C: int) -> np.ndarray:
     """All pool states at one ``T``, from the previous full-pool boundary row.
 
     States of equal pool size are independent given smaller sizes, so each
-    size group is filled with batched gathers; the arithmetic matches
-    :func:`_build_slice_reference` operation for operation.
+    size group is filled with batched gathers; the arithmetic matches the
+    per-state reference builder in the test oracles operation for
+    operation.
     """
     D = len(space.classes)
     strides = space.strides
@@ -247,7 +199,6 @@ class DPTable:
     C: int
     rows: list = field(default_factory=list)
     slices: list | None = None
-    validate: bool = True
     _phi_star: float | None = None
     _umax_star: float | None = None
 
@@ -278,8 +229,7 @@ class DPTable:
             prev = self.rows[-1] if self.rows else np.zeros(self.C + 1)
             sl = _build_slice(self.space, prev, self.C)
             row = sl[self.space.full_state].copy()
-            if self.validate:
-                self._check_row(T, row)
+            self._check_row(T, row)
             self.rows.append(row)
             if self.slices is not None:
                 self.slices.append(sl)
@@ -301,20 +251,18 @@ class DPTable:
 
 
 def dp_build(game: Game, honest: int, R: int, C: int, *,
-             store_slices: bool = False, validate: bool = True,
-             state_cap: int = DEFAULT_STATE_CAP) -> DPTable:
+             store_slices: bool = False, state_cap: int = DEFAULT_STATE_CAP) -> DPTable:
     """Build boundary rows for ``R`` P-samples and budgets ``0..C``."""
     if C < 0 or R < 1:
         raise ValueError("need R >= 1 and C >= 0")
     space = StateSpace.build(game, honest, state_cap=state_cap)
-    table = DPTable(space=space, C=C, slices=[] if store_slices else None, validate=validate)
-    if validate:
-        try:
-            report = shapley_exact(game)
-            table._phi_star = float(report.phi[honest])
-            table._umax_star = float(report.u_max[honest])
-        except ValueError:
-            table._phi_star = None
+    table = DPTable(space=space, C=C, slices=[] if store_slices else None)
+    try:
+        report = shapley_exact(game)
+        table._phi_star = float(report.phi[honest])
+        table._umax_star = float(report.u_max[honest])
+    except ValueError:  # no exact values: rows go unchecked
+        table._phi_star = None
     return table.extend_to(R)
 
 
@@ -329,25 +277,21 @@ class DPAdversary(Adversary):
     horizon.  Not defined for the full-permutation protocol.
     """
 
-    def __init__(self, table: DPTable, budget: Budget, *, horizon: int | None = None):
+    def __init__(self, table: DPTable, budget: Budget):
         super().__init__(budget)
         self.table = table
-        self._explicit_horizon = horizon
-        self.horizon = table.R if horizon is None else horizon
-        if self.horizon > table.R:
-            raise ValueError("planning horizon exceeds the built table")
+        self.horizon = table.R
         self._slice: np.ndarray | None = None
 
     def reset(self, **kwargs) -> None:
         super().reset(**kwargs)
         # plan against the run's announced length when one exists
-        if self._explicit_horizon is None:
-            if self.planned_samples is not None:
-                if self.planned_samples > self.table.R:
-                    raise ValueError("planned run length exceeds the built table")
-                self.horizon = self.planned_samples
-            else:
-                self.horizon = self.table.R
+        if self.planned_samples is not None:
+            if self.planned_samples > self.table.R:
+                raise ValueError("planned run length exceeds the built table")
+            self.horizon = self.planned_samples
+        else:
+            self.horizon = self.table.R
 
     def begin_sample(self, index: int, active) -> None:
         super().begin_sample(index, active)
@@ -411,7 +355,7 @@ class ParallelRunStats:
 
 def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
                   table: DPTable | None = None, adversary: str = "dp",
-                  record_transcript: bool = False, chunk: int = 64) -> ParallelRunStats:
+                  record_transcript: bool = False) -> ParallelRunStats:
     """Advance ``M`` fixed-length runs together, one P-sample index at a time.
 
     The optimal-adversary table values for sample index ``t`` (``T = R-1-t``)
@@ -456,7 +400,7 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
 
     t = 0
     while t < R:
-        t_hi = min(R, t + chunk)
+        t_hi = min(R, t + LOCKSTEP_CHUNK)
         block = np.empty((M, (t_hi - t) * n))
         for m in range(M):
             block[m] = gens[m].random((t_hi - t) * n)

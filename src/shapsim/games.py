@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -206,11 +206,6 @@ def shapley_exact(game: Game, *, force_exhaustive: bool = False) -> ShapleyRepor
     return _report_from(phi, u_max)
 
 
-def gamma(game: Game, *, force_exhaustive: bool = False) -> ShapleyReport:
-    """Max-to-mean ratio report; same computation as :func:`shapley_exact`."""
-    return shapley_exact(game, force_exhaustive=force_exhaustive)
-
-
 def is_monotone(game: Game, *, tol: float = 1e-12) -> bool:
     """Exhaustive monotonicity check (``n <= 12``)."""
     if game.n > MAX_CHECK_PLAYERS:
@@ -318,10 +313,3 @@ def shapley_via_permutations(game: Game) -> np.ndarray:
             acc[p] += cur - prev
             prev = cur
     return acc / math.factorial(n)
-
-
-def efficiency_gap(game: Game, phi: Sequence[float]) -> float:
-    """Relative gap between ``sum(phi)`` and the grand coalition value."""
-    total = float(np.sum(np.asarray(phi, dtype=np.float64)))
-    grand = game.grand_value()
-    return abs(total - grand) / max(1.0, abs(grand))

@@ -29,6 +29,11 @@ the adversary callback API rather than as simulated cryptography:
 
 Aborting at the commit phase is expressed by aborting at open (both count as
 one violation and place the player in the detected set).
+
+A view carries only the sample and round indices, the pool and the honest
+opening.  Nothing of earlier P-samples is passed in; a strategy that wants
+the run's past keeps it itself, so one P-sample costs the same however long
+the run has been going.
 """
 
 from __future__ import annotations
@@ -48,17 +53,16 @@ class PhaseView:
     """What the adversary is allowed to see at one callback.
 
     ``honest_revealed`` is ``None`` during commit phases and carries the
-    honest player's opened value during open phases.  ``history`` holds the
-    detected-violator sets of earlier P-samples in the run.  Views are
-    treated as read-only by every strategy.
+    honest player's opened value during open phases.  ``round_index``
+    counts elimination rounds within the sample (always 0 for the
+    full-permutation protocol).  Views are treated as read-only by every
+    strategy.
     """
 
     sample_index: int
-    protocol_step: str
     round_index: int
     active_set: tuple[int, ...]
     honest_revealed: object
-    history: tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,6 @@ def naive_perm(
     honest_rng: np.random.Generator,
     *,
     sample_index: int = 0,
-    history: tuple[frozenset[int], ...] = (),
 ) -> PSampleOutcome:
     """One commit-and-open round producing a permutation of ``active``.
 
@@ -136,7 +139,7 @@ def naive_perm(
     honest_perm = np.asarray(honest_rng.permutation(m), dtype=np.int64)
     susceptible = tuple(p for p in active if p != honest)
 
-    commit_view = PhaseView(sample_index, "perm-commit", 0, active, None, history)
+    commit_view = PhaseView(sample_index, 0, active, None)
     commitments = adversary.commit_permutations(commit_view, susceptible, m)
     checked: dict[int, np.ndarray] = {}
     for p in susceptible:
@@ -145,7 +148,7 @@ def naive_perm(
             raise ValueError(f"adversary committed a malformed permutation for player {p}")
         checked[p] = perm
 
-    open_view = PhaseView(sample_index, "perm-open", 0, active, honest_perm.copy(), history)
+    open_view = PhaseView(sample_index, 0, active, honest_perm.copy())
     opened = adversary.open_permutations(open_view, susceptible, checked, m)
 
     dev = set()
@@ -181,7 +184,6 @@ def rand_elim(
     *,
     sample_index: int = 0,
     round_index: int = 0,
-    history: tuple[frozenset[int], ...] = (),
     honest_draw: int | None = None,
 ) -> tuple[int, frozenset[int]]:
     """Eliminate one player from ``pool`` by a committed modular sum.
@@ -208,13 +210,13 @@ def rand_elim(
         honest_draw = None
     susceptible = tuple(p for p in pool if p != honest)
 
-    commit_view = PhaseView(sample_index, "elim-commit", round_index, pool, None, history)
+    commit_view = PhaseView(sample_index, round_index, pool, None)
     commitments = adversary.commit_draws(commit_view, susceptible, k)
     committed = {p: int(commitments[p]) for p in susceptible}  # protocol-held record
     if STRICT_VALIDATION and any(not 0 <= c < k for c in committed.values()):
         raise ValueError("adversary committed a malformed draw")
 
-    open_view = PhaseView(sample_index, "elim-open", round_index, pool, honest_draw, history)
+    open_view = PhaseView(sample_index, round_index, pool, honest_draw)
     opened = adversary.open_draws(open_view, susceptible, committed, k)
 
     total = honest_draw or 0
@@ -242,7 +244,6 @@ def seq_perm(
     honest_rng: np.random.Generator,
     *,
     sample_index: int = 0,
-    history: tuple[frozenset[int], ...] = (),
 ) -> PSampleOutcome:
     """Sequential permutation generation by repeated elimination.
 
@@ -275,7 +276,6 @@ def seq_perm(
             honest_rng,
             sample_index=sample_index,
             round_index=round_index,
-            history=history,
             honest_draw=draw,
         )
         if dev:

@@ -16,12 +16,13 @@ never exceeds ``violations * u_max``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .adversaries import Adversary
+from .csvio import format_number, render_csv
 from .games import Game, shapley_exact
 from .protocols import PSampleOutcome, naive_perm, seq_perm
 from .streams import substream
@@ -110,16 +111,11 @@ class RunRecord:
         return float(self.x[self.honest])
 
     def to_csv(self) -> str:
-        from .csvio import format_number
-
-        lines = ["# schema-version: 1", "j,Y,Z,dev"]
-        for j, (y, z, dev) in enumerate(self.per_sample, start=1):
-            lines.append(f"{j},{format_number(y)},{format_number(z)},{len(dev)}")
-        lines.append("# trailer: R,V,x_honest,eps_hat,seed")
-        lines.append(",".join([str(self.samples_used), str(self.violations),
-                               format_number(self.x_honest), format_number(self.epsilon_hat),
-                               str(self.seed)]))
-        return "\n".join(lines) + "\n"
+        rows = ((j, y, z, len(dev)) for j, (y, z, dev) in enumerate(self.per_sample, start=1))
+        trailer = [str(self.samples_used), str(self.violations), format_number(self.x_honest),
+                   format_number(self.epsilon_hat), str(self.seed)]
+        return (render_csv(["j", "Y", "Z", "dev"], rows)
+                + "# trailer: R,V,x_honest,eps_hat,seed\n" + ",".join(trailer) + "\n")
 
 
 def _honest_umax(game: Game, honest: int) -> float:
@@ -137,6 +133,64 @@ def _check_runnable(game: Game, honest: int, punish: str, protocol: str) -> None
         raise ValueError("honest player out of range")
     if game.declared_monotone is False:
         raise ValueError("allocation runs need a non-negative monotone game")
+
+
+@dataclass
+class _Bank:
+    """Running totals of one allocation run."""
+
+    z: np.ndarray  # every player's summed marginal contributions
+    per_sample: list = field(default_factory=list)
+    samples: int = 0
+    violations: int = 0
+    violating_samples: int = 0
+
+
+def _p_samples(game: Game, protocol: str, adversary: Adversary, *, honest: int, seed: int,
+               stream_labels: tuple, planned_samples: int | None, punish: str):
+    """The one reward-accounting loop shared by every stopping rule.
+
+    Yields the run's totals before each P-sample; the caller stops the run
+    by leaving the loop.  Every P-sample banks each player's marginal
+    contribution of joining its predecessors and the honest player's
+    ``(Y, Z, dev)``.
+    """
+    _check_runnable(game, honest, punish, protocol)
+    sample_fn = PROTOCOLS[protocol]
+    honest_rng = substream(seed, *stream_labels, "honest")
+    adversary.reset(n=game.n, honest=honest, rng=substream(seed, *stream_labels, "adversary"),
+                    game=game, planned_samples=planned_samples)
+    u_max_star = _honest_umax(game, honest)
+    v = game.utility
+    bank = _Bank(z=np.zeros(game.n))
+    z = bank.z
+    pinned: list[int] = []
+
+    while True:
+        yield bank
+        active = [p for p in range(game.n) if p not in pinned] if pinned else list(range(game.n))
+        adversary.begin_sample(bank.samples, tuple(active))
+        outcome: PSampleOutcome = sample_fn(active, honest, adversary, honest_rng,
+                                            sample_index=bank.samples)
+        order = tuple(pinned) + outcome.order if pinned else outcome.order
+        mask = 0
+        prev = v(0)
+        x_honest_j = 0.0
+        for p in order:
+            cur = v(mask | (1 << p))
+            z[p] += cur - prev
+            if p == honest:
+                x_honest_j = cur - prev
+            mask |= 1 << p
+            prev = cur
+        zj = outcome.violations_used * u_max_star
+        bank.per_sample.append((x_honest_j + zj, zj, outcome.dev))
+        bank.violations += outcome.violations_used
+        if outcome.dev:
+            bank.violating_samples += 1
+            if punish == "perpetual":
+                pinned.extend(p for p in outcome.order if p in outcome.dev)
+        bank.samples += 1
 
 
 def run_allocation(
@@ -163,62 +217,24 @@ def run_allocation(
     for violating-fraction rules against high-rate adversaries) raises
     :class:`SampleCapExceeded` with a diagnostic.
     """
-    _check_runnable(game, honest, punish, protocol)
-    sample_fn = PROTOCOLS[protocol]
-    honest_rng = substream(seed, *stream_labels, "honest")
-    adversary.reset(n=game.n, honest=honest, rng=substream(seed, *stream_labels, "adversary"),
-                    game=game, planned_samples=stopping.planned_R)
     cap = hard_cap if hard_cap is not None else stopping.default_cap()
-    u_max_star = _honest_umax(game, honest)
-    v = game.utility
-
-    z = np.zeros(game.n)
-    per_sample: list = []
-    history: list[frozenset[int]] = []
-    pinned: list[int] = []
-    violations = 0
-    violating_samples = 0
-    samples = 0
-
-    while True:
-        if samples >= cap:
+    for bank in _p_samples(game, protocol, adversary, honest=honest, seed=seed,
+                           stream_labels=stream_labels, planned_samples=stopping.planned_R,
+                           punish=punish):
+        # a run banks at least one P-sample before the rule is consulted
+        if bank.samples and stopping.satisfied(bank.samples, bank.violating_samples):
+            break
+        if bank.samples >= cap:
             raise SampleCapExceeded(
-                f"stopping rule {stopping.kind!r} unsatisfied after {samples} P-samples "
-                f"({violating_samples} violating); the adversary's violation rate may "
+                f"stopping rule {stopping.kind!r} unsatisfied after {bank.samples} P-samples "
+                f"({bank.violating_samples} violating); the adversary's violation rate may "
                 f"exceed eps/(2*gamma)"
             )
-        active = [p for p in range(game.n) if p not in pinned] if pinned else list(range(game.n))
-        adversary.begin_sample(samples, tuple(active))
-        outcome: PSampleOutcome = sample_fn(
-            active, honest, adversary, honest_rng,
-            sample_index=samples, history=tuple(history),
-        )
-        order = tuple(pinned) + outcome.order if pinned else outcome.order
-        mask = 0
-        prev = v(0)
-        x_honest_j = 0.0
-        for p in order:
-            cur = v(mask | (1 << p))
-            z[p] += cur - prev
-            if p == honest:
-                x_honest_j = cur - prev
-            mask |= 1 << p
-            prev = cur
-        zj = outcome.violations_used * u_max_star
-        per_sample.append((x_honest_j + zj, zj, outcome.dev))
-        history.append(outcome.dev)
-        violations += outcome.violations_used
-        if outcome.dev:
-            violating_samples += 1
-            if punish == "perpetual":
-                pinned.extend(p for p in outcome.order if p in outcome.dev)
-        samples += 1
-        if stopping.satisfied(samples, violating_samples):
-            break
 
     eps_hat = stopping.eps if stopping.kind != "fixed" else math.nan
-    return RunRecord(x=z / samples, epsilon_hat=eps_hat, per_sample=per_sample,
-                     samples_used=samples, violations=violations, seed=seed, honest=honest)
+    return RunRecord(x=bank.z / bank.samples, epsilon_hat=eps_hat, per_sample=bank.per_sample,
+                     samples_used=bank.samples, violations=bank.violations, seed=seed,
+                     honest=honest)
 
 
 def run_adaptive(
@@ -244,75 +260,46 @@ def run_adaptive(
     adversary with violation rate ``f`` the reported level never exceeds
     ``max(eps, 4*f*gamma)``.
     """
-    _check_runnable(game, honest, "count_only", protocol)
-    sample_fn = PROTOCOLS[protocol]
-    honest_rng = substream(seed, *stream_labels, "honest")
-    adversary.reset(n=game.n, honest=honest, rng=substream(seed, *stream_labels, "adversary"),
-                    game=game, planned_samples=None)
-    v = game.utility
-
-    z = np.zeros(game.n)
     x = np.zeros(game.n)
-    per_sample: list = []
-    history: list[frozenset[int]] = []
-    R = 0
-    V = 0
     k = 0
-    u_max_star = _honest_umax(game, honest)
+    for bank in _p_samples(game, protocol, adversary, honest=honest, seed=seed,
+                           stream_labels=stream_labels, planned_samples=None,
+                           punish="count_only"):
+        R = bank.samples
+        if R:
+            eps_next = 2.0 ** -(k + 1)
+            if R >= 8.0 * gamma / eps_next**2 * math.log(2.0 ** (k + 1) / delta):
+                if bank.violations / R > eps_next / (2.0 * gamma):
+                    break
+                x = bank.z / R
+                k += 1
+        if 2.0 ** -k <= eps:
+            break
 
-    while 2.0 ** -k > eps:
-        active = list(range(game.n))
-        adversary.begin_sample(R, tuple(active))
-        outcome = sample_fn(active, honest, adversary, honest_rng,
-                            sample_index=R, history=tuple(history))
-        mask = 0
-        prev = v(0)
-        x_honest_j = 0.0
-        for p in outcome.order:
-            cur = v(mask | (1 << p))
-            z[p] += cur - prev
-            if p == honest:
-                x_honest_j = cur - prev
-            mask |= 1 << p
-            prev = cur
-        zj = outcome.violations_used * u_max_star
-        per_sample.append((x_honest_j + zj, zj, outcome.dev))
-        history.append(outcome.dev)
-        R += 1
-        V += outcome.violations_used
-        eps_next = 2.0 ** -(k + 1)
-        if R >= 8.0 * gamma / eps_next**2 * math.log(2.0 ** (k + 1) / delta):
-            if V / R > eps_next / (2.0 * gamma):
-                break
-            x = z / R
-            k += 1
-
-    return RunRecord(x=x, epsilon_hat=2.0 ** -k, per_sample=per_sample,
-                     samples_used=R, violations=V, seed=seed, honest=honest)
+    return RunRecord(x=x, epsilon_hat=2.0 ** -k, per_sample=bank.per_sample,
+                     samples_used=bank.samples, violations=bank.violations, seed=seed,
+                     honest=honest)
 
 
-def expected_reward_estimate(
+def run_many(
     game: Game,
     protocol: str,
     adversary_factory: Callable[[], Adversary],
-    R: int,
-    M: int,
+    stopping: StoppingRule,
+    runs: Iterable[int],
     *,
     honest: int,
     seed: int,
     punish: str = "count_only",
-) -> tuple[float, float]:
-    """Mean and standard error of the honest allocation over ``M`` runs.
+) -> np.ndarray:
+    """The honest allocation of each run index in ``runs``.
 
-    Each repetition owns a fresh adversary instance and disjoint labeled
-    substreams, so results do not depend on execution order.
+    Run ``m`` owns a fresh adversary from ``adversary_factory`` and the
+    substreams labeled ``("run", m)``, so its result does not depend on
+    which other runs share the call or on their order.
     """
-    values = np.empty(M)
-    stopping = StoppingRule.fixed(R)
-    for m in range(M):
-        record = run_allocation(game, protocol, adversary_factory(), stopping,
-                                honest=honest, seed=seed, punish=punish,
-                                stream_labels=("run", m))
-        values[m] = record.x_honest
-    stderr = float(np.std(values, ddof=1) / math.sqrt(M)) if M > 1 else 0.0
-    return float(np.mean(values)), stderr
+    return np.array([
+        run_allocation(game, protocol, adversary_factory(), stopping, honest=honest,
+                       seed=seed, punish=punish, stream_labels=("run", m)).x_honest
+        for m in runs
+    ], dtype=np.float64)

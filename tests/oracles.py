@@ -168,6 +168,49 @@ def worst_case_value(game: Game, honest: int, R: int, C: int, *,
     return start(R, C)
 
 
+def _counts_of(space, sid: int) -> np.ndarray:
+    """Per-class remaining counts of pool state ``sid`` (mixed-radix digits)."""
+    out = np.empty(len(space.classes), dtype=np.int64)
+    rem = sid
+    for d in range(len(space.classes)):
+        out[d] = rem // space.strides[d]
+        rem %= space.strides[d]
+    return out
+
+
+def _build_slice_reference(space, prev_row: np.ndarray, C: int) -> np.ndarray:
+    """Per-state builder; the plain-loop reference for ``shapsim.dp._build_slice``."""
+    strides = space.strides
+    out = np.empty((space.n_states, C + 1), dtype=np.float64)
+    inf = math.inf
+    for size_group in space.by_size:
+        for sid in size_group:
+            counts = _counts_of(space, int(sid))
+            acc = space.mu_star[sid] + prev_row  # honest-drawn branch, per c
+            m = 1 + int(counts.sum())
+            if m > 1:
+                nonzero = np.flatnonzero(counts)
+                vals = out[sid - strides[nonzero]]  # (len(nonzero), C+1)
+                best = vals.min(axis=0)
+                order = np.argsort(vals, axis=0, kind="stable")
+                second = vals[order[1], np.arange(C + 1)] if len(nonzero) > 1 else np.full(C + 1, inf)
+                argbest = nonzero[order[0]]
+                for pos, d in enumerate(nonzero):
+                    accept = vals[pos]
+                    # abort candidate classes: any with a member left after
+                    # excluding the drawn player itself
+                    if counts[d] >= 2:
+                        cand = best
+                    else:
+                        cand = np.where(argbest == d, second, best)
+                    abort = np.empty(C + 1)
+                    abort[0] = inf
+                    abort[1:] = cand[:-1]
+                    acc = acc + counts[d] * np.minimum(accept, abort)
+            out[sid] = acc / m
+    return out
+
+
 # --- instrumented adversaries -------------------------------------------------
 
 class ScriptedAdversary(Adversary):

@@ -249,3 +249,78 @@ def test_cdf_jobs_fanout_deterministic(tmp_path):
     assert run(base + ["--jobs", "1", "--out", out1]) == EXIT_OK
     assert run(base + ["--jobs", "2", "--out", out2]) == EXIT_OK
     assert read(out1) == read(out2)
+
+
+# --- flags that must take effect or be rejected ---------------------------------------------
+
+ADAPTIVE = ["simulate", "--game", "pair", "--n", "4", "--adversary", "passive",
+            "--stopping", "adaptive", "--eps", "0.25", "--delta", "0.5", "--gamma", "2.0",
+            "--seed", "11"]
+
+
+def test_adaptive_simulate_honours_protocol(tmp_path):
+    naive, seq = tmp_path / "naive.csv", tmp_path / "seq.csv"
+    assert run(ADAPTIVE + ["--protocol", "naive", "--out", naive]) == EXIT_OK
+    assert run(ADAPTIVE + ["--protocol", "seq", "--out", seq]) == EXIT_OK
+    assert read(naive) != read(seq)
+
+
+@pytest.mark.parametrize("flag", [["--punish", "perpetual"], ["--max-samples", "100"]])
+def test_adaptive_simulate_rejects_unused_flags(tmp_path, flag):
+    assert run(ADAPTIVE + flag + ["--out", tmp_path / "a.csv"]) == EXIT_CONFIG
+    assert not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--R", "5"],
+    ["cdf", "--R", "5", "--M", "2"],
+    ["cdf", "--R", "5", "--M", "2", "--punish", "perpetual"],
+])
+def test_dp_adversary_rejects_rate_budget(tmp_path, command):
+    args = command + ["--game", "lb", "--n", "6", "--protocol", "seq", "--adversary", "dp",
+                      "--budget-kind", "rate", "--budget", "0.5", "--out", tmp_path / "o.csv"]
+    assert run(args) == EXIT_CONFIG
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_cdf_builds_dp_table_once_for_all_runs(tmp_path, monkeypatch):
+    import shapsim.cli
+
+    calls = []
+    real = shapsim.cli.dp_build
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shapsim.cli, "dp_build", counting)
+    assert run(["cdf", "--game", "lb", "--n", "6", "--protocol", "seq", "--adversary", "dp",
+                "--budget", "1", "--punish", "perpetual", "--R", "8", "--M", "3",
+                "--seed", "2", "--out", tmp_path / "c.csv"]) == EXIT_OK
+    assert len(calls) == 1
+    rows = [l for l in read(tmp_path / "c.csv").splitlines() if not l.startswith("#")]
+    assert len(rows) == 1 + 3
+
+
+# --- committed demo outputs -----------------------------------------------------------------
+
+DEMO_OUT = Path(__file__).resolve().parent.parent / "demos" / "out"
+
+
+@pytest.mark.parametrize("name, args", [
+    ("lb10_values.csv", ["shapley", "--game", "lb", "--n", "10"]),
+    ("min_samples_vs_budget.csv", ["min-samples", "--game", "lb", "--n", "10", "--eps", "0.05",
+                                   "--sweep", "C=1,2,4"]),
+    ("min_samples_vs_eps.csv", ["min-samples", "--game", "lb", "--n", "10", "--budget", "2",
+                                "--sweep", "eps=0.1,0.05,0.025"]),
+    ("min_samples_vs_n_lb.csv", ["min-samples", "--game", "lb", "--eps", "0.05",
+                                 "--budget", "2", "--sweep", "n=8,12,16"]),
+    ("min_samples_collab.csv", ["min-samples", "--hypergraph", DATA, "--honest", "0",
+                                "--padding", "6", "--eps", "0.1", "--budget", "2"]),
+    ("run_record.csv", ["simulate", "--game", "lb", "--n", "8", "--protocol", "seq",
+                        "--adversary", "dp", "--budget", "2", "--R", "200", "--seed", "13"]),
+])
+def test_demo_05_outputs_match_committed_goldens(tmp_path, name, args):
+    # the same commands as demos/05_sampling_experiments.py; its slow cdf_lb8.csv is left out
+    assert run(args + ["--out", tmp_path / name]) == EXIT_OK
+    assert (tmp_path / name).read_bytes() == (DEMO_OUT / name).read_bytes()

@@ -338,7 +338,8 @@ def test_dp_value_below_every_builtin_strategy():
 
 
 def test_vectorized_builder_matches_reference_bitwise():
-    from shapsim.dp import StateSpace, _build_slice, _build_slice_reference
+    from oracles import _build_slice_reference
+    from shapsim.dp import StateSpace, _build_slice
 
     for g in (make_pair_game(5), make_lb_game(8), make_max_gamma_game(5)):
         space = StateSpace.build(g, 0)

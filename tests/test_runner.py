@@ -14,13 +14,13 @@ from shapsim import (
     SampleCapExceeded,
     StoppingRule,
     dp_build,
-    expected_reward_estimate,
     make_lb_game,
     make_pair_game,
     make_synergy_game,
     rank_expectation,
     run_adaptive,
     run_allocation,
+    run_many,
     shapley_exact,
 )
 from shapsim.hypergraph import Hypergraph
@@ -287,18 +287,18 @@ def test_adaptive_rate_bound():
 
 def test_expected_reward_estimate_passive():
     g = make_pair_game(3)
-    mean, stderr = expected_reward_estimate(g, "seq", PassiveAdversary, R=50, M=200,
-                                            honest=0, seed=46)
-    assert abs(mean - 1.0) < 4 * stderr + 0.05
+    x = run_many(g, "seq", PassiveAdversary, StoppingRule.fixed(50), range(200),
+                 honest=0, seed=46)
+    stderr = np.std(x, ddof=1) / math.sqrt(len(x))
+    assert abs(np.mean(x) - 1.0) < 4 * stderr + 0.05
 
 
 def test_cyclic_single_sample_forces_rank_one_reward():
     g = make_lb_game(4)  # supermodular; rank 1 reward is mu over empty set
     u1 = rank_expectation(g, 3, 1)
-    mean, _ = expected_reward_estimate(
-        g, "naive", lambda: CyclicShiftAdversary(Budget.known(1)), R=1, M=100,
-        honest=3, seed=47)
-    assert mean == pytest.approx(u1, abs=1e-12)
+    x = run_many(g, "naive", lambda: CyclicShiftAdversary(Budget.known(1)),
+                 StoppingRule.fixed(1), range(100), honest=3, seed=47)
+    assert np.mean(x) == pytest.approx(u1, abs=1e-12)
 
 
 # --- records --------------------------------------------------------------------------------
