@@ -28,6 +28,7 @@ from .adversaries import (Adversary, BlockAttackAdversary, Budget,
 from .builtin_games import (make_collab_game, make_lb_game, make_max_gamma_game,
                             make_pair_game, make_synergy_game)
 from .csvio import format_number, render_csv, write_text
+from . import dp
 from .dp import DPAdversary, DPTable, StateCapExceeded, dp_build, parallel_runs, state_count
 from .games import Game, shapley_exact
 from .hypergraph import HypergraphFormatError, load_hypergraph
@@ -218,20 +219,24 @@ class ExperimentConfig:
         if kind == "dp":
             if planned_R is None:
                 raise ConfigError("dp adversary needs a predetermined sample count")
-            table = self.dp_table(game, honest, planned_R, store_slices=planned_R <= 512)
+            table = self.dp_table(game, honest, planned_R)
             return lambda: DPAdversary(table, budget())
         raise ConfigError(f"unknown adversary {kind!r}")
 
-    def dp_table(self, game: Game, honest: int, R: int, *,
-                 store_slices: bool = False) -> DPTable:
-        """The optimal adversary's table for ``R`` samples and the configured budget."""
+    def dp_table(self, game: Game, honest: int, R: int) -> DPTable:
+        """The optimal adversary's table for ``R`` samples and the configured budget.
+
+        Inner slices are kept when all ``R`` fit in ``dp.SLICE_STORE_BYTES``;
+        otherwise each is rebuilt from its boundary row when a run reaches it.
+        """
         if self._get("budget_kind") == "rate":
             raise ConfigError("the dp adversary needs a violation count (budget_kind "
                               "known or unknown), not a rate")
         C = int(self._float("budget") or 0)
-        _gate_full_scale(self, state_count(game, honest) * (C + 1),
-                         DESK_STATE_BUDGET, "the adversary table")
-        return dp_build(game, honest, R, C, store_slices=store_slices)
+        slice_entries = state_count(game, honest) * (C + 1)
+        _gate_full_scale(self, slice_entries, DESK_STATE_BUDGET, "the adversary table")
+        store = R * slice_entries * 8 <= dp.SLICE_STORE_BYTES
+        return dp_build(game, honest, R, C, store_slices=store)
 
     def stopping(self, game: Game, honest: int) -> StoppingRule:
         kind = self._get("stopping")
@@ -341,7 +346,7 @@ def cmd_dp_table(cfg: ExperimentConfig) -> int:
     C = int(cfg._float("budget") or 0)
     _gate_full_scale(cfg, R, DESK_SCAN_BUDGET, "this table build")
     table = dp_build(game, honest, R, C)
-    rows = [(T, c, table.boundary[T, c]) for T in range(R) for c in range(C + 1)]
+    rows = [(T, c, row[c]) for T, row in enumerate(table.rows) for c in range(C + 1)]
     text = render_csv(["T", "c", "E_worst"], rows,
                       comments=[f"game = {game.name}", f"honest = {honest}", f"C = {C}"])
     write_text(cfg.out_path("dp_table.csv"), text)
@@ -389,11 +394,11 @@ def min_samples_scan(game: Game, honest: int, C: int, eps: float, *,
     crossover = None
     for R in range(1, r_max + 1):
         table.extend_to(R)
-        if table.boundary[R - 1, C] / R >= threshold:
+        if table.rows[R - 1][C] / R >= threshold:
             crossover = R
             break
     if crossover is None:
-        ratios = [(R, table.boundary[R - 1, C] / R) for R in range(1, r_max + 1)]
+        ratios = [(R, table.rows[R - 1][C] / R) for R in range(1, r_max + 1)]
         exc = SampleCapExceeded(
             f"no crossover within r_max={r_max}: best ratio "
             f"{max(r for _, r in ratios):.6g} vs threshold {threshold:.6g}"
@@ -403,7 +408,7 @@ def min_samples_scan(game: Game, honest: int, C: int, eps: float, *,
     verify_to = min(r_max, math.ceil(crossover * (1.0 + verify_margin)))
     table.extend_to(max(verify_to, crossover))
     for R in range(crossover, verify_to + 1):
-        if table.boundary[R - 1, C] / R < threshold:
+        if table.rows[R - 1][C] / R < threshold:
             raise AssertionError(
                 f"worst-case ratio dipped back below threshold at R={R}; "
                 "crossover is not stable"

@@ -20,17 +20,20 @@ perpetual removal is a runner-level policy layered on top.
 
 States are compressed by the game's declared symmetry classes (the honest
 player is split into its own class), with singleton classes as the
-uncompressed bit-set fallback for ``n <= 20``.  Only the full-pool boundary
-column ``value[T][N][c]`` is stored per ``T``; any inner slice is rebuilt on
-demand from the previous boundary row, which keeps long runs at
-``R * (C + 1)`` stored reals regardless of ``n``.
+uncompressed bit-set fallback for ``n <= 20``.  The full-pool boundary
+column ``value[T][N][c]`` is always stored per ``T``.  An inner slice is
+kept too when the builder asks for it (``store_slices``); otherwise it is
+rebuilt on demand from the previous boundary row, which keeps long runs at
+``R * (C + 1)`` stored reals regardless of ``n``.  The CLI keeps the slices
+whenever all ``R`` of them fit in ``SLICE_STORE_BYTES``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from .games import Game, shapley_exact
 from .streams import substream
 
 DEFAULT_STATE_CAP = 2_000_000
+SLICE_STORE_BYTES = 64 << 20  # the CLI keeps a table's inner slices when all fit in this
 LOCKSTEP_CHUNK = 64  # P-sample indices whose floats parallel_runs draws per call
 
 
@@ -66,9 +70,33 @@ def state_count(game: Game, honest: int) -> int:
     return math.prod(len(c) + 1 for c in _pool_classes(game, honest))
 
 
+class SizeGroup(NamedTuple):
+    """Gather plan of the ``g`` pool states with ``m`` players, work rows ``lo:hi``.
+
+    Indexed by class ``d``, then state: ``nbr`` (shape ``(D, g)``) is the
+    work row of the pool with one class-``d`` member removed, or the
+    all-``inf`` sentinel row when that class is empty; ``k`` is the class's
+    remaining count and ``empty`` / ``shared`` are the masks ``k == 0`` /
+    ``k >= 2``, these three shaped ``(D, g, 1)`` to broadcast over budgets.
+    """
+
+    m: int
+    lo: int
+    hi: int
+    nbr: np.ndarray
+    k: np.ndarray
+    empty: np.ndarray
+    shared: np.ndarray
+
+
 @dataclass(eq=False)
 class StateSpace:
-    """Mixed-radix index over per-class remaining counts (honest excluded)."""
+    """Mixed-radix index over per-class remaining counts (honest excluded).
+
+    Slices are filled in a work array whose rows hold the states sorted by
+    pool size (``work_row[sid]``), followed by one sentinel row; ``plan``
+    holds each size group's precomputed gathers into it.
+    """
 
     game: Game
     honest: int
@@ -79,6 +107,9 @@ class StateSpace:
     class_of: np.ndarray
     mu_star: np.ndarray
     by_size: list[np.ndarray]
+    work_row: np.ndarray
+    mu_work: np.ndarray
+    plan: tuple[SizeGroup, ...]
 
     @classmethod
     def build(cls, game: Game, honest: int, *, state_cap: int = DEFAULT_STATE_CAP) -> "StateSpace":
@@ -100,28 +131,48 @@ class StateSpace:
 
         # Marginal contribution of the honest player joining the complement
         # of each pool state; exchangeability lets one canonical member set
-        # stand for every pool with the same class counts.
-        D = len(classes)
-        counts = np.zeros(D, dtype=np.int64)
-        mu_star = np.empty(n_states, dtype=np.float64)
-        sizes = np.empty(n_states, dtype=np.int64)
+        # stand for every pool with the same class counts.  absent[d][k] is
+        # the mask of the class-d members missing when k of them remain; the
+        # masks are disjoint, so their sum is the complement, and the product
+        # walks the states in index order (last class fastest).
+        absent = []
+        for members in classes:
+            prefix = [0]
+            for p in members:
+                prefix.append(prefix[-1] | 1 << p)
+            absent.append(prefix[::-1])
         v = game.utility
         hbit = 1 << honest
-        for sid in range(n_states):
-            rem = sid
-            comp_mask = 0
-            for d in range(D):
-                counts[d] = rem // strides[d]
-                rem %= strides[d]
-                absent = int(totals[d] - counts[d])
-                for p in classes[d][:absent]:
-                    comp_mask |= 1 << p
-            mu_star[sid] = v(comp_mask | hbit) - v(comp_mask)
-            sizes[sid] = 1 + int(counts.sum())
-        by_size = [np.flatnonzero(sizes == m) for m in range(1, game.n + 1)]
+        mu_star = np.fromiter((v(comp | hbit) - v(comp)
+                               for comp in map(sum, itertools.product(*absent))),
+                              dtype=np.float64, count=n_states)
+
+        sids = np.arange(n_states, dtype=np.int64)
+        sizes = np.ones(n_states, dtype=np.int64)
+        for stride, total in zip(strides, totals):
+            sizes += sids // stride % (total + 1)
+        order = np.argsort(sizes, kind="stable")  # work row -> state
+        starts = np.searchsorted(sizes[order], np.arange(1, game.n + 2)).tolist()
+        by_size = [order[starts[i]:starts[i + 1]] for i in range(game.n)]
+        work_row = np.empty(n_states, dtype=np.min_scalar_type(n_states))
+        work_row[order] = np.arange(n_states)
+
+        count_type = np.min_scalar_type(int(totals.max(initial=0)))
+        col_strides, col_radix = strides[:, None], totals[:, None] + 1
+        plan = []
+        for m in range(2, game.n + 1):
+            group = by_size[m - 1]
+            if len(group) == 0:
+                continue
+            k = (group // col_strides % col_radix).astype(count_type)
+            nbr = np.where(k >= 1, work_row[np.maximum(group - col_strides, 0)],
+                           n_states).astype(work_row.dtype)
+            k = k[:, :, None]
+            plan.append(SizeGroup(m, starts[m - 1], starts[m], nbr, k, k == 0, k >= 2))
         return cls(game=game, honest=honest, classes=classes, totals=totals,
                    strides=strides, n_states=n_states, class_of=class_of,
-                   mu_star=mu_star, by_size=by_size)
+                   mu_star=mu_star, by_size=by_size, work_row=work_row,
+                   mu_work=mu_star[order], plan=tuple(plan))
 
     @property
     def full_state(self) -> int:
@@ -139,60 +190,54 @@ def _build_slice(space: StateSpace, prev_row: np.ndarray, C: int) -> np.ndarray:
     """All pool states at one ``T``, from the previous full-pool boundary row.
 
     States of equal pool size are independent given smaller sizes, so each
-    size group is filled with batched gathers; the arithmetic matches the
-    per-state reference builder in the test oracles operation for
-    operation.
+    size group is filled with batched gathers from the group's plan.  Every
+    value equals the per-state reference builder's in the test oracles bit
+    for bit: each abort value is a minimum over the same classes, and each
+    state's sum adds the same terms in the same order.  Work column 0 is
+    ``inf``, so the columns ``:-1`` of a gathered neighbour are its values
+    one budget unit lower, and an abort with no budget left never wins.
     """
-    D = len(space.classes)
-    strides = space.strides
-    totals = space.totals
-    out = np.empty((space.n_states, C + 1), dtype=np.float64)
     inf = math.inf
-    for m_minus_1, group in enumerate(space.by_size):
-        m = m_minus_1 + 1
-        if len(group) == 0:
-            continue
-        base = space.mu_star[group][:, None] + prev_row[None, :]
-        if m == 1:
-            out[group] = base
-            continue
-        g = len(group)
-        counts = np.empty((g, D), dtype=np.int64)
-        rem = group.copy()
-        for d in range(D):
-            counts[:, d] = rem // strides[d]
-            rem = rem % strides[d]
-        sub = np.empty((g, D, C + 1))
-        for d in range(D):
-            valid = counts[:, d] >= 1
-            ids = np.where(valid, group - strides[d], 0)
-            sub[:, d] = np.where(valid[:, None], out[ids], inf)
-        order = np.argsort(sub, axis=1, kind="stable")
-        ranked = np.take_along_axis(sub, order, axis=1)
-        best = ranked[:, 0]
-        second = ranked[:, 1] if D > 1 else np.full((g, C + 1), inf)
-        argbest = order[:, 0]
-        acc = base
-        for d in range(D):
-            k_d = counts[:, d:d + 1]
-            cand = np.where((k_d >= 2) | (argbest != d), best, second)
-            abort = np.empty_like(cand)
-            abort[:, 0] = inf
-            abort[:, 1:] = cand[:, :-1]
-            contrib = np.where(k_d >= 1, np.minimum(sub[:, d], abort), 0.0)
-            acc = acc + k_d * contrib
-        out[group] = acc / m
-    return out
+    work = np.empty((space.n_states + 1, C + 2), dtype=np.float64)
+    work[:, 0] = inf
+    work[-1] = inf
+    # honest-drawn branch: the whole value of the honest-only state, and the
+    # start of every other state's sum
+    np.add(space.mu_work[:, None], prev_row, out=work[:-1, 1:])
+    for m, lo, hi, nbr, k, empty, shared in space.plan:
+        near = work.take(nbr, axis=0)  # (D, g, C + 2): the pool without one class-d member
+        lower = near[:, :, :-1]
+        D = len(lower)
+        # abort in place of a class-d draw: the best of the other classes,
+        # or of all classes when class d has a member besides the drawn one
+        abort = np.full(lower.shape, inf)
+        for d in range(1, D):  # best of the classes before d
+            np.minimum(abort[d - 1], lower[d - 1], out=abort[d])
+        for d in range(D - 2, -1, -1):  # and of the classes after d
+            rest = lower[D - 1] if d == D - 2 else np.minimum(rest, lower[d + 1])
+            np.minimum(abort[d], rest, out=abort[d])
+        np.minimum(abort, lower, out=abort, where=shared)
+        # the cheaper of accepting and aborting, weighted by the class's count
+        contrib = np.minimum(near[:, :, 1:], abort, out=abort)
+        np.copyto(contrib, 0.0, where=empty)
+        contrib *= k
+        acc = work[lo:hi, 1:]
+        for term in contrib:
+            acc = acc + term
+        np.divide(acc, m, out=work[lo:hi, 1:])
+    return work[space.work_row, 1:]
 
 
 @dataclass(eq=False)
 class DPTable:
-    """Boundary rows ``value[T][N][c]`` plus on-demand inner slices.
+    """Boundary rows ``value[T][N][c]`` plus stored or on-demand inner slices.
 
-    ``boundary[T, c]`` covers ``T = 0 .. R-1``; memory is ``R * (C + 1)``
-    reals no matter how large the game.  ``slice_at(T)`` rebuilds (or
-    returns, when ``store_slices`` was set) the full inner slice for that
-    sample index.
+    ``boundary[T, c]`` covers ``T = 0 .. R-1`` (``rows[T]`` is the same row
+    without building the array).  Without stored slices, memory is
+    ``R * (C + 1)`` reals no matter how large the game, and ``slice_at(T)``
+    rebuilds the full inner slice for that sample index; with
+    ``store_slices`` set, ``slices`` holds all ``R`` of them and
+    ``slice_at`` returns the stored one.
     """
 
     space: StateSpace
@@ -359,8 +404,9 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
     """Advance ``M`` fixed-length runs together, one P-sample index at a time.
 
     The optimal-adversary table values for sample index ``t`` (``T = R-1-t``)
-    are materialized once and shared by every run before any run moves to
-    ``t + 1``, so boundary-only tables never rebuild a slice twice.  Pools
+    are taken once and shared by every run before any run moves to
+    ``t + 1``: a table with stored slices is only read, and a boundary-only
+    table rebuilds each slice exactly once.  Pools
     stay in lockstep because each elimination round removes exactly one
     player whether or not an abort replaces the drawn one.
 
@@ -466,9 +512,10 @@ def dp_two_pass(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
                 state_cap: int = DEFAULT_STATE_CAP) -> tuple[ParallelRunStats, DPTable]:
     """Boundary pass plus a replay pass driving ``M`` simulations together.
 
-    Pass 1 stores only the full-pool boundary (``R * (C + 1)`` reals); pass 2
-    walks sample indices forward, rebuilding each inner slice exactly once
-    and advancing every simulation through that index before moving on.
+    Pass 1 stores only the full-pool boundary (``R * (C + 1)`` reals),
+    whether or not the slices would fit in memory; pass 2 walks sample
+    indices forward, rebuilding each inner slice exactly once and advancing
+    every simulation through that index before moving on.
     """
     table = dp_build(game, honest, R, C, store_slices=False, state_cap=state_cap)
     stats = parallel_runs(game, honest, R, C, M, seed, table=table,

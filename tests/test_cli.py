@@ -302,6 +302,62 @@ def test_cdf_builds_dp_table_once_for_all_runs(tmp_path, monkeypatch):
     assert len(rows) == 1 + 3
 
 
+CDF_DP = ["cdf", "--game", "lb", "--n", "6", "--protocol", "seq", "--adversary", "dp",
+          "--budget", "2", "--R", "12", "--M", "40", "--seed", "4"]
+
+
+def _count_slice_builds(monkeypatch) -> list:
+    import shapsim.dp
+
+    calls = []
+    real = shapsim.dp._build_slice
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shapsim.dp, "_build_slice", counting)
+    return calls
+
+
+def test_cdf_dp_builds_each_slice_once(tmp_path, monkeypatch):
+    calls = _count_slice_builds(monkeypatch)
+    assert run(CDF_DP + ["--out", tmp_path / "c.csv"]) == EXIT_OK
+    assert len(calls) == 12  # R rows, each slice kept for the lockstep runs
+
+
+def test_slice_rebuild_path_writes_same_bytes(tmp_path, monkeypatch):
+    import shapsim.dp
+
+    simulate = ["simulate", "--game", "lb", "--n", "6", "--protocol", "seq",
+                "--adversary", "dp", "--budget", "2", "--R", "30", "--seed", "9"]
+    for args in (CDF_DP, simulate):
+        assert run(args + ["--out", tmp_path / "kept.csv"]) == EXIT_OK
+        with monkeypatch.context() as m:
+            m.setattr(shapsim.dp, "SLICE_STORE_BYTES", 0)
+            calls = _count_slice_builds(m)
+            assert run(args + ["--out", tmp_path / "rebuilt.csv"]) == EXIT_OK
+            assert len(calls) > int(args[args.index("--R") + 1])  # slices were rebuilt
+        assert read(tmp_path / "kept.csv") == read(tmp_path / "rebuilt.csv")
+
+
+def test_simulate_dp_keeps_slices_beyond_512_samples(tmp_path, monkeypatch):
+    import shapsim.cli
+
+    tables = []
+    real = shapsim.cli.dp_build
+
+    def keeping(*args, **kwargs):
+        tables.append(real(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(shapsim.cli, "dp_build", keeping)
+    assert run(["simulate", "--game", "lb", "--n", "6", "--protocol", "seq", "--adversary", "dp",
+                "--budget", "1", "--R", "600", "--seed", "3", "--out", tmp_path / "s.csv"]) == EXIT_OK
+    assert len(tables) == 1
+    assert tables[0].slices is not None and len(tables[0].slices) == 600
+
+
 # --- committed demo outputs -----------------------------------------------------------------
 
 DEMO_OUT = Path(__file__).resolve().parent.parent / "demos" / "out"
@@ -319,8 +375,11 @@ DEMO_OUT = Path(__file__).resolve().parent.parent / "demos" / "out"
                                 "--padding", "6", "--eps", "0.1", "--budget", "2"]),
     ("run_record.csv", ["simulate", "--game", "lb", "--n", "8", "--protocol", "seq",
                         "--adversary", "dp", "--budget", "2", "--R", "200", "--seed", "13"]),
+    ("cdf_lb8.csv", ["cdf", "--game", "lb", "--n", "8", "--protocol", "seq", "--adversary", "dp",
+                     "--stopping", "known", "--budget", "2", "--eps", "0.2", "--delta", "0.1",
+                     "--M", "300", "--seed", "12"]),
 ])
 def test_demo_05_outputs_match_committed_goldens(tmp_path, name, args):
-    # the same commands as demos/05_sampling_experiments.py; its slow cdf_lb8.csv is left out
+    # the same commands as demos/05_sampling_experiments.py
     assert run(args + ["--out", tmp_path / name]) == EXIT_OK
     assert (tmp_path / name).read_bytes() == (DEMO_OUT / name).read_bytes()

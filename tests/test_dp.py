@@ -337,18 +337,44 @@ def test_dp_value_below_every_builtin_strategy():
         assert dp_mean <= mean + 3 * sigma
 
 
+def _tied_minima(space, sl) -> int:
+    """(state, budget) cells whose neighbour states tie for the smallest value."""
+    ties = 0
+    for sid in range(space.n_states):
+        digits = [sid // int(s) % (int(t) + 1) for s, t in zip(space.strides, space.totals)]
+        near = np.sort([sl[sid - space.strides[d]] for d, k in enumerate(digits) if k], axis=0)
+        if len(near) > 1:
+            ties += int(np.sum(near[0] == near[1]))
+    return ties
+
+
 def test_vectorized_builder_matches_reference_bitwise():
     from oracles import _build_slice_reference
     from shapsim.dp import StateSpace, _build_slice
 
-    for g in (make_pair_game(5), make_lb_game(8), make_max_gamma_game(5)):
+    # one symmetry class besides the honest player, so D = 1
+    single = Game(n=5, utility=lambda m: float(bin(m).count("1") ** 2), name="square",
+                  symmetry_classes=((0, 1, 2, 3, 4),))
+    # players 2..5 are interchangeable singleton classes: neighbour values tie
+    # for the minimum, and a tied class can be the drawn one with one member
+    tied = strip_classes(make_pair_game(6))
+    games = (make_pair_game(5), make_lb_game(8), make_max_gamma_game(5),
+             make_collab_game(20), single, tied)
+    for g in games:
         space = StateSpace.build(g, 0)
-        prev = np.zeros(4)
-        for _ in range(3):  # chain a few sample indices
+        # a row rising in budget: when values fall in budget, as every
+        # boundary row does, aborting in place of a draw from the best class
+        # never beats accepting, so a wrong abort value there would not show
+        prev = np.array([0.0, 3.0, 1.0, 4.0])
+        for _ in range(3 if space.n_states < 1000 else 1):  # chain a few sample indices
             a = _build_slice(space, prev, 3)
             b = _build_slice_reference(space, prev, 3)
             assert np.array_equal(a, b)
             prev = a[space.full_state]
+        if g is tied:
+            assert _tied_minima(space, a) > 0
+    assert len(StateSpace.build(make_collab_game(20), 0).classes) > 2
+    assert len(StateSpace.build(single, 0).classes) == 1
 
 
 def test_collab_game_compressed_dp_builds():
