@@ -61,19 +61,39 @@ def _gate_full_scale(cfg: "ExperimentConfig", units: int, budget: int, what: str
         )
 
 
-_DEFAULTS = {
-    "game": None, "n": None, "i_star": "0", "j_star": "1",
-    "hypergraph": None, "honest": None, "padding": "0",
-    "protocol": "seq", "adversary": "passive",
-    "budget_kind": "known", "budget": "0",
-    "eps": None, "delta": None, "gamma": None,
-    "stopping": None, "R": None, "M": "1",
-    "punish": "count_only", "seed": "0",
-    "block_len": None, "block_greedy": "false",
-    "sweep": None, "r_max": None,
-    "max_samples": None, "jobs": "1",
-    "full_scale": "false", "out": None,
+# Every config key, with its default and the options of its flag ``--key``
+# ("-" for "_").  A subcommand registers only the flags it reads (see
+# build_parser), so argparse rejects any other with exit code 2.
+_KEYS = {
+    "game": (None, {"choices": ["pair", "max-gamma", "lb", "collab"]}),
+    "n": (None, {"type": int}),
+    "i_star": ("0", {"type": int}),
+    "j_star": ("1", {"type": int}),
+    "hypergraph": (None, {}),
+    "honest": (None, {"type": int}),
+    "padding": ("0", {"type": int}),
+    "protocol": ("seq", {"choices": ["naive", "seq"]}),
+    "adversary": ("passive", {"choices": ["passive", "cyclic", "eager", "block", "dp"]}),
+    "budget_kind": ("known", {"choices": ["known", "unknown", "rate"]}),
+    "budget": ("0", {"type": float}),
+    "eps": (None, {"type": float}),
+    "delta": (None, {"type": float}),
+    "gamma": (None, {"type": float}),
+    "stopping": (None, {"choices": ["fixed", "known", "unknown", "adaptive"]}),
+    "R": (None, {"type": int}),
+    "M": ("1", {"type": int}),
+    "punish": ("count_only", {"choices": ["count_only", "perpetual"]}),
+    "seed": ("0", {"type": int}),
+    "block_len": (None, {"type": int}),
+    "block_greedy": ("false", {"action": "store_const", "const": "true"}),
+    "sweep": (None, {"help": "param=v1,v2,... with param in n, C, eps"}),
+    "r_max": (None, {"type": int}),
+    "max_samples": (None, {"type": int}),
+    "jobs": ("1", {"type": int}),
+    "full_scale": ("false", {"action": "store_const", "const": "true"}),
+    "out": (None, {"help": "output CSV path ('-' for stdout)"}),
 }
+_DEFAULTS = {key: default for key, (default, _) in _KEYS.items()}
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -292,38 +312,6 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(raw=values)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--out", help="output CSV path ('-' for stdout)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--game", choices=["pair", "max-gamma", "lb", "collab"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--i-star", dest="i_star", type=int)
-    p.add_argument("--j-star", dest="j_star", type=int)
-    p.add_argument("--hypergraph")
-    p.add_argument("--honest", type=int)
-    p.add_argument("--padding", type=int)
-    p.add_argument("--gamma", type=float)
-
-
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--protocol", choices=["naive", "seq"])
-    p.add_argument("--adversary", choices=["passive", "cyclic", "eager", "block", "dp"])
-    p.add_argument("--budget-kind", dest="budget_kind", choices=["known", "unknown", "rate"])
-    p.add_argument("--budget", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--stopping", choices=["fixed", "known", "unknown", "adaptive"])
-    p.add_argument("--R", type=int)
-    p.add_argument("--M", type=int)
-    p.add_argument("--punish", choices=["count_only", "perpetual"])
-    p.add_argument("--block-len", dest="block_len", type=int)
-    p.add_argument("--block-greedy", dest="block_greedy", action="store_const", const="true")
-    p.add_argument("--max-samples", dest="max_samples", type=int)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--full-scale", dest="full_scale", action="store_const", const="true")
-
-
 def cmd_shapley(cfg: ExperimentConfig) -> int:
     game, honest = cfg.build_game()
     report = shapley_exact(game)
@@ -520,20 +508,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Secure distributed Shapley-allocation protocol experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, extra in [
-        ("shapley", cmd_shapley, False),
-        ("simulate", cmd_simulate, True),
-        ("min-samples", cmd_min_samples, True),
-        ("cdf", cmd_cdf, True),
-        ("dp-table", cmd_dp_table, True),
+    common = ("out", "game", "n", "i_star", "j_star", "hypergraph", "honest", "padding")
+    run = ("seed", "gamma", "protocol", "adversary", "budget_kind", "budget", "eps", "delta",
+           "stopping", "R", "punish", "block_len", "block_greedy", "full_scale")
+    for name, fn, keys in [
+        ("shapley", cmd_shapley, common),
+        ("simulate", cmd_simulate, common + run + ("max_samples",)),
+        ("min-samples", cmd_min_samples,
+         common + ("eps", "budget", "full_scale", "sweep", "r_max")),
+        ("cdf", cmd_cdf, common + run + ("M", "jobs")),
+        ("dp-table", cmd_dp_table, common + ("R", "budget", "full_scale")),
     ]:
         p = sub.add_parser(name)
-        _add_common(p)
-        if extra:
-            _add_run_flags(p)
-        if name == "min-samples":
-            p.add_argument("--sweep", help="param=v1,v2,... with param in n, C, eps")
-            p.add_argument("--r-max", dest="r_max", type=int)
+        p.add_argument("--config", help="flat key=value config file")
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **_KEYS[key][1])
         p.set_defaults(func=fn)
     return parser
 

@@ -315,11 +315,12 @@ class DPAdversary(Adversary):
     """Plays the table's optimal abort policy in sequential elimination.
 
     At each opened elimination round with a non-honest player drawn, aborts
-    the susceptible player whose removal minimizes the honest player's
-    continuation value, provided that strictly beats accepting; ties keep
-    the budget (no abort) and break toward the smallest player id.
-    Behaves passively once the budget is exhausted or beyond the planning
-    horizon.  Not defined for the full-permutation protocol.
+    a member of the class whose loss minimizes the honest player's
+    continuation value, provided that strictly beats accepting.  This is
+    :func:`parallel_runs`'s rule: ties break toward the lowest class index,
+    and the aborter is that class's smallest-id pool member other than the
+    drawn player.  Behaves passively once the budget is exhausted or beyond
+    the planning horizon.  Not defined for the full-permutation protocol.
     """
 
     def __init__(self, table: DPTable, budget: Budget):
@@ -362,19 +363,17 @@ class DPAdversary(Adversary):
         if c < 1:
             return opened
         sl = self._slice
-        v_accept = sl[sid - space.strides[space.class_of[drawn]], c]
-        best_val = math.inf
-        best_player = None
-        for j in pool:
-            if j == self.honest or j == drawn:
-                continue
-            val = sl[sid - space.strides[space.class_of[j]], c - 1]
-            if val < best_val:
-                best_val = val
-                best_player = j
-        if best_player is not None and best_val < v_accept:
+        d_drawn = int(space.class_of[drawn])
+        v_accept = sl[sid - space.strides[d_drawn], c]
+        best_val, best_d = math.inf, -1
+        for d, (stride, total) in enumerate(zip(space.strides.tolist(), space.totals.tolist())):
+            if sid // stride % (total + 1) - (d == d_drawn) >= 1:  # a member besides the drawn one
+                val = sl[sid - stride, c - 1]
+                if val < best_val:
+                    best_val, best_d = val, d
+        if best_val < v_accept:
             self.budget.spend()
-            opened[best_player] = None
+            opened[next(j for j in pool if space.class_of[j] == best_d and j != drawn)] = None
         return opened
 
 

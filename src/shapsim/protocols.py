@@ -20,10 +20,11 @@ the adversary callback API rather than as simulated cryptography:
 * hiding - commit-phase callbacks receive a :class:`PhaseView` whose
   ``honest_revealed`` field is ``None``; the honest player's current-round
   value is never passed to the adversary before the open phase.
-* binding - an open-phase callback may return the committed value
-  (faithful open) or ``None`` (abort).  Returning any other value is
-  rejected by the protocol and converted into a detected violation, exactly
-  like an abort.
+* binding - a commitment must be well formed (a bijection of ``0..m-1``,
+  or a draw: an integer in ``[0, k)``) and an opening must be the committed
+  value (faithful open) or ``None`` (abort).  Anything else, a missing or
+  malformed commitment included, is converted into a detected violation,
+  exactly like an abort, and never reaches the composition.
 * rushing - open-phase callbacks receive the honest player's opened value
   before the adversary decides which susceptible players abort.
 
@@ -39,13 +40,10 @@ the run has been going.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index as _index
 from typing import Sequence
 
 import numpy as np
-
-# Heavier well-formedness checks (bijection validation of every committed and
-# composed permutation) run when this is set; the test suite enables it.
-STRICT_VALIDATION = False
 
 
 @dataclass(slots=True)
@@ -87,14 +85,25 @@ class ProtocolInfeasible(ValueError):
     """An adversary strategy cannot run against this configuration."""
 
 
-def _as_perm(value, m: int) -> np.ndarray | None:
-    """Validate a committed/opened permutation of slots ``0..m-1``."""
-    arr = np.asarray(value, dtype=np.int64)
-    if arr.shape != (m,):
+def _as_perm(value, slots: list[int]) -> np.ndarray | None:
+    """``value`` as an integer array permuting ``slots`` (``0..m-1``), else ``None``."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError, OverflowError):
         return None
-    if STRICT_VALIDATION and np.any(np.sort(arr) != np.arange(m)):
+    if (arr.shape != (len(slots),) or arr.dtype.kind not in "iu"
+            or sorted(arr.tolist()) != slots):
         return None
     return arr
+
+
+def _as_draw(value, k: int) -> int | None:
+    """``value`` as an integer draw in ``[0, k)``, else ``None``."""
+    try:
+        draw = _index(value)
+    except TypeError:
+        return None
+    return draw if 0 <= draw < k else None
 
 
 def compose_order(active: Sequence[int], perms: dict[int, np.ndarray]) -> tuple[int, ...]:
@@ -139,40 +148,36 @@ def naive_perm(
     honest_perm = np.asarray(honest_rng.permutation(m), dtype=np.int64)
     susceptible = tuple(p for p in active if p != honest)
 
+    slots = list(range(m))
+    dev = set()
+
     commit_view = PhaseView(sample_index, 0, active, None)
     commitments = adversary.commit_permutations(commit_view, susceptible, m)
-    checked: dict[int, np.ndarray] = {}
+    commitments = commitments if isinstance(commitments, dict) else {}
+    checked: dict[int, np.ndarray] = {}  # protocol-held record
     for p in susceptible:
-        perm = _as_perm(commitments.get(p), m)
+        perm = _as_perm(commitments.get(p), slots)
         if perm is None:
-            raise ValueError(f"adversary committed a malformed permutation for player {p}")
-        checked[p] = perm
+            dev.add(p)  # binding: a malformed commitment is a violation
+        else:
+            checked[p] = perm
 
     open_view = PhaseView(sample_index, 0, active, honest_perm.copy())
     opened = adversary.open_permutations(open_view, susceptible, checked, m)
+    opened = opened if isinstance(opened, dict) else {}
 
-    dev = set()
     perms = {honest: honest_perm}
     if opened is checked:  # faithful open of the protocol-held record
         perms.update(checked)
     else:
-        for p in susceptible:
+        for p, perm in checked.items():
             value = opened.get(p)
-            if value is None:
-                dev.add(p)
-                continue
-            if value is checked[p]:  # faithful open of the committed object
-                perms[p] = checked[p]
-                continue
-            arr = _as_perm(value, m)
-            if arr is None or np.any(arr != checked[p]):
-                dev.add(p)  # binding: any non-committed opening is a violation
-                continue
-            perms[p] = arr
+            if value is perm or value is not None and np.array_equal(_as_perm(value, slots), perm):
+                perms[p] = perm  # faithful open
+            else:
+                dev.add(p)  # abort, or binding violation
 
     order = compose_order(active, perms)
-    if STRICT_VALIDATION and sorted(order) != sorted(active):
-        raise AssertionError("composed output is not a permutation of the active set")
     return PSampleOutcome(order=order, dev=frozenset(dev), violations_used=len(dev))
 
 
@@ -212,26 +217,31 @@ def rand_elim(
 
     commit_view = PhaseView(sample_index, round_index, pool, None)
     commitments = adversary.commit_draws(commit_view, susceptible, k)
-    committed = {p: int(commitments[p]) for p in susceptible}  # protocol-held record
-    if STRICT_VALIDATION and any(not 0 <= c < k for c in committed.values()):
-        raise ValueError("adversary committed a malformed draw")
+    commitments = commitments if isinstance(commitments, dict) else {}
+    dev = set()
+    try:  # the common case, every draw well formed, checked in bulk
+        committed = {p: _index(commitments[p]) for p in susceptible}  # protocol-held record
+        well_formed = not committed or 0 <= min(committed.values()) <= max(committed.values()) < k
+    except (KeyError, TypeError):
+        well_formed = False
+    if not well_formed:
+        draws = {p: _as_draw(commitments.get(p), k) for p in susceptible}
+        committed = {p: draw for p, draw in draws.items() if draw is not None}
+        dev = set(draws) - set(committed)  # binding: a malformed commitment is a violation
 
     open_view = PhaseView(sample_index, round_index, pool, honest_draw)
     opened = adversary.open_draws(open_view, susceptible, committed, k)
+    opened = opened if isinstance(opened, dict) else {}
 
     total = honest_draw or 0
-    if opened is committed:  # faithful open of the protocol-held record
+    if opened is committed and not dev:  # faithful open of the protocol-held record
         return pool[(total + sum(committed.values())) % k], frozenset()
-    dev = set()
-    for p in susceptible:
+    for p, c in committed.items():
         value = opened.get(p)
-        c = committed[p]
-        if value is None:
-            dev.add(p)
-        elif int(value) != c:
-            dev.add(p)  # binding violation
-        else:
+        if value is c or _as_draw(value, k) == c:
             total += c
+        else:
+            dev.add(p)  # abort, or binding violation
     if dev:
         return min(dev), frozenset(dev)
     return pool[total % k], frozenset()
@@ -278,16 +288,12 @@ def seq_perm(
             round_index=round_index,
             honest_draw=draw,
         )
-        if dev:
-            batch = sorted(dev)
-            order.extend(batch)
+        if dev:  # the eliminated player is the lowest-id violator
+            order.extend(sorted(dev))
             dev_total.update(dev)
             pool.difference_update(dev)
-            pool.discard(eliminated)
         else:
             order.append(eliminated)
             pool.discard(eliminated)
         round_index += 1
-    if STRICT_VALIDATION and sorted(order) != list(active):
-        raise AssertionError("elimination output is not a permutation of the active set")
     return PSampleOutcome(order=tuple(order), dev=frozenset(dev_total), violations_used=len(dev_total))

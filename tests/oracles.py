@@ -211,6 +211,27 @@ def _build_slice_reference(space, prev_row: np.ndarray, C: int) -> np.ndarray:
     return out
 
 
+def abort_class(space, sl: np.ndarray, sid: int, counts, d_drawn: int, c: int) -> int:
+    """The class the optimal adversary aborts from in one round, or -1 to accept.
+
+    The one abort rule both the callback engine (``DPAdversary``) and the
+    lockstep engine (``parallel_runs``) play, as a plain loop: with ``c >= 1``
+    units left, a class qualifies when it keeps a member after the drawn
+    player (of class ``d_drawn``) is set aside, tied minima go to the lowest
+    class index, and an abort must strictly beat accepting.
+    """
+    if c < 1:
+        return -1
+    v_accept = sl[sid - space.strides[d_drawn], c]
+    best, best_d = math.inf, -1
+    for d in range(len(counts)):
+        if counts[d] - (1 if d == d_drawn else 0) >= 1:
+            val = sl[sid - space.strides[d], c - 1]
+            if val < best:
+                best, best_d = val, d
+    return best_d if best < v_accept else -1
+
+
 # --- instrumented adversaries -------------------------------------------------
 
 class ScriptedAdversary(Adversary):
@@ -282,3 +303,88 @@ class BindingBreaker(Adversary):
             if p in opened:
                 opened[p] = (int(opened[p]) + 1) % k
         return opened
+
+
+# --- malformed adversary output -------------------------------------------------
+
+MISSING = object()  # stands for a record entry the adversary leaves out
+
+
+def malformed_perms(m: int) -> list:
+    """Commitments that are not a bijection of ``0..m-1``, one per way to fail."""
+    ident = list(range(m))
+    return [MISSING, None, ident[:-1], [ident, ident], ident[:-1] + [m],
+            ident[:-1] + [-1],  # numpy indexing would wrap it onto slot m - 1
+            [0] * m, [float(x) for x in ident], np.arange(m, dtype=np.float64),
+            "".join(map(str, ident)), [*ident[:-1], None], [*ident[:-1], 2 ** 70]]
+
+
+def malformed_draws(k: int) -> list:
+    """Commitments that are not an integer in ``[0, k)``, one per way to fail."""
+    return [MISSING, None, -1, k, 2 ** 70, 1.5, 1.0, np.float64(1.0), "1", [1],
+            np.array([1]), {1: 1}]
+
+
+class Malformer(Adversary):
+    """Commits ``value`` for ``player``; every other entry is the base strategy's."""
+
+    def __init__(self, player: int, value):
+        super().__init__()
+        self.player = player
+        self.value = value
+
+    def _swap(self, record: dict) -> dict:
+        record = dict(record)
+        if self.value is MISSING:
+            record.pop(self.player, None)
+        elif self.player in record:
+            record[self.player] = self.value
+        return record
+
+    def commit_permutations(self, view, susceptible, m):
+        return self._swap(super().commit_permutations(view, susceptible, m))
+
+    def commit_draws(self, view, susceptible, k):
+        return self._swap(super().commit_draws(view, susceptible, k))
+
+
+class JunkAdversary(Adversary):
+    """Rushing strategy that mixes malformed values and forgeries into every record.
+
+    At commit, each entry is kept with probability 3/4 and otherwise left
+    out or replaced by a malformed value.  At open, a round about to
+    eliminate the honest player is opened faithfully; any other entry is
+    opened faithfully with probability 1/4 and otherwise forged, left out,
+    aborted or replaced by a malformed value.
+    """
+
+    def _junk(self, record: dict, malformed: list, p_keep: float, forge=None) -> dict:
+        out = {}
+        for p, value in record.items():
+            u, v = self._floats.take(2)
+            if u < p_keep:
+                out[p] = value
+            elif forge is not None and u < (1 + p_keep) / 2:
+                out[p] = forge(value)
+            else:
+                junk = malformed[int(v * len(malformed))]
+                if junk is not MISSING:
+                    out[p] = junk
+        return out
+
+    def commit_permutations(self, view, susceptible, m):
+        return self._junk(super().commit_permutations(view, susceptible, m),
+                          malformed_perms(m), 0.75)
+
+    def commit_draws(self, view, susceptible, k):
+        return self._junk(super().commit_draws(view, susceptible, k), malformed_draws(k), 0.75)
+
+    def open_permutations(self, view, susceptible, commitments, m):
+        return self._junk(commitments, malformed_perms(m), 0.25, lambda v: np.roll(v, 1))
+
+    def open_draws(self, view, susceptible, commitments, k):
+        if view.honest_revealed is not None and len(commitments) == len(susceptible):
+            total = view.honest_revealed + sum(commitments.values())
+            if view.active_set[total % k] == self.honest:
+                return commitments
+        return self._junk(commitments, malformed_draws(k), 0.25, lambda v: (v + 1) % k)

@@ -283,6 +283,22 @@ def test_dp_adversary_rejects_rate_budget(tmp_path, command):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["cdf", "--game", "pair", "--n", "3", "--R", "5", "--max-samples", "1"],
+    ["simulate", "--game", "pair", "--n", "3", "--R", "5", "--M", "7", "--jobs", "3"],
+    ["dp-table", "--game", "pair", "--n", "3", "--R", "5", "--protocol", "naive",
+     "--adversary", "cyclic"],
+    ["shapley", "--game", "pair", "--n", "3", "--seed", "1"],
+    ["min-samples", "--game", "lb", "--n", "6", "--eps", "0.1", "--gamma", "2"],
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--out", tmp_path / "o.csv"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_cdf_builds_dp_table_once_for_all_runs(tmp_path, monkeypatch):
     import shapsim.cli
 

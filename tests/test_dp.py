@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from shapsim import (
     DPAdversary,
     Game,
     PassiveAdversary,
+    PhaseView,
     StateCapExceeded,
     StoppingRule,
     dp_build,
@@ -21,7 +23,7 @@ from shapsim import (
     shapley_exact,
     substream,
 )
-from oracles import worst_case_value
+from oracles import abort_class, worst_case_value
 
 
 def strip_classes(game: Game) -> Game:
@@ -284,17 +286,7 @@ def test_parallel_m1_matches_reference_loop():
                 while idx >= acc:
                     d += 1
                     acc += counts[d]
-                abort_d = -1
-                if c >= 1:
-                    v_accept = sl[sid - space.strides[d], c]
-                    best, best_d = math.inf, -1
-                    for dd in range(len(counts)):
-                        if counts[dd] - (1 if dd == d else 0) >= 1:
-                            val = sl[sid - space.strides[dd], c - 1]
-                            if val < best:
-                                best, best_d = val, dd
-                    if best_d >= 0 and best < v_accept:
-                        abort_d = best_d
+                abort_d = abort_class(space, sl, sid, counts, d, c)
                 if abort_d >= 0:
                     counts[abort_d] -= 1
                     sid -= space.strides[abort_d]
@@ -303,6 +295,38 @@ def test_parallel_m1_matches_reference_loop():
                     counts[d] -= 1
                     sid -= space.strides[d]
         assert stats.x_honest[0] == pytest.approx(x / R, abs=1e-12)
+
+
+def test_dp_adversary_plays_the_lockstep_abort_rule():
+    # every (T, pool, drawn, c) cell of a game whose classes (2, 5) and
+    # (3, 4) tie: the aborter is the smallest pool member, other than the
+    # drawn one, of the lowest-index class among the tied minima
+    g = Game(n=6, utility=make_pair_game(6).utility,
+             symmetry_classes=((0,), (1,), (2, 5), (3, 4)))
+    R, C = 3, 2
+    table = dp_build(g, 0, R, C, store_slices=True)
+    space = table.space
+    for T in range(R):
+        sl = table.slice_at(T)
+        for size in range(1, 6):
+            for rest in itertools.combinations(range(1, 6), size):
+                pool = (0, *rest)
+                sid = space.state_of(pool)
+                counts = [sum(p in members for p in pool) for members in space.classes]
+                for drawn in rest:
+                    d_drawn = int(space.class_of[drawn])
+                    for c in range(C + 1):
+                        adv = DPAdversary(table, Budget.known(c))
+                        adv.reset(n=g.n, honest=0, rng=substream(0, "adversary"),
+                                  planned_samples=R)
+                        adv.begin_sample(R - 1 - T, pool)
+                        view = PhaseView(0, 0, pool, pool.index(drawn))
+                        opened = adv.open_draws(view, rest, dict.fromkeys(rest, 0), len(pool))
+                        d = abort_class(space, sl, sid, counts, d_drawn, c)
+                        expected = [] if d < 0 else [
+                            min(p for p in space.classes[d] if p in pool and p != drawn)]
+                        assert [p for p in rest if opened[p] is None] == expected, (
+                            T, pool, drawn, c)
 
 
 def test_parallel_rejects_budget_beyond_table():
