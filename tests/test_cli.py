@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -399,3 +401,13 @@ def test_demo_05_outputs_match_committed_goldens(tmp_path, name, args):
     # the same commands as demos/05_sampling_experiments.py
     assert run(args + ["--out", tmp_path / name]) == EXIT_OK
     assert (tmp_path / name).read_bytes() == (DEMO_OUT / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["01_games_and_exact_values", "02_permutation_protocols",
+                                  "03_budgets_attacks_and_stopping", "04_optimal_adversary"])
+def test_demo_stdout_matches_committed_golden(name):
+    src = str(DEMO_OUT.parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, str(DEMO_OUT.parent / f"{name}.py")], env=env,
+                          capture_output=True, check=True)
+    assert done.stdout == (DEMO_OUT / f"{name}.txt").read_bytes()
