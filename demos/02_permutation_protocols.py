@@ -26,8 +26,8 @@ adv = PassiveAdversary()
 adv.reset(n=n, honest=n - 1, rng=substream(1, "adversary"))
 rng = substream(1, "honest")
 counts = Counter()
-for i in range(TRIALS):
-    counts[naive_perm(range(n), n - 1, adv, rng, sample_index=i).order] += 1
+for _ in range(TRIALS):
+    counts[naive_perm(range(n), n - 1, adv, rng).order] += 1
 print(f"one-round protocol, n={n}, passive adversary over {TRIALS} samples:")
 for order, c in sorted(counts.items()):
     print(f"  {order}: {c / TRIALS:.4f}  (uniform would be {1 / 6:.4f})")
@@ -41,8 +41,8 @@ cyc.reset(n=n, honest=n - 1, rng=substream(2, "adversary"))
 rng = substream(2, "honest")
 ranks = Counter()
 violations = Counter()
-for i in range(TRIALS):
-    out = naive_perm(range(n), n - 1, cyc, rng, sample_index=i)
+for _ in range(TRIALS):
+    out = naive_perm(range(n), n - 1, cyc, rng)
     ranks[out.rank_of(n - 1)] += 1
     violations[out.violations_used] += 1
 print(f"\nshift attack, n={n}: honest rank distribution {dict(ranks)}")
@@ -56,8 +56,8 @@ adv = PassiveAdversary()
 adv.reset(n=n, honest=0, rng=substream(3, "adversary"))
 rng = substream(3, "honest")
 ranks = Counter()
-for i in range(TRIALS):
-    ranks[seq_perm(range(n), 0, adv, rng, sample_index=i).rank_of(0)] += 1
+for _ in range(TRIALS):
+    ranks[seq_perm(range(n), 0, adv, rng).rank_of(0)] += 1
 print(f"\nsequential protocol, n={n}: honest rank frequencies "
       f"{ {r: round(c / TRIALS, 3) for r, c in sorted(ranks.items())} }")
 
@@ -65,7 +65,7 @@ adv.reset(n=4, honest=0, rng=substream(7, "adversary"))
 rng = substream(7, "honest")
 elim_trials = 5 * TRIALS
 eliminated_honest = sum(
-    rand_elim(range(4), 0, adv, rng, sample_index=i)[0] == 0 for i in range(elim_trials)
+    rand_elim(range(4), 0, adv, rng)[0] == 0 for _ in range(elim_trials)
 )
 print(f"single elimination round, |pool|=4: honest eliminated "
       f"{eliminated_honest / elim_trials:.4f} of the time (bound 0.25)")

@@ -12,7 +12,6 @@ from shapsim import (
     DPAdversary,
     StoppingRule,
     dp_build,
-    dp_two_pass,
     make_lb_game,
     make_pair_game,
     parallel_runs,
@@ -48,7 +47,8 @@ print(f"  zero-budget column is (T+1)*phi; full-budget per-sample value "
 
 # Two-pass scheme: store R*(C+1) reals, rebuild inner slices while driving
 # all repetitions through one sample index at a time.
-stats, lean = dp_two_pass(game, 0, R, C, M=400, seed=10)
+lean = dp_build(game, 0, R, C)
+stats = parallel_runs(game, 0, R, C, M=400, seed=10, table=lean)
 print(f"\ntwo-pass replay, M=400: mean {stats.mean:.4f} +- {stats.stderr:.4f} "
       f"(table value {lean.worst_value() / R:.4f})")
 print(f"  stored table shape: {lean.boundary.shape}  (inner slices rebuilt on demand)")

@@ -30,7 +30,6 @@ from .dp import (
     ParallelRunStats,
     StateCapExceeded,
     dp_build,
-    dp_two_pass,
     parallel_runs,
 )
 from .games import (
@@ -41,7 +40,6 @@ from .games import (
     is_monotone,
     is_supermodular,
     marginal_contribution,
-    mask_members,
     rank_expectation,
     shapley_exact,
     shapley_via_permutations,

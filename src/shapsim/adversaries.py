@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -20,13 +21,12 @@ from .protocols import PhaseView, ProtocolInfeasible
 class Budget:
     """Violation allowance: a fixed cap or a per-prefix rate.
 
-    ``known(C)`` and ``unknown(C)`` behave identically here; the distinction
-    is whether the *stopping rule* is told about ``C``, which is a runner
-    concern.  ``rate(f)`` allows at most ``f * T`` violations within any
-    prefix of ``T`` P-samples.
+    ``known(C)`` caps the run at ``C`` violations; whether the *stopping
+    rule* is told about ``C`` is a runner concern.  ``rate(f)`` allows at
+    most ``f * T`` violations within any prefix of ``T`` P-samples.
     """
 
-    kind: str  # "known" | "unknown" | "rate"
+    kind: str  # "known" | "rate"
     limit: float
     used: int = 0
     samples_seen: int = 0
@@ -34,10 +34,6 @@ class Budget:
     @classmethod
     def known(cls, c: int) -> "Budget":
         return cls(kind="known", limit=float(c))
-
-    @classmethod
-    def unknown(cls, c: int) -> "Budget":
-        return cls(kind="unknown", limit=float(c))
 
     @classmethod
     def rate(cls, f: float) -> "Budget":
@@ -86,9 +82,11 @@ class _UniformBuffer:
 class Adversary:
     """Base strategy: commit uniform values and always open faithfully.
 
-    Subclasses override the open hooks to abort selectively.  One adversary
-    instance is exclusively owned by one run at a time; :meth:`reset` rebinds
-    it to a new run.
+    Subclasses override the open hooks to abort selectively.  An open hook
+    receives the protocol's record of the commitments as a read-only
+    mapping and returns it as is (faithful open) or an edited copy
+    (``commitments.copy()``).  One adversary instance is exclusively owned
+    by one run at a time; :meth:`reset` rebinds it to a new run.
     """
 
     def __init__(self, budget: Budget | None = None):
@@ -110,8 +108,8 @@ class Adversary:
         self._floats = _UniformBuffer(rng)
         self.budget.reset()
 
-    def begin_sample(self, index: int, active: tuple[int, ...]) -> None:
-        """Called by the runner before each P-sample."""
+    def begin_sample(self, index: int) -> None:
+        """Called by the runner before P-sample ``index`` (0-based)."""
         self.budget.samples_seen = index + 1
 
     # Full-permutation protocol hooks.
@@ -122,7 +120,8 @@ class Adversary:
         block = np.argsort(self._floats.take(s * m).reshape(s, m), axis=1)
         return {p: block[i] for i, p in enumerate(susceptible)}
 
-    def open_permutations(self, view: PhaseView, susceptible, commitments: dict, m: int) -> dict:
+    def open_permutations(self, view: PhaseView, susceptible, commitments: Mapping,
+                          m: int) -> Mapping:
         return commitments  # faithful open
 
     # Elimination protocol hooks.
@@ -133,7 +132,7 @@ class Adversary:
         u = self._floats.take(s)
         return {p: int(u[i] * k) for i, p in enumerate(susceptible)}
 
-    def open_draws(self, view: PhaseView, susceptible, commitments: dict, k: int) -> dict:
+    def open_draws(self, view: PhaseView, susceptible, commitments: Mapping, k: int) -> Mapping:
         return commitments  # faithful open
 
 
@@ -171,16 +170,15 @@ class CyclicShiftAdversary(Adversary):
             self._POWER_CACHE[m] = powers
         return {p: powers[e] for e, p in enumerate(sorted(susceptible))}
 
-    def open_permutations(self, view, susceptible, commitments: dict, m: int) -> dict:
-        opened = dict(commitments)
-        f_h = np.asarray(view.honest_revealed, dtype=np.int64)
+    def open_permutations(self, view, susceptible, commitments: Mapping, m: int) -> dict:
+        opened = commitments.copy()
         slot_h = view.active_set.index(self.honest)
-        # Composition applies the honest permutation outermost, over a net
+        # Composition applies the honest opening f_h outermost, over a net
         # cyclic shift B' from the remaining committed powers.  The honest
         # rank is f_h[(slot_h + B') % m]; dropping the player holding
         # exponent e turns B into B - e, so the exponent that lands the
         # honest player on the rank-1 slot is directly computable.
-        x_star = int(np.flatnonzero(f_h == 0)[0])
+        x_star = list(view.honest_revealed).index(0)
         total_shift = (m * (m - 1) // 2) % m
         drop = (total_shift - (x_star - slot_h)) % m
         if drop == 0:
@@ -201,8 +199,8 @@ class EagerAbortAdversary(Adversary):
     drawn one.  A deliberately naive spender used as a baseline.
     """
 
-    def open_draws(self, view, susceptible, commitments: dict, k: int) -> dict:
-        opened = dict(commitments)
+    def open_draws(self, view, susceptible, commitments: Mapping, k: int) -> dict:
+        opened = commitments.copy()
         if view.honest_revealed is None or not self.budget.allows():
             return opened
         total = int(view.honest_revealed) + sum(int(v) for v in commitments.values())
@@ -236,7 +234,7 @@ class BlockAttackAdversary(Adversary):
         self.block_len = block_len
         self.greedy = greedy
         self._last_violated_block = -1
-        self._sample_index = 0
+        self._sample = 0
         self.opportunities_seen = 0
 
     def reset(self, **kwargs) -> None:
@@ -245,15 +243,15 @@ class BlockAttackAdversary(Adversary):
             raise ProtocolInfeasible("block attack needs a game exposing its core group")
         self._core = frozenset(self.game.extras["Q"])
         self._last_violated_block = -1
-        self._sample_index = 0
+        self._sample = 0
         self.opportunities_seen = 0
 
-    def begin_sample(self, index: int, active) -> None:
-        super().begin_sample(index, active)
-        self._sample_index = index
+    def begin_sample(self, index: int) -> None:
+        super().begin_sample(index)
+        self._sample = index
 
-    def open_draws(self, view, susceptible, commitments: dict, k: int) -> dict:
-        opened = dict(commitments)
+    def open_draws(self, view, susceptible, commitments: Mapping, k: int) -> dict:
+        opened = commitments.copy()
         pool = view.active_set
         if len(pool) != 3 or view.honest_revealed is None:
             return opened
@@ -265,7 +263,7 @@ class BlockAttackAdversary(Adversary):
         if pool[total % k] != outsiders[0]:
             return opened
         self.opportunities_seen += 1
-        block = self._sample_index // self.block_len
+        block = self._sample // self.block_len
         if not self.greedy and block == self._last_violated_block:
             return opened
         if not self.budget.allows():

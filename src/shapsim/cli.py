@@ -74,7 +74,7 @@ _KEYS = {
     "padding": ("0", {"type": int}),
     "protocol": ("seq", {"choices": ["naive", "seq"]}),
     "adversary": ("passive", {"choices": ["passive", "cyclic", "eager", "block", "dp"]}),
-    "budget_kind": ("known", {"choices": ["known", "unknown", "rate"]}),
+    "budget_kind": ("known", {"choices": ["known", "rate"]}),
     "budget": ("0", {"type": float}),
     "eps": (None, {"type": float}),
     "delta": (None, {"type": float}),
@@ -210,8 +210,6 @@ class ExperimentConfig:
         value = self._float("budget") or 0.0
         if kind == "known":
             return Budget.known(int(value))
-        if kind == "unknown":
-            return Budget.unknown(int(value))
         if kind == "rate":
             return Budget.rate(value)
         raise ConfigError(f"unknown budget_kind {kind!r}")
@@ -251,7 +249,7 @@ class ExperimentConfig:
         """
         if self._get("budget_kind") == "rate":
             raise ConfigError("the dp adversary needs a violation count (budget_kind "
-                              "known or unknown), not a rate")
+                              "known), not a rate")
         C = int(self._float("budget") or 0)
         slice_entries = state_count(game, honest) * (C + 1)
         _gate_full_scale(self, slice_entries, DESK_STATE_BUDGET, "the adversary table")
@@ -305,6 +303,10 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     values: dict[str, str] = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
+    for key, value in values.items():  # a file value a flag would refuse is refused too
+        choices = _KEYS[key][1].get("choices")
+        if choices and hasattr(args, key) and value not in choices:
+            raise ConfigError(f"field {key}: expected one of {choices}, got {value!r}")
     for key in _DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -366,13 +368,16 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+VERIFY_MARGIN = 0.1  # fraction past the crossover that min_samples_scan re-checks
+
+
 def min_samples_scan(game: Game, honest: int, C: int, eps: float, *,
-                     r_max: int, verify_margin: float = 0.1) -> tuple[int, "object"]:
+                     r_max: int) -> tuple[int, "object"]:
     """Smallest sample count whose worst-case mean reward is within ``eps``.
 
     Extends the boundary pass one sample at a time and returns the first
     ``R`` with ``value[R-1][N][C] / R >= (1 - eps) * phi``; then keeps
-    scanning ``verify_margin`` further to confirm the criterion stays
+    scanning ``VERIFY_MARGIN`` further to confirm the criterion stays
     satisfied.  Exhausting ``r_max`` without crossing raises
     :class:`SampleCapExceeded` carrying the scanned ratios.
     """
@@ -393,7 +398,7 @@ def min_samples_scan(game: Game, honest: int, C: int, eps: float, *,
         )
         exc.scanned = ratios
         raise exc
-    verify_to = min(r_max, math.ceil(crossover * (1.0 + verify_margin)))
+    verify_to = min(r_max, math.ceil(crossover * (1.0 + VERIFY_MARGIN)))
     table.extend_to(max(verify_to, crossover))
     for R in range(crossover, verify_to + 1):
         if table.rows[R - 1][C] / R < threshold:
@@ -477,8 +482,7 @@ def cmd_cdf(cfg: ExperimentConfig) -> int:
         R = stopping.planned_R
         table = cfg.dp_table(game, honest, R) if adversary_kind == "dp" else None
         C = table.C if table is not None else 0
-        stats = parallel_runs(game, honest, R, C, M, cfg.seed,
-                              table=table, adversary=adversary_kind)
+        stats = parallel_runs(game, honest, R, C, M, cfg.seed, table=table)
         x = stats.x_honest
     elif cfg.jobs > 1:
         chunks = np.array_split(np.arange(M), cfg.jobs)

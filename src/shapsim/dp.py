@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,7 +106,6 @@ class StateSpace:
     n_states: int
     class_of: np.ndarray
     mu_star: np.ndarray
-    by_size: list[np.ndarray]
     work_row: np.ndarray
     mu_work: np.ndarray
     plan: tuple[SizeGroup, ...]
@@ -153,7 +152,6 @@ class StateSpace:
             sizes += sids // stride % (total + 1)
         order = np.argsort(sizes, kind="stable")  # work row -> state
         starts = np.searchsorted(sizes[order], np.arange(1, game.n + 2)).tolist()
-        by_size = [order[starts[i]:starts[i + 1]] for i in range(game.n)]
         work_row = np.empty(n_states, dtype=np.min_scalar_type(n_states))
         work_row[order] = np.arange(n_states)
 
@@ -161,7 +159,7 @@ class StateSpace:
         col_strides, col_radix = strides[:, None], totals[:, None] + 1
         plan = []
         for m in range(2, game.n + 1):
-            group = by_size[m - 1]
+            group = order[starts[m - 1]:starts[m]]
             if len(group) == 0:
                 continue
             k = (group // col_strides % col_radix).astype(count_type)
@@ -171,7 +169,7 @@ class StateSpace:
             plan.append(SizeGroup(m, starts[m - 1], starts[m], nbr, k, k == 0, k >= 2))
         return cls(game=game, honest=honest, classes=classes, totals=totals,
                    strides=strides, n_states=n_states, class_of=class_of,
-                   mu_star=mu_star, by_size=by_size, work_row=work_row,
+                   mu_star=mu_star, work_row=work_row,
                    mu_work=mu_star[order], plan=tuple(plan))
 
     @property
@@ -339,16 +337,16 @@ class DPAdversary(Adversary):
         else:
             self.horizon = self.table.R
 
-    def begin_sample(self, index: int, active) -> None:
-        super().begin_sample(index, active)
+    def begin_sample(self, index: int) -> None:
+        super().begin_sample(index)
         T = self.horizon - 1 - index
         self._slice = self.table.slice_at(T) if T >= 0 else None
 
     def commit_permutations(self, view, susceptible, m):
         raise ValueError("the optimal table adversary only plays sequential elimination")
 
-    def open_draws(self, view, susceptible, commitments: dict, k: int) -> dict:
-        opened = dict(commitments)
+    def open_draws(self, view, susceptible, commitments: Mapping, k: int) -> dict:
+        opened = commitments.copy()
         if self._slice is None or view.honest_revealed is None or not self.budget.allows():
             return opened
         pool = view.active_set
@@ -384,7 +382,6 @@ class ParallelRunStats:
     x_honest: np.ndarray
     violations: np.ndarray
     R: int
-    transcript: list | None = None
 
     @property
     def mean(self) -> float:
@@ -398,8 +395,7 @@ class ParallelRunStats:
 
 
 def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
-                  table: DPTable | None = None, adversary: str = "dp",
-                  record_transcript: bool = False) -> ParallelRunStats:
+                  table: DPTable | None = None) -> ParallelRunStats:
     """Advance ``M`` fixed-length runs together, one P-sample index at a time.
 
     The optimal-adversary table values for sample index ``t`` (``T = R-1-t``)
@@ -418,20 +414,13 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
     matter when the honest player leaves a sample; rounds after that cannot
     change the honest allocation, so they are skipped.
 
-    ``adversary`` is ``"dp"`` (needs ``table``) or ``"passive"``.
+    With a ``table`` the adversary plays its optimal abort policy; without
+    one every run is passive.
     """
     n = game.n
     if table is not None and C > table.C:
         raise ValueError("run budget exceeds the built table's budget axis")
-    if adversary == "dp":
-        if table is None:
-            raise ValueError("dp mode needs a built table")
-        space = table.space
-    else:
-        if adversary != "passive":
-            raise ValueError(f"unknown adversary mode {adversary!r}")
-        space = (table.space if table is not None
-                 else StateSpace.build(game, honest))
+    space = table.space if table is not None else StateSpace.build(game, honest)
     D = len(space.classes)
     totals = space.totals
     strides = space.strides
@@ -441,7 +430,6 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
     x_acc = np.zeros(M)
     violations = np.zeros(M, dtype=np.int64)
     c_rem = np.full(M, C, dtype=np.int64)
-    transcript: list | None = [] if record_transcript else None
 
     t = 0
     while t < R:
@@ -450,7 +438,7 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
         for m in range(M):
             block[m] = gens[m].random((t_hi - t) * n)
         for tt in range(t, t_hi):
-            sl = table.slice_at(R - 1 - tt) if adversary == "dp" else None
+            sl = table.slice_at(R - 1 - tt) if table is not None else None
             counts = np.tile(totals, (M, 1))
             sid = np.full(M, space.full_state, dtype=np.int64)
             alive = np.ones(M, dtype=bool)
@@ -465,15 +453,13 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
                     x_acc[hdrawn] += mu_star[sid[hdrawn]]
                     alive = alive & ~hdrawn
                     if not alive.any():
-                        if record_transcript:
-                            transcript.append((tt, r, u.copy(), np.full(M, -1, dtype=np.int64)))
                         break
                 idx = u - 1
                 cum = np.cumsum(counts, axis=1)
                 d_drawn = (idx[:, None] >= cum).sum(axis=1)
                 d_drawn = np.where(alive, d_drawn, 0)
-                abort_cls = np.full(M, -1, dtype=np.int64)
-                if adversary == "dp":
+                accept = alive
+                if sl is not None:
                     can = alive & (c_rem >= 1)
                     if can.any():
                         v_accept = sl[sid - strides[d_drawn], np.minimum(c_rem, table.C)]
@@ -489,34 +475,14 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
                             d_best = np.where(better, d, d_best)
                         do_abort = can & (d_best >= 0) & (v_best < v_accept)
                         if do_abort.any():
-                            abort_cls = np.where(do_abort, d_best, abort_cls)
+                            accept = alive & ~do_abort
                             rows = np.flatnonzero(do_abort)
                             counts[rows, d_best[rows]] -= 1
                             sid[rows] -= strides[d_best[rows]]
                             c_rem[rows] -= 1
                             violations[rows] += 1
-                accept = alive & (abort_cls < 0)
                 rows = np.flatnonzero(accept)
                 counts[rows, d_drawn[rows]] -= 1
                 sid[rows] -= strides[d_drawn[rows]]
-                if record_transcript:
-                    transcript.append((tt, r, u.copy(), abort_cls))
         t = t_hi
-    return ParallelRunStats(x_honest=x_acc / R, violations=violations, R=R,
-                            transcript=transcript)
-
-
-def dp_two_pass(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
-                record_transcript: bool = False,
-                state_cap: int = DEFAULT_STATE_CAP) -> tuple[ParallelRunStats, DPTable]:
-    """Boundary pass plus a replay pass driving ``M`` simulations together.
-
-    Pass 1 stores only the full-pool boundary (``R * (C + 1)`` reals),
-    whether or not the slices would fit in memory; pass 2 walks sample
-    indices forward, rebuilding each inner slice exactly once and advancing
-    every simulation through that index before moving on.
-    """
-    table = dp_build(game, honest, R, C, store_slices=False, state_cap=state_cap)
-    stats = parallel_runs(game, honest, R, C, M, seed, table=table,
-                          adversary="dp", record_transcript=record_transcript)
-    return stats, table
+    return ParallelRunStats(x_honest=x_acc / R, violations=violations, R=R)

@@ -20,8 +20,6 @@ import numpy as np
 MAX_EXACT_PLAYERS = 20
 MAX_CHECK_PLAYERS = 12
 
-REL_TOL = 1e-9
-
 
 def as_mask(players: int | Iterable[int]) -> int:
     """Normalize a player collection (or an already-built mask) to a bit-set."""
@@ -31,18 +29,6 @@ def as_mask(players: int | Iterable[int]) -> int:
     for p in players:
         mask |= 1 << int(p)
     return mask
-
-
-def mask_members(mask: int) -> tuple[int, ...]:
-    """Players present in a bit-set, ascending."""
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -92,10 +78,6 @@ class Game:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    @property
-    def players(self) -> range:
-        return range(self.n)
 
     def value(self, subset: int | Iterable[int]) -> float:
         return float(self.utility(as_mask(subset)))

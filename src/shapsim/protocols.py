@@ -24,23 +24,27 @@ the adversary callback API rather than as simulated cryptography:
   or a draw: an integer in ``[0, k)``) and an opening must be the committed
   value (faithful open) or ``None`` (abort).  Anything else, a missing or
   malformed commitment included, is converted into a detected violation,
-  exactly like an abort, and never reaches the composition.
+  exactly like an abort, and never reaches the composition.  The protocol
+  keeps its own immutable copy of every well-formed commitment and computes
+  the outcome from that copy alone; the open hook receives a read-only view
+  of it, so nothing the hook does can change what was committed.
 * rushing - open-phase callbacks receive the honest player's opened value
   before the adversary decides which susceptible players abort.
 
 Aborting at the commit phase is expressed by aborting at open (both count as
 one violation and place the player in the detected set).
 
-A view carries only the sample and round indices, the pool and the honest
-opening.  Nothing of earlier P-samples is passed in; a strategy that wants
-the run's past keeps it itself, so one P-sample costs the same however long
-the run has been going.
+A view carries only the pool and the honest opening.  Nothing of earlier
+P-samples or rounds is passed in; a strategy that wants the run's past
+counts it itself from :meth:`begin_sample` and its commit hooks, so one
+P-sample costs the same however long the run has been going.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index as _index
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -50,15 +54,12 @@ import numpy as np
 class PhaseView:
     """What the adversary is allowed to see at one callback.
 
+    ``active_set`` is the pool of the current round, ascending.
     ``honest_revealed`` is ``None`` during commit phases and carries the
-    honest player's opened value during open phases.  ``round_index``
-    counts elimination rounds within the sample (always 0 for the
-    full-permutation protocol).  Views are treated as read-only by every
-    strategy.
+    honest player's opened value during open phases.  Views are treated as
+    read-only by every strategy.
     """
 
-    sample_index: int
-    round_index: int
     active_set: tuple[int, ...]
     honest_revealed: object
 
@@ -85,16 +86,16 @@ class ProtocolInfeasible(ValueError):
     """An adversary strategy cannot run against this configuration."""
 
 
-def _as_perm(value, slots: list[int]) -> np.ndarray | None:
-    """``value`` as an integer array permuting ``slots`` (``0..m-1``), else ``None``."""
+def _as_perm(value, slots: list[int]) -> tuple[int, ...] | None:
+    """``value`` as a tuple permuting ``slots`` (``0..m-1``), else ``None``."""
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError, OverflowError):
         return None
-    if (arr.shape != (len(slots),) or arr.dtype.kind not in "iu"
-            or sorted(arr.tolist()) != slots):
+    if arr.shape != (len(slots),) or arr.dtype.kind not in "iu":
         return None
-    return arr
+    perm = tuple(arr.tolist())
+    return perm if sorted(perm) == slots else None
 
 
 def _as_draw(value, k: int) -> int | None:
@@ -106,7 +107,7 @@ def _as_draw(value, k: int) -> int | None:
     return draw if 0 <= draw < k else None
 
 
-def compose_order(active: Sequence[int], perms: dict[int, np.ndarray]) -> tuple[int, ...]:
+def compose_order(active: Sequence[int], perms: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
     """Compose submitted slot permutations and return the rank order.
 
     Composition runs in ascending player-id order with the earliest player's
@@ -114,12 +115,13 @@ def compose_order(active: Sequence[int], perms: dict[int, np.ndarray]) -> tuple[
     ends at slot ``g(x)``, which is its rank minus one.
     """
     m = len(active)
-    g = np.arange(m)
+    g = range(m)
     for p in sorted(perms):
-        g = perms[p][g]
+        perm = perms[p]
+        g = [perm[x] for x in g]
     order = [0] * m
     for x, p in enumerate(active):
-        order[int(g[x])] = p
+        order[g[x]] = p
     return tuple(order)
 
 
@@ -128,8 +130,6 @@ def naive_perm(
     honest: int,
     adversary,
     honest_rng: np.random.Generator,
-    *,
-    sample_index: int = 0,
 ) -> PSampleOutcome:
     """One commit-and-open round producing a permutation of ``active``.
 
@@ -145,16 +145,16 @@ def naive_perm(
     if honest not in active:
         raise ValueError("the honest player must be in the active set")
     m = len(active)
-    honest_perm = np.asarray(honest_rng.permutation(m), dtype=np.int64)
+    honest_perm = tuple(honest_rng.permutation(m).tolist())
     susceptible = tuple(p for p in active if p != honest)
 
     slots = list(range(m))
     dev = set()
 
-    commit_view = PhaseView(sample_index, 0, active, None)
+    commit_view = PhaseView(active, None)
     commitments = adversary.commit_permutations(commit_view, susceptible, m)
     commitments = commitments if isinstance(commitments, dict) else {}
-    checked: dict[int, np.ndarray] = {}  # protocol-held record
+    checked: dict[int, tuple[int, ...]] = {}  # protocol-held record
     for p in susceptible:
         perm = _as_perm(commitments.get(p), slots)
         if perm is None:
@@ -162,17 +162,17 @@ def naive_perm(
         else:
             checked[p] = perm
 
-    open_view = PhaseView(sample_index, 0, active, honest_perm.copy())
-    opened = adversary.open_permutations(open_view, susceptible, checked, m)
-    opened = opened if isinstance(opened, dict) else {}
+    record = MappingProxyType(checked)
+    opened = adversary.open_permutations(PhaseView(active, honest_perm), susceptible, record, m)
 
     perms = {honest: honest_perm}
-    if opened is checked:  # faithful open of the protocol-held record
+    if opened is record:  # faithful open of the protocol-held record
         perms.update(checked)
     else:
+        opened = opened if isinstance(opened, dict) else {}
         for p, perm in checked.items():
             value = opened.get(p)
-            if value is perm or value is not None and np.array_equal(_as_perm(value, slots), perm):
+            if value is perm or value is not None and _as_perm(value, slots) == perm:
                 perms[p] = perm  # faithful open
             else:
                 dev.add(p)  # abort, or binding violation
@@ -187,8 +187,6 @@ def rand_elim(
     adversary,
     honest_rng: np.random.Generator,
     *,
-    sample_index: int = 0,
-    round_index: int = 0,
     honest_draw: int | None = None,
 ) -> tuple[int, frozenset[int]]:
     """Eliminate one player from ``pool`` by a committed modular sum.
@@ -215,7 +213,7 @@ def rand_elim(
         honest_draw = None
     susceptible = tuple(p for p in pool if p != honest)
 
-    commit_view = PhaseView(sample_index, round_index, pool, None)
+    commit_view = PhaseView(pool, None)
     commitments = adversary.commit_draws(commit_view, susceptible, k)
     commitments = commitments if isinstance(commitments, dict) else {}
     dev = set()
@@ -229,13 +227,13 @@ def rand_elim(
         committed = {p: draw for p, draw in draws.items() if draw is not None}
         dev = set(draws) - set(committed)  # binding: a malformed commitment is a violation
 
-    open_view = PhaseView(sample_index, round_index, pool, honest_draw)
-    opened = adversary.open_draws(open_view, susceptible, committed, k)
-    opened = opened if isinstance(opened, dict) else {}
+    record = MappingProxyType(committed)
+    opened = adversary.open_draws(PhaseView(pool, honest_draw), susceptible, record, k)
 
     total = honest_draw or 0
-    if opened is committed and not dev:  # faithful open of the protocol-held record
+    if opened is record and not dev:  # faithful open of the protocol-held record
         return pool[(total + sum(committed.values())) % k], frozenset()
+    opened = opened if isinstance(opened, dict) or opened is record else {}
     for p, c in committed.items():
         value = opened.get(p)
         if value is c or _as_draw(value, k) == c:
@@ -252,8 +250,6 @@ def seq_perm(
     honest: int,
     adversary,
     honest_rng: np.random.Generator,
-    *,
-    sample_index: int = 0,
 ) -> PSampleOutcome:
     """Sequential permutation generation by repeated elimination.
 
@@ -272,22 +268,15 @@ def seq_perm(
     # One batched draw per sample covers the honest player's per-round
     # randomness; round r maps floats[r] onto the current pool size.
     floats = honest_rng.random(len(active))
-    round_index = 0
+    r = 0
     while pool:
         if honest in pool:
             current_honest = honest
-            draw = int(floats[round_index] * len(pool))
+            draw = int(floats[r] * len(pool))
         else:
             current_honest, draw = None, None
-        eliminated, dev = rand_elim(
-            tuple(pool),
-            current_honest,
-            adversary,
-            honest_rng,
-            sample_index=sample_index,
-            round_index=round_index,
-            honest_draw=draw,
-        )
+        eliminated, dev = rand_elim(tuple(pool), current_honest, adversary, honest_rng,
+                                    honest_draw=draw)
         if dev:  # the eliminated player is the lowest-id violator
             order.extend(sorted(dev))
             dev_total.update(dev)
@@ -295,5 +284,5 @@ def seq_perm(
         else:
             order.append(eliminated)
             pool.discard(eliminated)
-        round_index += 1
+        r += 1
     return PSampleOutcome(order=tuple(order), dev=frozenset(dev_total), violations_used=len(dev_total))

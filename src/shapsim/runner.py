@@ -169,9 +169,8 @@ def _p_samples(game: Game, protocol: str, adversary: Adversary, *, honest: int, 
     while True:
         yield bank
         active = [p for p in range(game.n) if p not in pinned] if pinned else list(range(game.n))
-        adversary.begin_sample(bank.samples, tuple(active))
-        outcome: PSampleOutcome = sample_fn(active, honest, adversary, honest_rng,
-                                            sample_index=bank.samples)
+        adversary.begin_sample(bank.samples)
+        outcome: PSampleOutcome = sample_fn(active, honest, adversary, honest_rng)
         order = tuple(pinned) + outcome.order if pinned else outcome.order
         mask = 0
         prev = v(0)

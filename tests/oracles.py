@@ -183,31 +183,32 @@ def _build_slice_reference(space, prev_row: np.ndarray, C: int) -> np.ndarray:
     strides = space.strides
     out = np.empty((space.n_states, C + 1), dtype=np.float64)
     inf = math.inf
-    for size_group in space.by_size:
-        for sid in size_group:
-            counts = _counts_of(space, int(sid))
-            acc = space.mu_star[sid] + prev_row  # honest-drawn branch, per c
-            m = 1 + int(counts.sum())
-            if m > 1:
-                nonzero = np.flatnonzero(counts)
-                vals = out[sid - strides[nonzero]]  # (len(nonzero), C+1)
-                best = vals.min(axis=0)
-                order = np.argsort(vals, axis=0, kind="stable")
-                second = vals[order[1], np.arange(C + 1)] if len(nonzero) > 1 else np.full(C + 1, inf)
-                argbest = nonzero[order[0]]
-                for pos, d in enumerate(nonzero):
-                    accept = vals[pos]
-                    # abort candidate classes: any with a member left after
-                    # excluding the drawn player itself
-                    if counts[d] >= 2:
-                        cand = best
-                    else:
-                        cand = np.where(argbest == d, second, best)
-                    abort = np.empty(C + 1)
-                    abort[0] = inf
-                    abort[1:] = cand[:-1]
-                    acc = acc + counts[d] * np.minimum(accept, abort)
-            out[sid] = acc / m
+    # a pool without one member has a smaller index, so ascending order
+    # builds every state after the states it reads
+    for sid in range(space.n_states):
+        counts = _counts_of(space, sid)
+        acc = space.mu_star[sid] + prev_row  # honest-drawn branch, per c
+        m = 1 + int(counts.sum())
+        if m > 1:
+            nonzero = np.flatnonzero(counts)
+            vals = out[sid - strides[nonzero]]  # (len(nonzero), C+1)
+            best = vals.min(axis=0)
+            order = np.argsort(vals, axis=0, kind="stable")
+            second = vals[order[1], np.arange(C + 1)] if len(nonzero) > 1 else np.full(C + 1, inf)
+            argbest = nonzero[order[0]]
+            for pos, d in enumerate(nonzero):
+                accept = vals[pos]
+                # abort candidate classes: any with a member left after
+                # excluding the drawn player itself
+                if counts[d] >= 2:
+                    cand = best
+                else:
+                    cand = np.where(argbest == d, second, best)
+                abort = np.empty(C + 1)
+                abort[0] = inf
+                abort[1:] = cand[:-1]
+                acc = acc + counts[d] * np.minimum(accept, abort)
+        out[sid] = acc / m
     return out
 
 
@@ -237,15 +238,30 @@ def abort_class(space, sl: np.ndarray, sid: int, counts, d_drawn: int, c: int) -
 class ScriptedAdversary(Adversary):
     """Aborts exactly the players scripted for each (sample, round) key.
 
-    For the full-permutation protocol the key is ``(sample_index, 0)``.
+    The sample is the index passed to :meth:`begin_sample` (0 until the
+    first call) and the round counts commit calls within it from 0; the
+    full-permutation protocol has one round per sample.
     """
 
     def __init__(self, script: dict[tuple[int, int], set[int]]):
         super().__init__()
         self.script = dict(script)
+        self._sample, self._round = 0, -1
+
+    def begin_sample(self, index):
+        super().begin_sample(index)
+        self._sample, self._round = index, -1
+
+    def commit_permutations(self, view, susceptible, m):
+        self._round += 1
+        return super().commit_permutations(view, susceptible, m)
+
+    def commit_draws(self, view, susceptible, k):
+        self._round += 1
+        return super().commit_draws(view, susceptible, k)
 
     def _apply(self, view, opened):
-        for p in self.script.get((view.sample_index, view.round_index), ()):
+        for p in self.script.get((self._sample, self._round), ()):
             if p in opened:
                 opened[p] = None
         return opened

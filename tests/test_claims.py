@@ -49,7 +49,7 @@ def test_single_round_elimination_bound_full_matrix():
             hits = 0
             for i in range(TRIALS):
                 adv.budget.reset()
-                adv.begin_sample(0, pool)
+                adv.begin_sample(0)
                 eliminated, _ = rand_elim(pool, 0, adv, rng,
                                           honest_draw=int(floats[i] * size))
                 hits += eliminated == 0
@@ -67,7 +67,7 @@ def test_top_rank_bound_full_matrix():
             rank_counts = np.zeros(n + 1, dtype=np.int64)
             for i in range(TRIALS):
                 adv.budget.reset()
-                adv.begin_sample(0, tuple(range(n)))
+                adv.begin_sample(0)
                 rank_counts[seq_perm(range(n), 0, adv, rng).rank_of(0)] += 1
             top = np.cumsum(rank_counts[::-1])[1:]
             for k in range(1, n + 1):

@@ -285,6 +285,22 @@ def test_dp_adversary_rejects_rate_budget(tmp_path, command):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("adversary", ["passive", "eager", "dp"])
+def test_budget_kind_unknown_is_rejected(tmp_path, capsys, adversary):
+    # a violation count has one kind; whether the stopping rule is told the
+    # count is --stopping's choice
+    args = ["simulate", "--game", "lb", "--n", "6", "--protocol", "seq", "--adversary", adversary,
+            "--budget", "2", "--R", "5", "--out", tmp_path / "o.csv"]
+    with pytest.raises(SystemExit) as exc:
+        run(args + ["--budget-kind", "unknown"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("budget_kind = unknown\n")
+    assert run(args + ["--config", cfg]) == EXIT_CONFIG
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["cdf", "--game", "pair", "--n", "3", "--R", "5", "--max-samples", "1"],
     ["simulate", "--game", "pair", "--n", "3", "--R", "5", "--M", "7", "--jobs", "3"],

@@ -58,8 +58,8 @@ def test_naive_passive_uniform_small():
     adv, rng = passive(3, 2, seed=2)
     counts = Counter()
     trials = 30_000
-    for i in range(trials):
-        counts[naive_perm([0, 1, 2], 2, adv, rng, sample_index=i).order] += 1
+    for _ in range(trials):
+        counts[naive_perm([0, 1, 2], 2, adv, rng).order] += 1
     assert len(counts) == 6
     for freq in counts.values():
         assert abs(freq / trials - 1 / 6) < 0.01
@@ -122,8 +122,8 @@ def test_cyclic_budget_exhaustion_turns_passive():
     adv.reset(n=n, honest=n - 1, rng=substream(8, "adversary"))
     rng = substream(8, "honest")
     total_dev = 0
-    for i in range(50):
-        total_dev += len(naive_perm(range(n), n - 1, adv, rng, sample_index=i).dev)
+    for _ in range(50):
+        total_dev += len(naive_perm(range(n), n - 1, adv, rng).dev)
     assert total_dev == 1
 
 
@@ -138,8 +138,8 @@ def test_rand_elim_uniform():
     adv, rng = passive(4, 0, seed=9)
     counts = Counter()
     trials = 40_000
-    for i in range(trials):
-        eliminated, dev = rand_elim([0, 1, 2, 3], 0, adv, rng, sample_index=i)
+    for _ in range(trials):
+        eliminated, dev = rand_elim([0, 1, 2, 3], 0, adv, rng)
         assert dev == frozenset()
         counts[eliminated] += 1
     for p in range(4):
@@ -172,8 +172,8 @@ def test_seq_passive_rank_uniform():
     adv, rng = passive(5, 0, seed=12)
     counts = Counter()
     trials = 50_000
-    for i in range(trials):
-        counts[seq_perm(range(5), 0, adv, rng, sample_index=i).rank_of(0)] += 1
+    for _ in range(trials):
+        counts[seq_perm(range(5), 0, adv, rng).rank_of(0)] += 1
     for rank in range(1, 6):
         assert abs(counts[rank] / trials - 0.2) < 0.01
 
@@ -215,9 +215,9 @@ def test_hiding_honest_value_never_visible_at_commit():
     adv = RecordingAdversary()
     adv.reset(n=4, honest=3, rng=substream(15, "adversary"))
     rng = substream(15, "honest")
-    for i in range(20):
-        naive_perm(range(4), 3, adv, rng, sample_index=i)
-        seq_perm(range(4), 3, adv, rng, sample_index=i)
+    for _ in range(20):
+        naive_perm(range(4), 3, adv, rng)
+        seq_perm(range(4), 3, adv, rng)
     assert adv.commit_views and adv.open_views
     for view in adv.commit_views:
         assert view.honest_revealed is None
@@ -254,6 +254,64 @@ def test_binding_mismatched_opening_is_violation():
     eliminated, dev = rand_elim(range(3), 0, adv, substream(18, "honest"))
     assert dev == frozenset({1})
     assert eliminated == 1
+
+
+class RecordEditor(PassiveAdversary):
+    """Tries to rewrite the protocol-held record from inside an open hook.
+
+    In ``open_permutations`` it edits one committed permutation in place,
+    sending every slot to slot 0; in ``open_draws`` it replaces one
+    committed draw, after seeing the honest draw, so that the sum
+    eliminates the honest player.  Each refused edit is counted.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.refused = 0
+
+    def open_permutations(self, view, susceptible, commitments, m):
+        try:
+            commitments[min(commitments)][:] = 0
+        except TypeError:
+            self.refused += 1
+        return commitments
+
+    def open_draws(self, view, susceptible, commitments, k):
+        p = min(commitments)
+        rest = view.honest_revealed + sum(v for q, v in commitments.items() if q != p)
+        try:
+            commitments[p] = (view.active_set.index(self.honest) - rest) % k
+        except TypeError:
+            self.refused += 1
+        return commitments
+
+
+def test_open_hook_cannot_rewrite_committed_permutations():
+    editor, twin = RecordEditor(), PassiveAdversary()
+    for adv in (editor, twin):
+        adv.reset(n=4, honest=3, rng=substream(29, "adversary"))
+    rngs = [substream(29, "honest"), substream(29, "honest")]
+    for _ in range(200):
+        out = naive_perm(range(4), 3, editor, rngs[0])
+        assert out == naive_perm(range(4), 3, twin, rngs[1])  # order as committed
+        assert out.dev == frozenset()
+    assert editor.refused == 200
+
+
+def test_open_hook_cannot_rewrite_committed_draws():
+    trials = 20_000
+    for size in range(2, 6):
+        adv = RecordEditor()
+        adv.reset(n=size, honest=0, rng=substream(30, "adversary", size))
+        rng = substream(30, "honest", size)
+        hits = 0
+        for _ in range(trials):
+            eliminated, dev = rand_elim(range(size), 0, adv, rng)
+            assert dev == frozenset()
+            hits += eliminated == 0
+        bound = 1 / size
+        assert hits / trials <= bound + 3 * math.sqrt(bound * (1 - bound) / trials), size
+        assert adv.refused == trials
 
 
 def test_rushing_open_sees_honest_commit_value():
@@ -463,8 +521,8 @@ def test_junk_adversary_keeps_elimination_and_top_k_bounds():
     rng = substream(28, "honest")
     ranks = Counter()
     violations = 0
-    for i in range(trials):
-        out = seq_perm(range(n), 0, adv, rng, sample_index=i)
+    for _ in range(trials):
+        out = seq_perm(range(n), 0, adv, rng)
         assert sorted(out.order) == list(range(n))
         ranks[out.rank_of(0)] += 1
         violations += out.violations_used

@@ -128,13 +128,22 @@ def test_perpetual_pins_dev_to_least_preferable():
 
 
 class OrderSpy(PassiveAdversary):
+    """Records each P-sample's active set: the pool of its first commit view."""
+
     def __init__(self):
         super().__init__()
         self.active_sets = []
+        self._first_commit = False
 
-    def begin_sample(self, index, active):
-        super().begin_sample(index, active)
-        self.active_sets.append(active)
+    def begin_sample(self, index):
+        super().begin_sample(index)
+        self._first_commit = True
+
+    def commit_draws(self, view, susceptible, k):
+        if self._first_commit:
+            self.active_sets.append(view.active_set)
+            self._first_commit = False
+        return super().commit_draws(view, susceptible, k)
 
 
 def test_perpetual_shrinks_active_set():
@@ -209,7 +218,7 @@ def test_unknown_budget_terminates_within_bound():
     bound = max(rule.R, math.ceil(2 * C * gamma / eps))
     table = dp_build(g, 0, R=bound, C=C)
     for m in range(20):
-        adv = DPAdversary(table, Budget.unknown(C))
+        adv = DPAdversary(table, Budget.known(C))
         rec = run_allocation(g, "seq", adv, rule, honest=0, seed=40,
                              stream_labels=("run", m))
         assert rec.samples_used <= bound
@@ -251,8 +260,8 @@ def test_adaptive_snapshot_semantics():
     trace = []
 
     class TraceAdversary(PassiveAdversary):
-        def begin_sample(self, index, active):
-            super().begin_sample(index, active)
+        def begin_sample(self, index):
+            super().begin_sample(index)
             trace.append(index)
 
     rec = run_adaptive(g, TraceAdversary(), eps=0.25, delta=0.5, gamma=4.0,
