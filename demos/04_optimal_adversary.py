@@ -2,7 +2,8 @@
 
 Builds the worst-case value table for sequential elimination, plays the
 induced strategy in simulation, and shows the two-pass storage scheme that
-keeps only one boundary row per remaining-sample count.
+keeps one boundary row and one sparse abort-decision record per
+remaining-sample count.
 """
 
 import numpy as np
@@ -27,7 +28,7 @@ print(f"  with budget >= 1: {table.boundary[0, 1]:.6f}  (drops 1 -> 2/3)")
 
 # Monte Carlo with the strategy wired into the real protocol.
 vals = []
-t = dp_build(game, 0, R=1, C=2, store_slices=True)
+t = dp_build(game, 0, R=1, C=2, decisions=True)
 for m in range(2000):
     adv = DPAdversary(t, Budget.known(2))
     rec = run_allocation(game, "seq", adv, StoppingRule.fixed(1), honest=0,
@@ -45,15 +46,16 @@ print(f"  boundary row at T={R - 1}: {np.round(table.boundary[-1], 3)}")
 print(f"  zero-budget column is (T+1)*phi; full-budget per-sample value "
       f"{table.worst_value() / R:.4f}")
 
-# Two-pass scheme: store R*(C+1) reals, rebuild inner slices while driving
-# all repetitions through one sample index at a time.
-lean = dp_build(game, 0, R, C)
+# Two-pass scheme: store R*(C+1) reals and the abort decisions per sample
+# index, then drive all repetitions through one sample index at a time.
+lean = dp_build(game, 0, R, C, decisions=True)
 stats = parallel_runs(game, 0, R, C, M=400, seed=10, table=lean)
 print(f"\ntwo-pass replay, M=400: mean {stats.mean:.4f} +- {stats.stderr:.4f} "
       f"(table value {lean.worst_value() / R:.4f})")
-print(f"  stored table shape: {lean.boundary.shape}  (inner slices rebuilt on demand)")
+distinct = len({id(record) for record in lean.decisions})
+print(f"  stored table shape: {lean.boundary.shape}  (plus {distinct} distinct abort records)")
 
 # Fast path for big repetition counts.
 stats = parallel_runs(game, 0, R, C, M=5000, seed=11,
-                      table=dp_build(game, 0, R, C, store_slices=True))
+                      table=dp_build(game, 0, R, C, decisions=True))
 print(f"  lockstep engine, M=5000: mean {stats.mean:.4f} +- {stats.stderr:.4f}")

@@ -28,7 +28,6 @@ from .adversaries import (Adversary, BlockAttackAdversary, Budget,
 from .builtin_games import (make_collab_game, make_lb_game, make_max_gamma_game,
                             make_pair_game, make_synergy_game)
 from .csvio import format_number, render_csv, write_text
-from . import dp
 from .dp import DPAdversary, DPTable, StateCapExceeded, dp_build, parallel_runs, state_count
 from .games import Game, shapley_exact
 from .hypergraph import HypergraphFormatError, load_hypergraph
@@ -242,19 +241,14 @@ class ExperimentConfig:
         raise ConfigError(f"unknown adversary {kind!r}")
 
     def dp_table(self, game: Game, honest: int, R: int) -> DPTable:
-        """The optimal adversary's table for ``R`` samples and the configured budget.
-
-        Inner slices are kept when all ``R`` fit in ``dp.SLICE_STORE_BYTES``;
-        otherwise each is rebuilt from its boundary row when a run reaches it.
-        """
+        """The optimal adversary's table, with decisions, for ``R`` samples and the budget."""
         if self._get("budget_kind") == "rate":
             raise ConfigError("the dp adversary needs a violation count (budget_kind "
                               "known), not a rate")
         C = int(self._float("budget") or 0)
-        slice_entries = state_count(game, honest) * (C + 1)
-        _gate_full_scale(self, slice_entries, DESK_STATE_BUDGET, "the adversary table")
-        store = R * slice_entries * 8 <= dp.SLICE_STORE_BYTES
-        return dp_build(game, honest, R, C, store_slices=store)
+        _gate_full_scale(self, state_count(game, honest) * (C + 1), DESK_STATE_BUDGET,
+                         "the adversary table")
+        return dp_build(game, honest, R, C, decisions=True)
 
     def stopping(self, game: Game, honest: int) -> StoppingRule:
         kind = self._get("stopping")
@@ -474,10 +468,15 @@ def cmd_cdf(cfg: ExperimentConfig) -> int:
     stopping = cfg.stopping(game, honest)
     _gate_full_scale(cfg, stopping.R * M, DESK_SAMPLE_BUDGET, "this experiment")
     phi = float(shapley_exact(game).phi[honest])
+    if phi == 0:
+        raise ConfigError(f"honest player {honest} has phi = 0: eps_hat = 1 - x/phi is undefined")
     adversary_kind = cfg._get("adversary")
 
     fast = (adversary_kind in ("passive", "dp") and cfg._get("protocol") == "seq"
             and cfg._get("punish") == "count_only" and stopping.planned_R is not None)
+    if fast and cfg.jobs > 1:
+        raise ConfigError("jobs > 1: the lockstep engine (seq, passive or dp, count_only, "
+                          "fixed R) runs in one process")
     if fast:
         R = stopping.planned_R
         table = cfg.dp_table(game, honest, R) if adversary_kind == "dp" else None

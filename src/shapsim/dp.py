@@ -20,12 +20,11 @@ perpetual removal is a runner-level policy layered on top.
 
 States are compressed by the game's declared symmetry classes (the honest
 player is split into its own class), with singleton classes as the
-uncompressed bit-set fallback for ``n <= 20``.  The full-pool boundary
-column ``value[T][N][c]`` is always stored per ``T``.  An inner slice is
-kept too when the builder asks for it (``store_slices``); otherwise it is
-rebuilt on demand from the previous boundary row, which keeps long runs at
-``R * (C + 1)`` stored reals regardless of ``n``.  The CLI keeps the slices
-whenever all ``R`` of them fit in ``SLICE_STORE_BYTES``.
+uncompressed bit-set fallback for ``n <= 20``.  A table stores the
+full-pool boundary column ``value[T][N][c]`` per ``T``; a table built for
+an adversary (``decisions=True``) also stores each ``T``'s optimal policy,
+a sparse record of the cells that abort and of the class each aborts.
+Both simulation engines play that record and compare no values.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .games import Game, shapley_exact
 from .streams import substream
 
 DEFAULT_STATE_CAP = 2_000_000
-SLICE_STORE_BYTES = 64 << 20  # the CLI keeps a table's inner slices when all fit in this
 LOCKSTEP_CHUNK = 64  # P-sample indices whose floats parallel_runs draws per call
 
 
@@ -94,8 +92,8 @@ class StateSpace:
     """Mixed-radix index over per-class remaining counts (honest excluded).
 
     Slices are filled in a work array whose rows hold the states sorted by
-    pool size (``work_row[sid]``), followed by one sentinel row; ``plan``
-    holds each size group's precomputed gathers into it.
+    pool size (``work_row[sid]``, the inverse of ``order``), followed by one
+    sentinel row; ``plan`` holds each size group's precomputed gathers into it.
     """
 
     game: Game
@@ -108,6 +106,7 @@ class StateSpace:
     mu_star: np.ndarray
     work_row: np.ndarray
     mu_work: np.ndarray
+    order: np.ndarray
     plan: tuple[SizeGroup, ...]
 
     @classmethod
@@ -159,53 +158,55 @@ class StateSpace:
         col_strides, col_radix = strides[:, None], totals[:, None] + 1
         plan = []
         for m in range(2, game.n + 1):
-            group = order[starts[m - 1]:starts[m]]
+            lo, hi = starts[m - 1], starts[m]
+            group = order[lo:hi]
             if len(group) == 0:
                 continue
             k = (group // col_strides % col_radix).astype(count_type)
             nbr = np.where(k >= 1, work_row[np.maximum(group - col_strides, 0)],
                            n_states).astype(work_row.dtype)
             k = k[:, :, None]
-            plan.append(SizeGroup(m, starts[m - 1], starts[m], nbr, k, k == 0, k >= 2))
+            plan.append(SizeGroup(m, lo, hi, nbr, k, k == 0, k >= 2))
         return cls(game=game, honest=honest, classes=classes, totals=totals,
                    strides=strides, n_states=n_states, class_of=class_of,
-                   mu_star=mu_star, work_row=work_row,
-                   mu_work=mu_star[order], plan=tuple(plan))
+                   mu_star=mu_star, work_row=work_row, mu_work=mu_star[order],
+                   order=order, plan=tuple(plan))
 
     @property
     def full_state(self) -> int:
         return int(self.totals @ self.strides)
 
     def state_of(self, pool: Sequence[int]) -> int:
-        sid = 0
-        for p in pool:
-            if p != self.honest:
-                sid += int(self.strides[self.class_of[p]])
-        return sid
+        return sum(int(self.strides[self.class_of[p]]) for p in pool if p != self.honest)
 
 
-def _build_slice(space: StateSpace, prev_row: np.ndarray, C: int) -> np.ndarray:
+def _build_slice(space: StateSpace, prev_row: np.ndarray, C: int, *,
+                 decisions: bool = False) -> tuple[np.ndarray, tuple | None]:
     """All pool states at one ``T``, from the previous full-pool boundary row.
 
-    States of equal pool size are independent given smaller sizes, so each
-    size group is filled with batched gathers from the group's plan.  Every
-    value equals the per-state reference builder's in the test oracles bit
-    for bit: each abort value is a minimum over the same classes, and each
-    state's sum adds the same terms in the same order.  Work column 0 is
-    ``inf``, so the columns ``:-1`` of a gathered neighbour are its values
-    one budget unit lower, and an abort with no budget left never wins.
+    Returns the slice and, with ``decisions``, its decision record (see
+    :class:`DPTable`).  States of equal pool size are independent given
+    smaller sizes, so each size group is filled with batched gathers from
+    the group's plan.  Every value equals the per-state reference builder's
+    in the test oracles bit for bit: each abort value is a minimum over the
+    same classes, and each state's sum adds the same terms in the same
+    order.  Work column 0 is ``inf``, so the columns ``:-1`` of a gathered
+    neighbour are its values one budget unit lower, and an abort with no
+    budget left never wins.
     """
     inf = math.inf
+    D = len(space.classes)
     work = np.empty((space.n_states + 1, C + 2), dtype=np.float64)
     work[:, 0] = inf
     work[-1] = inf
     # honest-drawn branch: the whole value of the honest-only state, and the
     # start of every other state's sum
     np.add(space.mu_work[:, None], prev_row, out=work[:-1, 1:])
+    # hits[row, d, c]: aborting beats accepting in that cell
+    hits = np.empty((space.n_states, D, C + 1), dtype=bool) if decisions else None
     for m, lo, hi, nbr, k, empty, shared in space.plan:
         near = work.take(nbr, axis=0)  # (D, g, C + 2): the pool without one class-d member
-        lower = near[:, :, :-1]
-        D = len(lower)
+        lower, accept = near[:, :, :-1], near[:, :, 1:]
         # abort in place of a class-d draw: the best of the other classes,
         # or of all classes when class d has a member besides the drawn one
         abort = np.full(lower.shape, inf)
@@ -215,33 +216,56 @@ def _build_slice(space: StateSpace, prev_row: np.ndarray, C: int) -> np.ndarray:
             rest = lower[D - 1] if d == D - 2 else np.minimum(rest, lower[d + 1])
             np.minimum(abort[d], rest, out=abort[d])
         np.minimum(abort, lower, out=abort, where=shared)
+        if decisions:
+            np.less(abort, accept, out=hits[lo:hi].transpose(1, 0, 2))
         # the cheaper of accepting and aborting, weighted by the class's count
-        contrib = np.minimum(near[:, :, 1:], abort, out=abort)
+        contrib = np.minimum(accept, abort, out=abort)
         np.copyto(contrib, 0.0, where=empty)
         contrib *= k
         acc = work[lo:hi, 1:]
         for term in contrib:
             acc = acc + term
         np.divide(acc, m, out=work[lo:hi, 1:])
-    return work[space.work_row, 1:]
+    values = work[space.work_row, 1:]
+    if not decisions:
+        return values, None
+    # an empty class's accept is the sentinel inf, so it must not count as a
+    # hit; this also clears row 0, the honest-alone state, which no group fills
+    radix = space.totals + 1
+    hits &= (space.order[:, None] // space.strides % radix > 0)[:, :, None]
+    cells = np.flatnonzero(hits)
+    row, d, c = np.unravel_index(cells, hits.shape)
+    # abort from the lowest-index class whose value one unit lower is the
+    # minimum among the classes that keep a member besides the drawn one
+    sid = space.order[row][:, None]
+    counts = sid // space.strides % radix
+    counts[np.arange(len(row)), d] -= 1
+    lower = np.where(counts > 0, work[space.work_row[np.maximum(sid - space.strides, 0)],
+                                      c[:, None]], inf)
+    return values, (np.append(cells, hits.size).astype(np.min_scalar_type(hits.size)),
+                    np.append(lower.argmin(axis=1), -1).astype(np.min_scalar_type(-D - 1)))
 
 
 @dataclass(eq=False)
 class DPTable:
-    """Boundary rows ``value[T][N][c]`` plus stored or on-demand inner slices.
+    """Boundary rows ``value[T][N][c]``, plus per-``T`` abort decisions if asked for.
 
     ``boundary[T, c]`` covers ``T = 0 .. R-1`` (``rows[T]`` is the same row
-    without building the array).  Without stored slices, memory is
-    ``R * (C + 1)`` reals no matter how large the game, and ``slice_at(T)``
-    rebuilds the full inner slice for that sample index; with
-    ``store_slices`` set, ``slices`` holds all ``R`` of them and
-    ``slice_at`` returns the stored one.
+    without building the array): ``R * (C + 1)`` reals however large the
+    game; ``slice_at(T)`` rebuilds an inner slice.  ``decisions`` is ``None``
+    for a values-only table, else ``decisions[T]`` is ``T``'s record
+    ``(cells, classes)``: ascending, in the smallest unsigned dtype that
+    fits, the flat index into shape ``(n_states, D, C + 1)`` of each (work
+    row of the pool state, drawn class, budget) cell where aborting strictly
+    beats accepting, then the sentinel ``n_states * D * (C + 1)``; and the
+    class each cell aborts from, then -1.  Consecutive equal records are one
+    object.
     """
 
     space: StateSpace
     C: int
     rows: list = field(default_factory=list)
-    slices: list | None = None
+    decisions: list | None = None
     _phi_star: float | None = None
     _umax_star: float | None = None
 
@@ -270,21 +294,33 @@ class DPTable:
         while self.R < R:
             T = self.R
             prev = self.rows[-1] if self.rows else np.zeros(self.C + 1)
-            sl = _build_slice(self.space, prev, self.C)
+            sl, record = _build_slice(self.space, prev, self.C,
+                                      decisions=self.decisions is not None)
             row = sl[self.space.full_state].copy()
             self._check_row(T, row)
             self.rows.append(row)
-            if self.slices is not None:
-                self.slices.append(sl)
+            if record is not None:  # a record equal to the previous one is stored as that one
+                same = self.decisions and all(map(np.array_equal, record, self.decisions[-1]))
+                self.decisions.append(self.decisions[-1] if same else record)
         return self
 
     def slice_at(self, T: int) -> np.ndarray:
         if not 0 <= T < self.R:
             raise ValueError(f"sample index {T} outside built range 0..{self.R - 1}")
-        if self.slices is not None:
-            return self.slices[T]
         prev = self.rows[T - 1] if T > 0 else np.zeros(self.C + 1)
-        return _build_slice(self.space, prev, self.C)
+        return _build_slice(self.space, prev, self.C)[0]
+
+    def abort_class(self, T: int, sid, d, c):
+        """The class to abort from at sample index ``T``, or -1 to accept.
+
+        The cell is pool state ``sid`` with a class-``d`` player drawn and
+        ``0 <= c <= C`` units left; arrays of these look up one cell each.
+        """
+        cells, classes = self.decisions[T]
+        space = self.space
+        key = (space.work_row[sid].astype(np.int64) * len(space.classes) + d) * (self.C + 1) + c
+        i = cells.searchsorted(key)  # the sentinel keeps i in range
+        return (classes[i] + 1) * (cells[i] == key) - 1  # -1 where the cell is not recorded
 
     def worst_value(self, R: int | None = None, c: int | None = None) -> float:
         """Full-run value ``value[R-1][N][c]`` (defaults: all built samples, full budget)."""
@@ -294,12 +330,12 @@ class DPTable:
 
 
 def dp_build(game: Game, honest: int, R: int, C: int, *,
-             store_slices: bool = False, state_cap: int = DEFAULT_STATE_CAP) -> DPTable:
-    """Build boundary rows for ``R`` P-samples and budgets ``0..C``."""
+             decisions: bool = False, state_cap: int = DEFAULT_STATE_CAP) -> DPTable:
+    """Build boundary rows for ``R`` P-samples and budgets ``0..C``, and decisions if asked."""
     if C < 0 or R < 1:
         raise ValueError("need R >= 1 and C >= 0")
     space = StateSpace.build(game, honest, state_cap=state_cap)
-    table = DPTable(space=space, C=C, slices=[] if store_slices else None)
+    table = DPTable(space=space, C=C, decisions=[] if decisions else None)
     try:
         report = shapley_exact(game)
         table._phi_star = float(report.phi[honest])
@@ -312,66 +348,50 @@ def dp_build(game: Game, honest: int, R: int, C: int, *,
 class DPAdversary(Adversary):
     """Plays the table's optimal abort policy in sequential elimination.
 
-    At each opened elimination round with a non-honest player drawn, aborts
-    a member of the class whose loss minimizes the honest player's
-    continuation value, provided that strictly beats accepting.  This is
-    :func:`parallel_runs`'s rule: ties break toward the lowest class index,
-    and the aborter is that class's smallest-id pool member other than the
-    drawn player.  Behaves passively once the budget is exhausted or beyond
-    the planning horizon.  Not defined for the full-permutation protocol.
+    At each opened elimination round with a non-honest player drawn, looks
+    the cell up with :meth:`DPTable.abort_class`, as :func:`parallel_runs`
+    does, and has the named class's smallest-id pool member other than the
+    drawn player abort.  Behaves passively once the budget is exhausted or
+    beyond the planning horizon.  Not defined for the full-permutation protocol.
     """
 
     def __init__(self, table: DPTable, budget: Budget):
+        if table.decisions is None:
+            raise ValueError("the optimal adversary needs a table built with decisions=True")
         super().__init__(budget)
         self.table = table
         self.horizon = table.R
-        self._slice: np.ndarray | None = None
+        self._T = -1
 
     def reset(self, **kwargs) -> None:
         super().reset(**kwargs)
         # plan against the run's announced length when one exists
-        if self.planned_samples is not None:
-            if self.planned_samples > self.table.R:
-                raise ValueError("planned run length exceeds the built table")
-            self.horizon = self.planned_samples
-        else:
-            self.horizon = self.table.R
+        self.horizon = self.table.R if self.planned_samples is None else self.planned_samples
+        if self.horizon > self.table.R:
+            raise ValueError("planned run length exceeds the built table")
 
     def begin_sample(self, index: int) -> None:
         super().begin_sample(index)
-        T = self.horizon - 1 - index
-        self._slice = self.table.slice_at(T) if T >= 0 else None
+        self._T = self.horizon - 1 - index  # negative beyond the horizon
 
     def commit_permutations(self, view, susceptible, m):
         raise ValueError("the optimal table adversary only plays sequential elimination")
 
     def open_draws(self, view, susceptible, commitments: Mapping, k: int) -> dict:
         opened = commitments.copy()
-        if self._slice is None or view.honest_revealed is None or not self.budget.allows():
+        if self._T < 0 or view.honest_revealed is None or not self.budget.allows():
             return opened
         pool = view.active_set
         total = int(view.honest_revealed) + sum(int(v) for v in commitments.values())
         drawn = pool[total % k]
         if drawn == self.honest:
             return opened
+        c = int(max(0, min(self.budget.limit - self.budget.used, self.table.C)))  # limit may be inf
         space = self.table.space
-        sid = space.state_of(pool)
-        c = int(self.budget.limit - self.budget.used) if math.isfinite(self.budget.limit) else self.table.C
-        c = min(c, self.table.C)
-        if c < 1:
-            return opened
-        sl = self._slice
-        d_drawn = int(space.class_of[drawn])
-        v_accept = sl[sid - space.strides[d_drawn], c]
-        best_val, best_d = math.inf, -1
-        for d, (stride, total) in enumerate(zip(space.strides.tolist(), space.totals.tolist())):
-            if sid // stride % (total + 1) - (d == d_drawn) >= 1:  # a member besides the drawn one
-                val = sl[sid - stride, c - 1]
-                if val < best_val:
-                    best_val, best_d = val, d
-        if best_val < v_accept:
+        d = int(self.table.abort_class(self._T, space.state_of(pool), space.class_of[drawn], c))
+        if d >= 0:
             self.budget.spend()
-            opened[next(j for j in pool if space.class_of[j] == best_d and j != drawn)] = None
+            opened[next(j for j in pool if space.class_of[j] == d and j != drawn)] = None
         return opened
 
 
@@ -398,12 +418,10 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
                   table: DPTable | None = None) -> ParallelRunStats:
     """Advance ``M`` fixed-length runs together, one P-sample index at a time.
 
-    The optimal-adversary table values for sample index ``t`` (``T = R-1-t``)
-    are taken once and shared by every run before any run moves to
-    ``t + 1``: a table with stored slices is only read, and a boundary-only
-    table rebuilds each slice exactly once.  Pools
-    stay in lockstep because each elimination round removes exactly one
-    player whether or not an abort replaces the drawn one.
+    Each round looks all ``M`` runs' cells up at once with
+    :meth:`DPTable.abort_class`, as :class:`DPAdversary` does.  Pools stay in
+    lockstep because each elimination round removes exactly one player
+    whether or not an abort replaces the drawn one.
 
     Randomness contract: run ``m`` reads the float stream
     ``substream(seed, "run", m).random()`` positionally, using index
@@ -414,17 +432,14 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
     matter when the honest player leaves a sample; rounds after that cannot
     change the honest allocation, so they are skipped.
 
-    With a ``table`` the adversary plays its optimal abort policy; without
-    one every run is passive.
+    With a ``table`` (built with ``decisions=True``) the adversary plays its
+    optimal abort policy; without one every run is passive.
     """
     n = game.n
-    if table is not None and C > table.C:
-        raise ValueError("run budget exceeds the built table's budget axis")
+    if table is not None and (table.decisions is None or C > table.C or R > table.R):
+        raise ValueError("the optimal adversary needs a table built with decisions=True "
+                         "for at least the run's budget and length")
     space = table.space if table is not None else StateSpace.build(game, honest)
-    D = len(space.classes)
-    totals = space.totals
-    strides = space.strides
-    mu_star = space.mu_star
 
     gens = [substream(seed, "run", m) for m in range(M)]
     x_acc = np.zeros(M)
@@ -438,8 +453,7 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
         for m in range(M):
             block[m] = gens[m].random((t_hi - t) * n)
         for tt in range(t, t_hi):
-            sl = table.slice_at(R - 1 - tt) if table is not None else None
-            counts = np.tile(totals, (M, 1))
+            counts = np.tile(space.totals, (M, 1))
             sid = np.full(M, space.full_state, dtype=np.int64)
             alive = np.ones(M, dtype=bool)
             base = (tt - t) * n
@@ -450,7 +464,7 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
                 u = (block[:, base + r] * m_pool).astype(np.int64)
                 hdrawn = alive & (u == 0)
                 if hdrawn.any():
-                    x_acc[hdrawn] += mu_star[sid[hdrawn]]
+                    x_acc[hdrawn] += space.mu_star[sid[hdrawn]]
                     alive = alive & ~hdrawn
                     if not alive.any():
                         break
@@ -458,31 +472,15 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
                 cum = np.cumsum(counts, axis=1)
                 d_drawn = (idx[:, None] >= cum).sum(axis=1)
                 d_drawn = np.where(alive, d_drawn, 0)
-                accept = alive
-                if sl is not None:
-                    can = alive & (c_rem >= 1)
-                    if can.any():
-                        v_accept = sl[sid - strides[d_drawn], np.minimum(c_rem, table.C)]
-                        v_best = np.full(M, math.inf)
-                        d_best = np.full(M, -1, dtype=np.int64)
-                        cm1 = np.maximum(np.minimum(c_rem, table.C) - 1, 0)
-                        for d in range(D):
-                            avail = counts[:, d] - (d_drawn == d) >= 1
-                            safe = np.where(counts[:, d] >= 1, sid - strides[d], 0)
-                            vals = np.where(avail & can, sl[safe, cm1], math.inf)
-                            better = vals < v_best
-                            v_best = np.where(better, vals, v_best)
-                            d_best = np.where(better, d, d_best)
-                        do_abort = can & (d_best >= 0) & (v_best < v_accept)
-                        if do_abort.any():
-                            accept = alive & ~do_abort
-                            rows = np.flatnonzero(do_abort)
-                            counts[rows, d_best[rows]] -= 1
-                            sid[rows] -= strides[d_best[rows]]
-                            c_rem[rows] -= 1
-                            violations[rows] += 1
-                rows = np.flatnonzero(accept)
-                counts[rows, d_drawn[rows]] -= 1
-                sid[rows] -= strides[d_drawn[rows]]
+                gone = d_drawn  # the class that loses a member this round
+                if table is not None and c_rem.any():  # no budget left, no abort
+                    d_abort = table.abort_class(R - 1 - tt, sid, d_drawn, c_rem)
+                    do_abort = alive & (d_abort >= 0)
+                    gone = np.where(do_abort, d_abort, d_drawn)
+                    c_rem -= do_abort
+                    violations += do_abort
+                rows = np.flatnonzero(alive)
+                counts[rows, gone[rows]] -= 1
+                sid[rows] -= space.strides[gone[rows]]
         t = t_hi
     return ParallelRunStats(x_honest=x_acc / R, violations=violations, R=R)

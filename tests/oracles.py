@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from shapsim import Adversary, Game, Hypergraph, as_mask, make_synergy_game
+from shapsim import Adversary, Game, Hypergraph, as_mask, make_synergy_game, substream
 
 
 # --- random game generators -------------------------------------------------
@@ -215,8 +215,9 @@ def _build_slice_reference(space, prev_row: np.ndarray, C: int) -> np.ndarray:
 def abort_class(space, sl: np.ndarray, sid: int, counts, d_drawn: int, c: int) -> int:
     """The class the optimal adversary aborts from in one round, or -1 to accept.
 
-    The one abort rule both the callback engine (``DPAdversary``) and the
-    lockstep engine (``parallel_runs``) play, as a plain loop: with ``c >= 1``
+    The plain-loop reference for ``shapsim.dp.DPTable.abort_class``, the one
+    rule both the callback engine (``DPAdversary``) and the lockstep engine
+    (``parallel_runs``) play, read from a value slice: with ``c >= 1``
     units left, a class qualifies when it keeps a member after the drawn
     player (of class ``d_drawn``) is set aside, tied minima go to the lowest
     class index, and an abort must strictly beat accepting.
@@ -231,6 +232,37 @@ def abort_class(space, sl: np.ndarray, sid: int, counts, d_drawn: int, c: int) -
             if val < best:
                 best, best_d = val, d
     return best_d if best < v_accept else -1
+
+
+def lockstep_reference(table, R: int, C: int, seed: int) -> tuple[float, int]:
+    """Run 0 of ``shapsim.dp.parallel_runs`` as a plain loop: (x_honest, violations).
+
+    Follows the engine's randomness contract and plays :func:`abort_class`
+    on each sample index's value slice, rebuilt with ``table.slice_at``.
+    """
+    space = table.space
+    n = space.game.n
+    floats = substream(seed, "run", 0).random(R * n)
+    x, c, violations = 0.0, C, 0
+    for t in range(R):
+        sl = table.slice_at(R - 1 - t)
+        counts = list(space.totals)
+        sid = space.full_state
+        for r in range(n):
+            u = int(floats[t * n + r] * (n - r))
+            if u == 0:
+                x += space.mu_star[sid]
+                break
+            idx, d, acc = u - 1, 0, counts[0]
+            while idx >= acc:
+                d += 1
+                acc += counts[d]
+            abort_d = abort_class(space, sl, sid, counts, d, c)
+            if abort_d >= 0:
+                d, c, violations = abort_d, c - 1, violations + 1
+            counts[d] -= 1
+            sid -= space.strides[d]
+    return x / R, violations
 
 
 # --- instrumented adversaries -------------------------------------------------

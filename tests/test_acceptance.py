@@ -38,6 +38,7 @@ from shapsim import (
 )
 from shapsim.hypergraph import Hypergraph
 from oracles import (
+    lockstep_reference,
     pinned_rank1_expectation,
     random_monotone_game,
     random_simple_graph,
@@ -115,7 +116,7 @@ def _claim_adversaries(n: int, game, table_cache: dict):
     yield "passive", lambda: PassiveAdversary()
     yield "eager", lambda: EagerAbortAdversary(Budget.known(1))
     if n not in table_cache:
-        table_cache[n] = dp_build(make_pair_game(n), 0, R=1, C=1, store_slices=True)
+        table_cache[n] = dp_build(make_pair_game(n), 0, R=1, C=1, decisions=True)
     yield "dp", lambda: DPAdversary(table_cache[n], Budget.known(1))
     if game is not None:
         yield "block", lambda: BlockAttackAdversary(Budget.known(1), 1, greedy=True)
@@ -176,7 +177,7 @@ def test_c04_elimination_claims():
 
 def test_c05_optimal_attack_value():
     game = make_pair_game(3)
-    table = dp_build(game, 0, R=1, C=2, store_slices=True)
+    table = dp_build(game, 0, R=1, C=2, decisions=True)
     assert table.worst_value() == pytest.approx(2 / 3, abs=1e-9)
 
     stats = parallel_runs(game, 0, R=1, C=2, M=100_000, seed=105, table=table)
@@ -211,7 +212,7 @@ def test_c07_high_probability_security_desk_scale():
     eps, delta, C, M = 0.2, 0.1, 2, 1000
     rule = StoppingRule.known_budget(eps, delta, C, game.protocol_gamma)
     assert rule.R == 3685
-    table = dp_build(game, 0, rule.R, C)
+    table = dp_build(game, 0, rule.R, C, decisions=True)
     stats = parallel_runs(game, 0, rule.R, C, M, seed=107, table=table)
     phi = 1.0
     failures = int(np.sum(stats.x_honest < (1 - eps) * phi))
@@ -292,20 +293,21 @@ def test_c10_perpetual_punishment_by_enumeration():
 
 
 def test_c11_two_pass_storage_equivalence():
+    # the row pass stores R*(C+1) reals and one abort record per sample
+    # index; the run pass plays the records and reproduces, on 100 seeds, a
+    # replay that reads values from slices rebuilt out of the boundary rows
     game = make_lb_game(4)
     R, C, M = 3, 2, 1
-    full_table = dp_build(game, 0, R, C, store_slices=True)
-    lean_table = dp_build(game, 0, R, C)
-    assert lean_table.slices is None
-    assert lean_table.boundary.shape == (R, C + 1)
-    # parallel_runs reads a table only through space, C and slice_at, so
-    # equal slices give equal decisions in every round
-    for T in range(R):
-        assert np.array_equal(lean_table.slice_at(T), full_table.slice_at(T))
+    table = dp_build(game, 0, R, C, decisions=True)
+    assert table.boundary.shape == (R, C + 1)
+    assert len(table.decisions) == R
+    aborts = 0
     for seed in range(100):
-        lean = parallel_runs(game, 0, R, C, M=M, seed=seed, table=lean_table)
-        full = parallel_runs(game, 0, R, C, M=M, seed=seed, table=full_table)
-        assert np.array_equal(lean.x_honest, full.x_honest)
-        assert np.array_equal(lean.violations, full.violations)
-    _pass(11, "boundary-only replay reproduces full-table decisions on 100 seeds; "
-              f"stored table is {R}x{C + 1} reals")
+        run = parallel_runs(game, 0, R, C, M=M, seed=seed, table=table)
+        x, violations = lockstep_reference(table, R, C, seed)
+        assert run.x_honest[0] == pytest.approx(x, abs=1e-12)
+        assert run.violations[0] == violations
+        aborts += violations
+    assert aborts > 0
+    _pass(11, "decision-record replay reproduces the value-slice rule on 100 seeds; "
+              f"stored table is {R}x{C + 1} reals plus {R} abort records")

@@ -32,7 +32,7 @@ def all_strategies(n):
     yield "passive", PassiveAdversary(), None
     yield "eager", EagerAbortAdversary(Budget.known(1)), None
     if n not in _TABLES:
-        _TABLES[n] = dp_build(make_pair_game(n), 0, R=1, C=1, store_slices=True)
+        _TABLES[n] = dp_build(make_pair_game(n), 0, R=1, C=1, decisions=True)
     yield "dp", DPAdversary(_TABLES[n], Budget.known(1)), None
     if lb is not None:
         yield "block", BlockAttackAdversary(Budget.known(1), 1, greedy=True), lb

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -243,6 +244,38 @@ def test_min_samples_third_constant_at_reduced_scale():
     assert abs(min_r - target) <= 0.25 * target, (min_r, target)
 
 
+@pytest.mark.parametrize("protocol, adversary", [("naive", "cyclic"), ("seq", "passive")])
+def test_cdf_rejects_a_zero_value_honest_player(tmp_path, capsys, monkeypatch,
+                                                protocol, adversary):
+    # pair n=4 pays only players 0 and 1, so phi of player 3 is 0 and the
+    # relative error 1 - x/phi is undefined; neither engine may start
+    import shapsim.cli
+
+    def not_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(shapsim.cli, "run_many", not_run)
+    monkeypatch.setattr(shapsim.cli, "parallel_runs", not_run)
+    out = tmp_path / "c.csv"
+    assert run(["cdf", "--game", "pair", "--n", "4", "--honest", "3", "--protocol", protocol,
+                "--adversary", adversary, "--budget", "5", "--R", "50", "--M", "20",
+                "--out", out]) == EXIT_CONFIG
+    assert "phi = 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cdf_rejects_jobs_on_the_lockstep_engine(tmp_path):
+    # the lockstep engine runs in one process, so --jobs would not take effect
+    lockstep = ["cdf", "--game", "lb", "--n", "8", "--protocol", "seq", "--adversary", "passive",
+                "--R", "50", "--M", "20", "--out", tmp_path / "c.csv"]
+    assert run(lockstep + ["--jobs", "2"]) == EXIT_CONFIG
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("jobs = 2\n")
+    assert run(lockstep + ["--config", cfg]) == EXIT_CONFIG
+    assert not (tmp_path / "c.csv").exists()
+    assert run(lockstep + ["--jobs", "1"]) == EXIT_OK
+
+
 def test_cdf_jobs_fanout_deterministic(tmp_path):
     out1, out2 = tmp_path / "j1.csv", tmp_path / "j2.csv"
     base = ["cdf", "--game", "pair", "--n", "3", "--protocol", "naive",
@@ -357,25 +390,44 @@ def _count_slice_builds(monkeypatch) -> list:
 def test_cdf_dp_builds_each_slice_once(tmp_path, monkeypatch):
     calls = _count_slice_builds(monkeypatch)
     assert run(CDF_DP + ["--out", tmp_path / "c.csv"]) == EXIT_OK
-    assert len(calls) == 12  # R rows, each slice kept for the lockstep runs
+    assert len(calls) == 12  # R rows; the lockstep runs read decision records only
 
 
-def test_slice_rebuild_path_writes_same_bytes(tmp_path, monkeypatch):
-    import shapsim.dp
+def test_decision_records_write_the_value_rule_bytes(tmp_path, monkeypatch):
+    # both engines play DPTable.abort_class; swapping in the plain-loop rule
+    # on value slices rebuilt from the boundary rows changes no output byte
+    from oracles import _counts_of, abort_class
+    from shapsim.dp import DPTable
+
+    looked_up = []
+
+    def value_rule(table, T, sid, d, c):
+        sl, space = table.slice_at(T), table.space
+        looked_up.append(T)
+        cells = np.broadcast_arrays(sid, d, c)
+        out = []
+        for s, dd, cc in zip(*(a.ravel().tolist() for a in cells)):
+            counts = _counts_of(space, s)
+            out.append(abort_class(space, sl, s, counts, dd, cc) if counts[dd] else -1)
+        return np.array(out).reshape(cells[0].shape)
 
     simulate = ["simulate", "--game", "lb", "--n", "6", "--protocol", "seq",
                 "--adversary", "dp", "--budget", "2", "--R", "30", "--seed", "9"]
     for args in (CDF_DP, simulate):
-        assert run(args + ["--out", tmp_path / "kept.csv"]) == EXIT_OK
+        assert run(args + ["--out", tmp_path / "record.csv"]) == EXIT_OK
         with monkeypatch.context() as m:
-            m.setattr(shapsim.dp, "SLICE_STORE_BYTES", 0)
-            calls = _count_slice_builds(m)
-            assert run(args + ["--out", tmp_path / "rebuilt.csv"]) == EXIT_OK
-            assert len(calls) > int(args[args.index("--R") + 1])  # slices were rebuilt
-        assert read(tmp_path / "kept.csv") == read(tmp_path / "rebuilt.csv")
+            m.setattr(DPTable, "abort_class", value_rule)
+            looked_up.clear()
+            assert run(args + ["--out", tmp_path / "values.csv"]) == EXIT_OK
+            assert looked_up
+        assert read(tmp_path / "record.csv") == read(tmp_path / "values.csv")
 
 
-def test_simulate_dp_keeps_slices_beyond_512_samples(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", [
+    ["simulate", "--protocol", "seq"],
+    ["cdf", "--protocol", "seq", "--M", "5"],
+], ids=["simulate", "cdf"])
+def test_dp_runs_build_each_row_once_at_600_samples(tmp_path, monkeypatch, command):
     import shapsim.cli
 
     tables = []
@@ -386,10 +438,31 @@ def test_simulate_dp_keeps_slices_beyond_512_samples(tmp_path, monkeypatch):
         return tables[-1]
 
     monkeypatch.setattr(shapsim.cli, "dp_build", keeping)
-    assert run(["simulate", "--game", "lb", "--n", "6", "--protocol", "seq", "--adversary", "dp",
-                "--budget", "1", "--R", "600", "--seed", "3", "--out", tmp_path / "s.csv"]) == EXIT_OK
-    assert len(tables) == 1
-    assert tables[0].slices is not None and len(tables[0].slices) == 600
+    calls = _count_slice_builds(monkeypatch)
+    assert run(command + ["--game", "lb", "--n", "6", "--adversary", "dp", "--budget", "1",
+                          "--R", "600", "--seed", "3", "--out", tmp_path / "s.csv"]) == EXIT_OK
+    assert len(calls) == 600
+    assert len(tables) == 1 and len(tables[0].decisions) == 600
+    assert len({id(record) for record in tables[0].decisions}) < 600  # shared records
+
+
+def test_bench_tracer_wraps_the_names_it_traces(tmp_path):
+    # bench/tracing.py patches library names by string; a renamed one would
+    # only show when the benchmark runs
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    assert run(CDF_DP + ["--out", tmp_path / "plain.csv"]) == EXIT_OK
+    done = subprocess.run([sys.executable, str(root / "bench" / "tracing.py"),
+                           "--metrics-out", str(tmp_path / "m.json"), "--",
+                           *CDF_DP, "--out", str(tmp_path / "traced.csv")],
+                          env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+    assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    metrics = json.loads(read(tmp_path / "m.json"))
+    assert metrics["dp.rows_built"] == 12  # R
+    assert metrics["dp.slices_rebuilt"] == 0
+    assert metrics["dp.lockstep_s"] > 0
 
 
 # --- committed demo outputs -----------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from shapsim import (
     Budget,
     DPAdversary,
+    DPTable,
     Game,
     PassiveAdversary,
     PhaseView,
@@ -22,7 +23,7 @@ from shapsim import (
     shapley_exact,
     substream,
 )
-from oracles import abort_class, worst_case_value
+from oracles import _counts_of, abort_class, lockstep_reference, worst_case_value
 
 
 def strip_classes(game: Game) -> Game:
@@ -56,7 +57,7 @@ def test_pair_game_single_sample_attack_value_is_two_over_n():
 
 def test_base_case_honest_alone():
     g = make_pair_game(3)
-    table = dp_build(g, 0, R=1, C=0, store_slices=True)
+    table = dp_build(g, 0, R=1, C=0)
     sl = table.slice_at(0)
     lone = table.space.state_of([0])
     # the last player banks its marginal over everyone else
@@ -124,17 +125,28 @@ def test_needs_classes_beyond_bitset_range():
 # --- table storage -----------------------------------------------------------------
 
 def test_boundary_memory_is_r_by_budget():
-    table = dp_build(make_lb_game(6), 0, R=17, C=3)
+    g = make_lb_game(6)
+    table = dp_build(g, 0, R=17, C=3)
     assert table.boundary.shape == (17, 4)
-    assert table.slices is None
+    assert table.decisions is None  # a values-only table keeps R * (C + 1) reals
+    played = dp_build(g, 0, R=17, C=3, decisions=True)
+    assert np.array_equal(played.boundary, table.boundary)
+    assert len(played.decisions) == 17
+    # consecutive equal records are one object, and the policy settles
+    for earlier, later in zip(played.decisions, played.decisions[1:]):
+        same = all(map(np.array_equal, earlier, later))
+        assert (earlier is later) == same
+    assert played.decisions[-2] is played.decisions[-1]
+    assert len({id(record) for record in played.decisions}) < 17
 
 
 def test_slice_rebuild_equals_stored():
+    # a slice rebuilt from the previous boundary row reproduces the stored
+    # boundary row bit for bit
     g = make_lb_game(6)
-    stored = dp_build(g, 0, R=6, C=2, store_slices=True)
-    lean = dp_build(g, 0, R=6, C=2)
+    table = dp_build(g, 0, R=6, C=2)
     for T in range(6):
-        assert np.array_equal(stored.slice_at(T), lean.slice_at(T))
+        assert np.array_equal(table.slice_at(T)[table.space.full_state], table.rows[T])
 
 
 def test_extend_to_continues_in_place():
@@ -152,7 +164,7 @@ def test_extend_to_continues_in_place():
 
 def test_dp_adversary_zero_budget_matches_passive_transcript():
     g = make_pair_game(4)
-    table = dp_build(g, 0, R=5, C=0, store_slices=True)
+    table = dp_build(g, 0, R=5, C=0, decisions=True)
     recs = []
     for adv in (DPAdversary(table, Budget.known(0)), PassiveAdversary()):
         recs.append(run_allocation(g, "seq", adv, StoppingRule.fixed(5), honest=0, seed=21))
@@ -164,8 +176,8 @@ def test_dp_adversary_adopts_planned_run_length():
     # a table built for a longer horizon plays the shorter announced run
     # exactly as a table built for that run
     g = make_pair_game(3)
-    big = dp_build(g, 0, R=6, C=2, store_slices=True)
-    tight = dp_build(g, 0, R=2, C=2, store_slices=True)
+    big = dp_build(g, 0, R=6, C=2, decisions=True)
+    tight = dp_build(g, 0, R=2, C=2, decisions=True)
     for m in range(500):
         recs = []
         for table in (big, tight):
@@ -178,7 +190,7 @@ def test_dp_adversary_adopts_planned_run_length():
 
 def test_dp_adversary_rejects_run_beyond_table():
     g = make_pair_game(3)
-    table = dp_build(g, 0, R=2, C=1, store_slices=True)
+    table = dp_build(g, 0, R=2, C=1, decisions=True)
     adv = DPAdversary(table, Budget.known(1))
     with pytest.raises(ValueError):
         run_allocation(g, "seq", adv, StoppingRule.fixed(5), honest=0, seed=56)
@@ -186,7 +198,7 @@ def test_dp_adversary_rejects_run_beyond_table():
 
 def test_dp_adversary_budget_soundness():
     g = make_lb_game(6)
-    table = dp_build(g, 0, R=30, C=2, store_slices=True)
+    table = dp_build(g, 0, R=30, C=2, decisions=True)
     adv = DPAdversary(table, Budget.known(2))
     rec = run_allocation(g, "seq", adv, StoppingRule.fixed(30), honest=0, seed=22)
     assert rec.violations <= 2
@@ -195,7 +207,7 @@ def test_dp_adversary_budget_soundness():
 
 def test_dp_adversary_rejects_full_permutation_protocol():
     g = make_pair_game(3)
-    table = dp_build(g, 0, R=1, C=1, store_slices=True)
+    table = dp_build(g, 0, R=1, C=1, decisions=True)
     adv = DPAdversary(table, Budget.known(1))
     with pytest.raises(ValueError):
         run_allocation(g, "naive", adv, StoppingRule.fixed(1), honest=0, seed=23)
@@ -203,7 +215,7 @@ def test_dp_adversary_rejects_full_permutation_protocol():
 
 def test_dp_adversary_sequential_mc_matches_value():
     g = make_pair_game(3)
-    table = dp_build(g, 0, R=1, C=2, store_slices=True)
+    table = dp_build(g, 0, R=1, C=2, decisions=True)
     vals = []
     for m in range(4000):
         adv = DPAdversary(table, Budget.known(2))
@@ -219,7 +231,7 @@ def test_dp_adversary_sequential_mc_matches_value():
 
 def test_parallel_mc_matches_value_pair3():
     g = make_pair_game(3)
-    table = dp_build(g, 0, R=1, C=2, store_slices=True)
+    table = dp_build(g, 0, R=1, C=2, decisions=True)
     stats = parallel_runs(g, 0, R=1, C=2, M=50_000, seed=25, table=table)
     assert abs(stats.mean - 2 / 3) < 3 * stats.stderr
 
@@ -233,66 +245,60 @@ def test_parallel_passive_matches_phi():
 def test_parallel_dp_value_longer_run():
     g = make_lb_game(6)
     R, C = 12, 2
-    table = dp_build(g, 0, R, C, store_slices=True)
+    table = dp_build(g, 0, R, C, decisions=True)
     stats = parallel_runs(g, 0, R, C, M=30_000, seed=27, table=table)
     expect = table.worst_value() / R
     assert abs(stats.mean - expect) < 3 * stats.stderr
 
 
-def test_boundary_only_table_replays_the_full_table():
+def test_longer_table_replays_without_reading_values(monkeypatch):
+    # a record depends on T only, so a table built for more samples plays an
+    # R-sample run exactly as the R-sample table does; and neither engine
+    # reads table values on the way
     g = make_lb_game(4)
     R, C = 3, 2
-    full = dp_build(g, 0, R, C, store_slices=True)
-    lean = dp_build(g, 0, R, C)
-    assert lean.slices is None  # boundary-only storage
-    assert lean.boundary.shape == (R, C + 1)
-    # parallel_runs reads a table only through space, C and slice_at, so
-    # equal slices give equal decisions in every round
+    tight = dp_build(g, 0, R, C, decisions=True)
+    long = dp_build(g, 0, 2 * R, C, decisions=True)
+    assert long.boundary.shape == (2 * R, C + 1)
     for T in range(R):
-        assert np.array_equal(lean.slice_at(T), full.slice_at(T))
+        assert all(map(np.array_equal, tight.decisions[T], long.decisions[T]))
+
+    def no_values(table, T):
+        raise AssertionError("a run read table values")
+
+    monkeypatch.setattr(DPTable, "slice_at", no_values)
+    aborts = 0
     for seed in range(100):
-        lean_stats = parallel_runs(g, 0, R, C, M=1, seed=seed, table=lean)
-        full_stats = parallel_runs(g, 0, R, C, M=1, seed=seed, table=full)
-        assert np.array_equal(lean_stats.x_honest, full_stats.x_honest)
-        assert np.array_equal(lean_stats.violations, full_stats.violations)
+        tight_stats = parallel_runs(g, 0, R, C, M=1, seed=seed, table=tight)
+        long_stats = parallel_runs(g, 0, R, C, M=1, seed=seed, table=long)
+        assert np.array_equal(tight_stats.x_honest, long_stats.x_honest)
+        assert np.array_equal(tight_stats.violations, long_stats.violations)
+        aborts += int(tight_stats.violations.sum())
+    assert aborts > 0
+    rec = run_allocation(g, "seq", DPAdversary(long, Budget.known(C)), StoppingRule.fixed(R),
+                         honest=0, seed=30)
+    assert rec.violations <= C
+
+
+def test_engines_reject_a_table_without_decisions():
+    g = make_pair_game(3)
+    table = dp_build(g, 0, R=1, C=1)
+    with pytest.raises(ValueError, match="decisions"):
+        DPAdversary(table, Budget.known(1))
+    with pytest.raises(ValueError, match="decisions"):
+        parallel_runs(g, 0, R=1, C=1, M=1, seed=0, table=table)
 
 
 def test_parallel_m1_matches_reference_loop():
     # plain-Python replay of the engine's randomness contract
     g = make_lb_game(4)
     R, C = 3, 2
-    table = dp_build(g, 0, R, C, store_slices=True)
-    space = table.space
+    table = dp_build(g, 0, R, C, decisions=True)
     for seed in range(20):
         stats = parallel_runs(g, 0, R, C, M=1, seed=seed, table=table)
-        floats = substream(seed, "run", 0).random(R * g.n)
-        x = 0.0
-        c = C
-        for t in range(R):
-            sl = table.slice_at(R - 1 - t)
-            counts = list(space.totals)
-            sid = space.full_state
-            for r in range(g.n):
-                m_pool = g.n - r
-                u = int(floats[t * g.n + r] * m_pool)
-                if u == 0:
-                    x += space.mu_star[sid]
-                    break
-                idx = u - 1
-                d = 0
-                acc = counts[0]
-                while idx >= acc:
-                    d += 1
-                    acc += counts[d]
-                abort_d = abort_class(space, sl, sid, counts, d, c)
-                if abort_d >= 0:
-                    counts[abort_d] -= 1
-                    sid -= space.strides[abort_d]
-                    c -= 1
-                else:
-                    counts[d] -= 1
-                    sid -= space.strides[d]
-        assert stats.x_honest[0] == pytest.approx(x / R, abs=1e-12)
+        x, violations = lockstep_reference(table, R, C, seed)
+        assert stats.x_honest[0] == pytest.approx(x, abs=1e-12)
+        assert stats.violations[0] == violations
 
 
 def test_dp_adversary_plays_the_lockstep_abort_rule():
@@ -302,7 +308,7 @@ def test_dp_adversary_plays_the_lockstep_abort_rule():
     g = Game(n=6, utility=make_pair_game(6).utility,
              symmetry_classes=((0,), (1,), (2, 5), (3, 4)))
     R, C = 3, 2
-    table = dp_build(g, 0, R, C, store_slices=True)
+    table = dp_build(g, 0, R, C, decisions=True)
     space = table.space
     for T in range(R):
         sl = table.slice_at(T)
@@ -327,11 +333,52 @@ def test_dp_adversary_plays_the_lockstep_abort_rule():
                             T, pool, drawn, c)
 
 
+def _abort_rule_everywhere(space, sl: np.ndarray, C: int) -> np.ndarray:
+    """``abort_class`` at every (state, drawn class, c) cell; -1 where class d is empty."""
+    D = len(space.classes)
+    expect = np.full((space.n_states, D, C + 1), -1)
+    for sid in range(space.n_states):
+        counts = _counts_of(space, sid)
+        for d in np.flatnonzero(counts):
+            for c in range(C + 1):
+                expect[sid, d, c] = abort_class(space, sl, sid, counts, d, c)
+    return expect
+
+
+def _record_everywhere(table: DPTable, T: int) -> np.ndarray:
+    """``table.abort_class`` at every cell, in one vectorised lookup."""
+    space = table.space
+    sid, d, c = np.indices((space.n_states, len(space.classes), table.C + 1))
+    return table.abort_class(T, sid, d, c)
+
+
+@pytest.mark.parametrize("game", [
+    # classes (2, 5) and (3, 4) tie for the minimum
+    Game(n=6, utility=make_pair_game(6).utility, name="tied",
+         symmetry_classes=((0,), (1,), (2, 5), (3, 4))),
+    make_lb_game(8),
+], ids=["tied", "lb8"])
+def test_decision_record_is_the_abort_rule_in_every_cell(game):
+    R, C = 20, 2
+    table = dp_build(game, 0, R, C, decisions=True)
+    aborts = 0
+    for T in range(R):
+        got = _record_everywhere(table, T)
+        assert np.array_equal(got, _abort_rule_everywhere(table.space, table.slice_at(T), C)), T
+        aborts += int(np.sum(got >= 0))
+        cells, classes = table.decisions[T]
+        assert np.all(np.diff(cells.astype(np.int64)) > 0)
+        assert cells.dtype == np.min_scalar_type(cells[-1])
+    assert aborts > 0
+
+
 def test_parallel_rejects_budget_beyond_table():
     g = make_pair_game(3)
-    table = dp_build(g, 0, R=1, C=1)
+    table = dp_build(g, 0, R=1, C=1, decisions=True)
     with pytest.raises(ValueError):
         parallel_runs(g, 0, R=1, C=2, M=1, seed=0, table=table)
+    with pytest.raises(ValueError):
+        parallel_runs(g, 0, R=2, C=1, M=1, seed=0, table=table)
 
 
 # --- dominance --------------------------------------------------------------------------
@@ -341,7 +388,7 @@ def test_dp_value_below_every_builtin_strategy():
 
     g = make_lb_game(4)
     R, C = 2, 1
-    table = dp_build(g, 0, R, C, store_slices=True)
+    table = dp_build(g, 0, R, C, decisions=True)
     dp_mean = parallel_runs(g, 0, R, C, M=60_000, seed=28, table=table).mean
 
     def mean_of(factory, M=4000):
@@ -389,9 +436,15 @@ def test_vectorized_builder_matches_reference_bitwise():
         # never beats accepting, so a wrong abort value there would not show
         prev = np.array([0.0, 3.0, 1.0, 4.0])
         for _ in range(3 if space.n_states < 1000 else 1):  # chain a few sample indices
-            a = _build_slice(space, prev, 3)
+            a, record = _build_slice(space, prev, 3, decisions=True)
             b = _build_slice_reference(space, prev, 3)
             assert np.array_equal(a, b)
+            values_only = _build_slice(space, prev, 3)
+            assert values_only[1] is None and np.array_equal(values_only[0], a)
+            if space.n_states < 1000:
+                played = DPTable(space=space, C=3, decisions=[record])
+                assert np.array_equal(_record_everywhere(played, 0),
+                                      _abort_rule_everywhere(space, a, 3))
             prev = a[space.full_state]
         if g is tied:
             assert _tied_minima(space, a) > 0

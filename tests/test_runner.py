@@ -216,7 +216,7 @@ def test_unknown_budget_terminates_within_bound():
     g = make_pair_game(3)
     rule = StoppingRule.unknown_budget(eps, delta, gamma)
     bound = max(rule.R, math.ceil(2 * C * gamma / eps))
-    table = dp_build(g, 0, R=bound, C=C)
+    table = dp_build(g, 0, R=bound, C=C, decisions=True)
     for m in range(20):
         adv = DPAdversary(table, Budget.known(C))
         rec = run_allocation(g, "seq", adv, rule, honest=0, seed=40,
