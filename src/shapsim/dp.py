@@ -41,7 +41,7 @@ from .games import Game, shapley_exact
 from .streams import substream
 
 DEFAULT_STATE_CAP = 2_000_000
-LOCKSTEP_CHUNK = 64  # P-sample indices whose floats parallel_runs draws per call
+LOCKSTEP_CHUNK = 64  # P-sample indices that parallel_runs draws and plays as one batch of rows
 
 
 class StateCapExceeded(ValueError):
@@ -94,6 +94,8 @@ class StateSpace:
     Slices are filled in a work array whose rows hold the states sorted by
     pool size (``work_row[sid]``, the inverse of ``order``), followed by one
     sentinel row; ``plan`` holds each size group's precomputed gathers into it.
+    ``player_strides[p]`` is what player ``p`` adds to a pool's state index
+    (0 for the honest player).
     """
 
     game: Game
@@ -103,6 +105,7 @@ class StateSpace:
     strides: np.ndarray
     n_states: int
     class_of: np.ndarray
+    player_strides: list
     mu_star: np.ndarray
     work_row: np.ndarray
     mu_work: np.ndarray
@@ -167,17 +170,18 @@ class StateSpace:
                            n_states).astype(work_row.dtype)
             k = k[:, :, None]
             plan.append(SizeGroup(m, lo, hi, nbr, k, k == 0, k >= 2))
+        player_strides = [0 if d < 0 else int(strides[d]) for d in class_of.tolist()]
         return cls(game=game, honest=honest, classes=classes, totals=totals,
                    strides=strides, n_states=n_states, class_of=class_of,
-                   mu_star=mu_star, work_row=work_row, mu_work=mu_star[order],
-                   order=order, plan=tuple(plan))
+                   player_strides=player_strides, mu_star=mu_star, work_row=work_row,
+                   mu_work=mu_star[order], order=order, plan=tuple(plan))
 
     @property
     def full_state(self) -> int:
         return int(self.totals @ self.strides)
 
     def state_of(self, pool: Sequence[int]) -> int:
-        return sum(int(self.strides[self.class_of[p]]) for p in pool if p != self.honest)
+        return sum(map(self.player_strides.__getitem__, pool))  # the honest player's is 0
 
 
 def _build_slice(space: StateSpace, prev_row: np.ndarray, C: int, *,
@@ -246,6 +250,13 @@ def _build_slice(space: StateSpace, prev_row: np.ndarray, C: int, *,
                     np.append(lower.argmin(axis=1), -1).astype(np.min_scalar_type(-D - 1)))
 
 
+def _recorded(record: tuple, key):
+    """The class a decision record aborts from at each flat cell ``key``, else -1."""
+    cells, classes = record
+    i = cells.searchsorted(key)  # the sentinel keeps i in range
+    return (classes[i] + 1) * (cells[i] == key) - 1  # -1 where the cell is not recorded
+
+
 @dataclass(eq=False)
 class DPTable:
     """Boundary rows ``value[T][N][c]``, plus per-``T`` abort decisions if asked for.
@@ -310,17 +321,33 @@ class DPTable:
         prev = self.rows[T - 1] if T > 0 else np.zeros(self.C + 1)
         return _build_slice(self.space, prev, self.C)[0]
 
-    def abort_class(self, T: int, sid, d, c):
+    def abort_class(self, T, sid, d, c):
         """The class to abort from at sample index ``T``, or -1 to accept.
 
         The cell is pool state ``sid`` with a class-``d`` player drawn and
-        ``0 <= c <= C`` units left; arrays of these look up one cell each.
+        ``0 <= c <= C`` units left; arrays of these (``T`` included) look up
+        one cell each.  Each distinct record object is searched once, for all
+        the cells whose ``T`` it covers, gathered by one sort.
         """
-        cells, classes = self.decisions[T]
         space = self.space
         key = (space.work_row[sid].astype(np.int64) * len(space.classes) + d) * (self.C + 1) + c
-        i = cells.searchsorted(key)  # the sentinel keeps i in range
-        return (classes[i] + 1) * (cells[i] == key) - 1  # -1 where the cell is not recorded
+        if np.ndim(T) == 0:
+            return _recorded(self.decisions[T], key)
+        lo = int(T.min())
+        span = self.decisions[lo:int(T.max()) + 1]
+        # equal consecutive records are one object: number each run of them
+        first = [0] + [t for t in range(1, len(span)) if span[t] is not span[t - 1]]
+        group = np.zeros(len(span), dtype=np.min_scalar_type(len(first)))
+        group[first[1:]] = 1
+        group = np.cumsum(group, dtype=group.dtype)[T - lo]
+        order = np.argsort(group, kind="stable")  # a radix sort: each run's cells contiguous
+        sizes = np.bincount(group, minlength=len(first))
+        out = np.empty(key.shape, dtype=np.int64)
+        for t, end, size in zip(first, np.cumsum(sizes).tolist(), sizes.tolist()):
+            if size:
+                rows = order[end - size:end]
+                out[rows] = _recorded(span[t], key[rows])
+        return out
 
     def worst_value(self, R: int | None = None, c: int | None = None) -> float:
         """Full-run value ``value[R-1][N][c]`` (defaults: all built samples, full budget)."""
@@ -414,14 +441,55 @@ class ParallelRunStats:
         return float(np.std(self.x_honest, ddof=1) / math.sqrt(len(self.x_honest)))
 
 
+def _play_rows(space: StateSpace, floats: np.ndarray, live: np.ndarray,
+               table: DPTable | None = None, T=None, budget=None) -> np.ndarray:
+    """Play the elimination rounds of the (run, sample) rows in the mask ``live``.
+
+    Row ``i`` reads its round-``r`` float at ``floats[i, r]``.  Returns each
+    row's pool state when the honest player was drawn (the full pool for a
+    row not played).  With a ``table``, row ``i`` plays sample index ``T[i]``
+    and spends its own ``budget[i]`` across its rounds; rows without budget
+    look nothing up.
+    """
+    rows, n = floats.shape
+    D = len(space.classes)
+    # row i's count of class d is counts[d, i]; a played row's stop changing
+    # once the honest player is drawn
+    counts = np.repeat(space.totals[:, None].astype(np.min_scalar_type(n)), rows, axis=1)
+    for r in range(n):
+        v = floats[:, r] * (n - r)  # floor(v) is the drawn member's place, honest first
+        live = live & (v >= 1)  # below 1 the honest player is drawn
+        if not live.any():
+            break
+        # the drawn class: how many prefix sums of the class counts are below floor(v)
+        d = np.zeros(rows, dtype=np.min_scalar_type(D))
+        reach = 1
+        for cnt in counts[:-1]:
+            reach = reach + cnt
+            d += v >= reach
+        if table is not None:
+            ask = np.flatnonzero(live & (budget > 0))
+            if len(ask):
+                d_abort = table.abort_class(T[ask], space.strides @ counts[:, ask], d[ask],
+                                            budget[ask])
+                hit = d_abort >= 0
+                ask = ask[hit]
+                d[ask] = d_abort[hit]
+                budget[ask] -= 1
+        for j, cnt in enumerate(counts):  # one class-d member leaves
+            cnt -= live & (d == j)
+    return space.strides @ counts
+
+
 def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
                   table: DPTable | None = None) -> ParallelRunStats:
-    """Advance ``M`` fixed-length runs together, one P-sample index at a time.
+    """Advance ``M`` fixed-length runs together, one chunk of P-sample indices at a time.
 
-    Each round looks all ``M`` runs' cells up at once with
-    :meth:`DPTable.abort_class`, as :class:`DPAdversary` does.  Pools stay in
-    lockstep because each elimination round removes exactly one player
-    whether or not an abort replaces the drawn one.
+    A chunk of ``k <= LOCKSTEP_CHUNK`` sample indices is one batch of
+    ``M * k`` (run, sample) rows, and each elimination round is one
+    vectorised step over all of them; pools stay in lockstep because each
+    round removes exactly one player whether or not an abort replaces the
+    drawn one.  Each run's sample values are added in sample order.
 
     Randomness contract: run ``m`` reads the float stream
     ``substream(seed, "run", m).random()`` positionally, using index
@@ -433,7 +501,14 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
     change the honest allocation, so they are skipped.
 
     With a ``table`` (built with ``decisions=True``) the adversary plays its
-    optimal abort policy; without one every run is passive.
+    optimal abort policy, looking the cells of all rows with budget left up
+    at once with :meth:`DPTable.abort_class`, as :class:`DPAdversary` does;
+    without one every run is passive.  A run's samples are coupled only
+    through its remaining budget, which changes at most ``C`` times, so a
+    chunk is played speculatively at each run's budget at the chunk start.
+    Each run keeps its samples up to and including its first that aborts
+    and replays the later ones at the lowered budget, until no run has
+    samples pending; the result is the sample-by-sample play's, bit for bit.
     """
     n = game.n
     if table is not None and (table.decisions is None or C > table.C or R > table.R):
@@ -443,44 +518,35 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
 
     gens = [substream(seed, "run", m) for m in range(M)]
     x_acc = np.zeros(M)
-    violations = np.zeros(M, dtype=np.int64)
-    c_rem = np.full(M, C, dtype=np.int64)
-
-    t = 0
-    while t < R:
-        t_hi = min(R, t + LOCKSTEP_CHUNK)
-        block = np.empty((M, (t_hi - t) * n))
-        for m in range(M):
-            block[m] = gens[m].random((t_hi - t) * n)
-        for tt in range(t, t_hi):
-            counts = np.tile(space.totals, (M, 1))
-            sid = np.full(M, space.full_state, dtype=np.int64)
-            alive = np.ones(M, dtype=bool)
-            base = (tt - t) * n
-            for r in range(n):
-                if not alive.any():
-                    break
-                m_pool = n - r
-                u = (block[:, base + r] * m_pool).astype(np.int64)
-                hdrawn = alive & (u == 0)
-                if hdrawn.any():
-                    x_acc[hdrawn] += space.mu_star[sid[hdrawn]]
-                    alive = alive & ~hdrawn
-                    if not alive.any():
-                        break
-                idx = u - 1
-                cum = np.cumsum(counts, axis=1)
-                d_drawn = (idx[:, None] >= cum).sum(axis=1)
-                d_drawn = np.where(alive, d_drawn, 0)
-                gone = d_drawn  # the class that loses a member this round
-                if table is not None and c_rem.any():  # no budget left, no abort
-                    d_abort = table.abort_class(R - 1 - tt, sid, d_drawn, c_rem)
-                    do_abort = alive & (d_abort >= 0)
-                    gone = np.where(do_abort, d_abort, d_drawn)
-                    c_rem -= do_abort
-                    violations += do_abort
-                rows = np.flatnonzero(alive)
-                counts[rows, gone[rows]] -= 1
-                sid[rows] -= space.strides[gone[rows]]
-        t = t_hi
-    return ParallelRunStats(x_honest=x_acc / R, violations=violations, R=R)
+    c_rem = np.full(M, C, dtype=np.min_scalar_type(C))
+    block = np.empty(M * LOCKSTEP_CHUNK * n)
+    sample = np.arange(LOCKSTEP_CHUNK)
+    for t in range(0, R, LOCKSTEP_CHUNK):
+        k = min(LOCKSTEP_CHUNK, R - t)
+        draws = block[:M * k * n].reshape(M, k * n)
+        for m, gen in enumerate(gens):
+            gen.random(out=draws[m])
+        floats = draws.reshape(M * k, n)
+        if table is None or not c_rem.any():  # no budget left, no abort
+            sid = _play_rows(space, floats, np.ones(M * k, dtype=bool))
+        else:
+            sid = np.empty(M * k, dtype=np.int64)
+            T = np.tile(R - 1 - t - sample[:k], M)
+            first = np.zeros(M, dtype=np.int64)  # each run's first sample still to play
+            while (first < k).any():
+                pending = sample[:k] >= first[:, None]
+                start = np.repeat(c_rem, k)
+                budget = start.copy()
+                np.copyto(sid, _play_rows(space, floats, pending.ravel(), table, T, budget),
+                          where=pending.ravel())
+                spent = (start - budget).reshape(M, k)
+                hit = pending & (spent > 0)
+                runs = np.flatnonzero(hit.any(axis=1))
+                j = hit[runs].argmax(axis=1)  # the run's first aborting sample is final
+                c_rem[runs] -= spent[runs, j]
+                first[:] = k
+                first[runs] = j + 1
+        mu = space.mu_star[sid].reshape(M, k)
+        for col in mu.T:  # in sample order, so each run's sum is the sample-by-sample one
+            x_acc += col
+    return ParallelRunStats(x_honest=x_acc / R, violations=(C - c_rem).astype(np.int64), R=R)

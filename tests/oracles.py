@@ -234,16 +234,18 @@ def abort_class(space, sl: np.ndarray, sid: int, counts, d_drawn: int, c: int) -
     return best_d if best < v_accept else -1
 
 
-def lockstep_reference(table, R: int, C: int, seed: int) -> tuple[float, int]:
-    """Run 0 of ``shapsim.dp.parallel_runs`` as a plain loop: (x_honest, violations).
+def lockstep_reference(table, R: int, C: int, seed: int, run: int = 0) -> tuple[float, int, list]:
+    """Run ``run`` of ``shapsim.dp.parallel_runs`` as a plain loop.
 
     Follows the engine's randomness contract and plays :func:`abort_class`
-    on each sample index's value slice, rebuilt with ``table.slice_at``.
+    on each sample index's value slice, rebuilt with ``table.slice_at``,
+    one sample after another.  Returns ``(x_honest, violations, aborted)``,
+    where ``aborted`` lists the sample index of each abort in order.
     """
     space = table.space
     n = space.game.n
-    floats = substream(seed, "run", 0).random(R * n)
-    x, c, violations = 0.0, C, 0
+    floats = substream(seed, "run", run).random(R * n)
+    x, c, aborted = 0.0, C, []
     for t in range(R):
         sl = table.slice_at(R - 1 - t)
         counts = list(space.totals)
@@ -259,10 +261,11 @@ def lockstep_reference(table, R: int, C: int, seed: int) -> tuple[float, int]:
                 acc += counts[d]
             abort_d = abort_class(space, sl, sid, counts, d, c)
             if abort_d >= 0:
-                d, c, violations = abort_d, c - 1, violations + 1
+                d, c = abort_d, c - 1
+                aborted.append(t)
             counts[d] -= 1
             sid -= space.strides[d]
-    return x / R, violations
+    return x / R, len(aborted), aborted
 
 
 # --- instrumented adversaries -------------------------------------------------

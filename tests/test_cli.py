@@ -402,13 +402,15 @@ def test_decision_records_write_the_value_rule_bytes(tmp_path, monkeypatch):
     looked_up = []
 
     def value_rule(table, T, sid, d, c):
-        sl, space = table.slice_at(T), table.space
-        looked_up.append(T)
-        cells = np.broadcast_arrays(sid, d, c)
+        space, slices = table.space, {}
+        cells = np.broadcast_arrays(T, sid, d, c)
         out = []
-        for s, dd, cc in zip(*(a.ravel().tolist() for a in cells)):
+        for tt, s, dd, cc in zip(*(a.ravel().tolist() for a in cells)):
+            if tt not in slices:
+                slices[tt] = table.slice_at(tt)
+                looked_up.append(tt)
             counts = _counts_of(space, s)
-            out.append(abort_class(space, sl, s, counts, dd, cc) if counts[dd] else -1)
+            out.append(abort_class(space, slices[tt], s, counts, dd, cc) if counts[dd] else -1)
         return np.array(out).reshape(cells[0].shape)
 
     simulate = ["simulate", "--game", "lb", "--n", "6", "--protocol", "seq",

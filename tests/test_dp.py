@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from shapsim import (
     shapley_exact,
     substream,
 )
+from shapsim.dp import LOCKSTEP_CHUNK
 from oracles import _counts_of, abort_class, lockstep_reference, worst_case_value
 
 
@@ -120,6 +122,17 @@ def test_needs_classes_beyond_bitset_range():
     g = Game(n=25, utility=lambda m: 0.0)
     with pytest.raises(ValueError):
         dp_build(g, 0, R=1, C=0)
+
+
+def test_state_of_is_the_class_stride_sum():
+    rng = np.random.default_rng(31)
+    for g, honest in [(make_lb_game(8), 0), (make_lb_game(100), 3),
+                      (strip_classes(make_pair_game(6)), 2), (make_max_gamma_game(5), 4)]:
+        space = dp_build(g, honest, R=1, C=0).space
+        for _ in range(50):
+            pool = rng.choice(g.n, size=int(rng.integers(1, g.n + 1)), replace=False)
+            expect = sum(int(space.strides[space.class_of[p]]) for p in pool if p != honest)
+            assert space.state_of(pool) == space.state_of(pool.tolist()) == expect
 
 
 # --- table storage -----------------------------------------------------------------
@@ -296,9 +309,58 @@ def test_parallel_m1_matches_reference_loop():
     table = dp_build(g, 0, R, C, decisions=True)
     for seed in range(20):
         stats = parallel_runs(g, 0, R, C, M=1, seed=seed, table=table)
-        x, violations = lockstep_reference(table, R, C, seed)
-        assert stats.x_honest[0] == pytest.approx(x, abs=1e-12)
+        x, violations, _ = lockstep_reference(table, R, C, seed)
+        assert stats.x_honest[0] == x
         assert stats.violations[0] == violations
+
+
+@pytest.mark.parametrize("g", [make_pair_game(6), strip_classes(make_pair_game(6))],
+                         ids=["classes", "singletons"])
+def test_parallel_matches_reference_across_chunk_boundaries(g):
+    # more than two chunks, with aborts past the first chunk and samples that
+    # hold two aborts: the speculative replay must give every run the
+    # sample-by-sample play bit for bit, with two classes and with five
+    R, C, M, seed = 150, 3, 40, 7
+    assert R > 2 * LOCKSTEP_CHUNK
+    table = dp_build(g, 0, R, C, decisions=True)
+    stats = parallel_runs(g, 0, R, C, M, seed, table=table)
+    late = double = 0
+    for m in range(M):
+        x, violations, aborted = lockstep_reference(table, R, C, seed, run=m)
+        assert stats.x_honest[m] == x, m
+        assert stats.violations[m] == violations, m
+        late += any(t >= LOCKSTEP_CHUNK for t in aborted)
+        double += any(aborted.count(t) >= 2 for t in set(aborted))
+    assert late > 0
+    assert double > 0
+
+
+@pytest.mark.parametrize("game, D", [(make_lb_game(20), 2), (strip_classes(make_pair_game(6)), 5)],
+                         ids=["lb20", "singletons6"])
+def test_parallel_passive_is_exact(game, D):
+    # the class search with two classes and with five singleton classes
+    R, M, seed = 100, 30, 12
+    table = dp_build(game, 0, R, 0, decisions=True)
+    assert len(table.space.classes) == D
+    passive = parallel_runs(game, 0, R, 0, M, seed)
+    assert not passive.violations.any()
+    for m in range(M):
+        assert passive.x_honest[m] == lockstep_reference(table, R, 0, seed, run=m)[0], m
+
+
+def test_parallel_working_set_does_not_grow_with_R():
+    # the engine holds one chunk of rows at a time
+    g = make_lb_game(8)
+    table = dp_build(g, 0, 512, 2, decisions=True)
+    peaks = []
+    for R in (128, 512):
+        tracemalloc.start()
+        try:
+            parallel_runs(g, 0, R, 2, M=200, seed=3, table=table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] * 1.05, peaks
 
 
 def test_dp_adversary_plays_the_lockstep_abort_rule():
