@@ -82,11 +82,16 @@ class _UniformBuffer:
 class Adversary:
     """Base strategy: commit uniform values and always open faithfully.
 
-    Subclasses override the open hooks to abort selectively.  An open hook
-    receives the protocol's record of the commitments as a read-only
-    mapping and returns it as is (faithful open) or an edited copy
-    (``commitments.copy()``).  One adversary instance is exclusively owned
-    by one run at a time; :meth:`reset` rebinds it to a new run.
+    Subclasses override the open hooks to abort selectively.  A commit hook
+    returns one integer ``ndarray`` aligned with ``susceptible``: shape
+    ``(s,)`` of draws in ``[0, k)``, or shape ``(s, m)`` whose rows are
+    bijections of ``0..m-1``.  Any other return makes every susceptible
+    player a detected violator; in a well-shaped array, a bad entry or row
+    makes only its own player violate.  An open hook receives the
+    protocol's record of the commitments as a read-only mapping and returns
+    it as is (faithful open) or an edited copy (``commitments.copy()``).
+    One adversary instance is exclusively owned by one run at a time;
+    :meth:`reset` rebinds it to a new run.
     """
 
     def __init__(self, budget: Budget | None = None):
@@ -113,24 +118,17 @@ class Adversary:
         self.budget.samples_seen = index + 1
 
     # Full-permutation protocol hooks.
-    def commit_permutations(self, view: PhaseView, susceptible, m: int) -> dict:
+    def commit_permutations(self, view: PhaseView, susceptible, m: int) -> np.ndarray:
         s = len(susceptible)
-        if not s:
-            return {}
-        block = np.argsort(self._floats.take(s * m).reshape(s, m), axis=1)
-        return {p: block[i] for i, p in enumerate(susceptible)}
+        return np.argsort(self._floats.take(s * m).reshape(s, m), axis=1)
 
     def open_permutations(self, view: PhaseView, susceptible, commitments: Mapping,
                           m: int) -> Mapping:
         return commitments  # faithful open
 
     # Elimination protocol hooks.
-    def commit_draws(self, view: PhaseView, susceptible, k: int) -> dict:
-        s = len(susceptible)
-        if not s:
-            return {}
-        u = self._floats.take(s)
-        return {p: int(u[i] * k) for i, p in enumerate(susceptible)}
+    def commit_draws(self, view: PhaseView, susceptible, k: int) -> np.ndarray:
+        return (self._floats.take(len(susceptible)) * k).astype(np.int64)
 
     def open_draws(self, view: PhaseView, susceptible, commitments: Mapping, k: int) -> Mapping:
         return commitments  # faithful open
@@ -162,13 +160,14 @@ class CyclicShiftAdversary(Adversary):
 
     _POWER_CACHE: dict[int, np.ndarray] = {}
 
-    def commit_permutations(self, view, susceptible, m: int) -> dict:
+    def commit_permutations(self, view, susceptible, m: int) -> np.ndarray:
         powers = self._POWER_CACHE.get(m)
         if powers is None:
             # powers[e] = tau^(e+1) for the one-step cyclic shift tau
             powers = np.stack([(np.arange(m) + e) % m for e in range(1, m + 1)])
+            powers.flags.writeable = False  # shared by every instance
             self._POWER_CACHE[m] = powers
-        return {p: powers[e] for e, p in enumerate(sorted(susceptible))}
+        return powers[:len(susceptible)]  # susceptible is ascending
 
     def open_permutations(self, view, susceptible, commitments: Mapping, m: int) -> dict:
         opened = commitments.copy()

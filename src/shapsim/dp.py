@@ -246,8 +246,9 @@ def _build_slice(space: StateSpace, prev_row: np.ndarray, C: int, *,
     counts[np.arange(len(row)), d] -= 1
     lower = np.where(counts > 0, work[space.work_row[np.maximum(sid - space.strides, 0)],
                                       c[:, None]], inf)
+    classes = lower.argmin(axis=1) if D else np.empty(0, dtype=np.intp)  # one player: no cell
     return values, (np.append(cells, hits.size).astype(np.min_scalar_type(hits.size)),
-                    np.append(lower.argmin(axis=1), -1).astype(np.min_scalar_type(-D - 1)))
+                    np.append(classes, -1).astype(np.min_scalar_type(-D - 1)))
 
 
 def _recorded(record: tuple, key):

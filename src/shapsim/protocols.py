@@ -20,14 +20,21 @@ the adversary callback API rather than as simulated cryptography:
 * hiding - commit-phase callbacks receive a :class:`PhaseView` whose
   ``honest_revealed`` field is ``None``; the honest player's current-round
   value is never passed to the adversary before the open phase.
-* binding - a commitment must be well formed (a bijection of ``0..m-1``,
-  or a draw: an integer in ``[0, k)``) and an opening must be the committed
-  value (faithful open) or ``None`` (abort).  Anything else, a missing or
-  malformed commitment included, is converted into a detected violation,
-  exactly like an abort, and never reaches the composition.  The protocol
-  keeps its own immutable copy of every well-formed commitment and computes
-  the outcome from that copy alone; the open hook receives a read-only view
-  of it, so nothing the hook does can change what was committed.
+* binding - a commit hook returns one integer-dtype ``ndarray`` whose
+  rows are aligned with ``susceptible``: shape ``(s,)`` of draws for
+  :func:`rand_elim`, shape ``(s, m)`` of permutations for
+  :func:`naive_perm`.  Any other return (a dict, a list, ``None``, a wrong
+  shape or dtype) makes every susceptible player a detected violator.  In a
+  well-shaped array the check is per entry: a draw outside ``[0, k)``, or a
+  row that is not a bijection of ``0..m-1``, makes only that player
+  violate.  An opening must be the committed value (faithful open) or
+  ``None`` (abort).  Anything else is converted into a detected violation,
+  exactly like an abort, and never reaches the composition; nothing an
+  adversary returns raises.  The protocol copies the array into its own
+  immutable record (Python ints, tuples for permutation rows) and computes
+  the outcome from that record alone; the open hook receives a read-only
+  view of it, so nothing the hook does, to the record or to the array it
+  committed, can change what was committed.
 * rushing - open-phase callbacks receive the honest player's opened value
   before the adversary decides which susceptible players abort.
 
@@ -42,8 +49,9 @@ P-sample costs the same however long the run has been going.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from operator import index as _index
+from operator import index as _index, itemgetter
 from types import MappingProxyType
 from typing import Sequence
 
@@ -107,6 +115,22 @@ def _as_draw(value, k: int) -> int | None:
     return draw if 0 <= draw < k else None
 
 
+def _is_commit_array(value, shape: tuple[int, ...]) -> bool:
+    """Whether a commit hook returned an integer ``ndarray`` of ``shape``.
+
+    Subclasses are refused: their ``tolist`` need not give plain integers.
+    """
+    return type(value) is np.ndarray and value.shape == shape and value.dtype.kind in "iu"
+
+
+def _without(pool: tuple[int, ...], honest: int | None) -> tuple[int, ...]:
+    """``pool`` (ascending) less ``honest``, which may be absent or ``None``."""
+    i = bisect_left(pool, honest) if honest is not None else len(pool)
+    if i < len(pool) and pool[i] == honest:
+        return pool[:i] + pool[i + 1:]
+    return pool
+
+
 def compose_order(active: Sequence[int], perms: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
     """Compose submitted slot permutations and return the rank order.
 
@@ -115,10 +139,11 @@ def compose_order(active: Sequence[int], perms: dict[int, tuple[int, ...]]) -> t
     ends at slot ``g(x)``, which is its rank minus one.
     """
     m = len(active)
+    if m == 1:  # itemgetter of a single index returns a bare item, not a tuple
+        return tuple(active)
     g = range(m)
     for p in sorted(perms):
-        perm = perms[p]
-        g = [perm[x] for x in g]
+        g = itemgetter(*g)(perms[p])
     order = [0] * m
     for x, p in enumerate(active):
         order[g[x]] = p
@@ -146,21 +171,18 @@ def naive_perm(
         raise ValueError("the honest player must be in the active set")
     m = len(active)
     honest_perm = tuple(honest_rng.permutation(m).tolist())
-    susceptible = tuple(p for p in active if p != honest)
+    susceptible = _without(active, honest)
 
     slots = list(range(m))
-    dev = set()
-
-    commit_view = PhaseView(active, None)
-    commitments = adversary.commit_permutations(commit_view, susceptible, m)
-    commitments = commitments if isinstance(commitments, dict) else {}
-    checked: dict[int, tuple[int, ...]] = {}  # protocol-held record
-    for p in susceptible:
-        perm = _as_perm(commitments.get(p), slots)
-        if perm is None:
-            dev.add(p)  # binding: a malformed commitment is a violation
-        else:
-            checked[p] = perm
+    commitments = adversary.commit_permutations(PhaseView(active, None), susceptible, m)
+    if _is_commit_array(commitments, (len(susceptible), m)):
+        # protocol-held record: a row is kept when it sorts to 0..m-1
+        checked = {p: tuple(row) for p, row, ordered in
+                   zip(susceptible, commitments.tolist(), np.sort(commitments, axis=1).tolist())
+                   if ordered == slots}
+    else:
+        checked = {}
+    dev = set(susceptible).difference(checked)
 
     record = MappingProxyType(checked)
     opened = adversary.open_permutations(PhaseView(active, honest_perm), susceptible, record, m)
@@ -195,8 +217,9 @@ def rand_elim(
     modulo ``|pool|`` indexes the eliminated player in ascending-id order.
     If any player is detected violating, the lowest-id violator is
     eliminated instead.  ``honest`` may be ``None`` when the pool is fully
-    susceptible.  An honest pool member is eliminated with probability at
-    most ``1/|pool|`` against any adversary.
+    susceptible.  ``pool`` may be any sequence of distinct ids, in any
+    order.  An honest pool member is eliminated with probability at most
+    ``1/|pool|`` against any adversary.
 
     ``honest_draw`` lets a caller that batches the honest player's
     randomness supply this round's draw; by default one integer is taken
@@ -211,28 +234,26 @@ def rand_elim(
             honest_draw = int(honest_rng.integers(k))
     else:
         honest_draw = None
-    susceptible = tuple(p for p in pool if p != honest)
+    susceptible = _without(pool, honest)
 
-    commit_view = PhaseView(pool, None)
-    commitments = adversary.commit_draws(commit_view, susceptible, k)
-    commitments = commitments if isinstance(commitments, dict) else {}
+    commitments = adversary.commit_draws(PhaseView(pool, None), susceptible, k)
     dev = set()
-    try:  # the common case, every draw well formed, checked in bulk
-        committed = {p: _index(commitments[p]) for p in susceptible}  # protocol-held record
-        well_formed = not committed or 0 <= min(committed.values()) <= max(committed.values()) < k
-    except (KeyError, TypeError):
-        well_formed = False
-    if not well_formed:
-        draws = {p: _as_draw(commitments.get(p), k) for p in susceptible}
-        committed = {p: draw for p, draw in draws.items() if draw is not None}
-        dev = set(draws) - set(committed)  # binding: a malformed commitment is a violation
+    if _is_commit_array(commitments, (len(susceptible),)):
+        draws = commitments.tolist()  # protocol-held values
+        if not draws or 0 <= min(draws) and max(draws) < k:  # the common case, checked in bulk
+            committed = dict(zip(susceptible, draws))
+        else:
+            committed = {p: draw for p, draw in zip(susceptible, draws) if 0 <= draw < k}
+            dev = set(susceptible).difference(committed)
+    else:
+        draws, committed, dev = [], {}, set(susceptible)
 
     record = MappingProxyType(committed)
     opened = adversary.open_draws(PhaseView(pool, honest_draw), susceptible, record, k)
 
     total = honest_draw or 0
     if opened is record and not dev:  # faithful open of the protocol-held record
-        return pool[(total + sum(committed.values())) % k], frozenset()
+        return pool[(total + sum(draws)) % k], frozenset()
     opened = opened if isinstance(opened, dict) or opened is record else {}
     for p, c in committed.items():
         value = opened.get(p)
@@ -264,25 +285,25 @@ def seq_perm(
         raise ValueError("the honest player must be in the active set")
     order: list[int] = []
     dev_total: set[int] = set()
-    pool = set(active)
+    pool = list(active)  # kept ascending
     # One batched draw per sample covers the honest player's per-round
     # randomness; round r maps floats[r] onto the current pool size.
-    floats = honest_rng.random(len(active))
+    floats = honest_rng.random(len(active)).tolist()
+    current_honest = honest
     r = 0
     while pool:
-        if honest in pool:
-            current_honest = honest
-            draw = int(floats[r] * len(pool))
-        else:
-            current_honest, draw = None, None
-        eliminated, dev = rand_elim(tuple(pool), current_honest, adversary, honest_rng,
+        draw = None if current_honest is None else int(floats[r] * len(pool))
+        eliminated, dev = rand_elim(pool, current_honest, adversary, honest_rng,
                                     honest_draw=draw)
         if dev:  # the eliminated player is the lowest-id violator
-            order.extend(sorted(dev))
+            out = sorted(dev)
             dev_total.update(dev)
-            pool.difference_update(dev)
         else:
-            order.append(eliminated)
-            pool.discard(eliminated)
+            out = (eliminated,)
+            if eliminated == honest:
+                current_honest = None
+        for p in out:
+            del pool[bisect_left(pool, p)]
+        order.extend(out)
         r += 1
     return PSampleOutcome(order=tuple(order), dev=frozenset(dev_total), violations_used=len(dev_total))

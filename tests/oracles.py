@@ -361,61 +361,84 @@ class BindingBreaker(Adversary):
 MISSING = object()  # stands for a record entry the adversary leaves out
 
 
-def malformed_perms(m: int) -> list:
-    """Commitments that are not a bijection of ``0..m-1``, one per way to fail."""
+def malformed_perms(m: int) -> list[list[int]]:
+    """Integer rows of length ``m`` that are not a bijection of ``0..m-1``,
+    one per way to fail; each fits an ``int64`` commit array."""
     ident = list(range(m))
-    return [MISSING, None, ident[:-1], [ident, ident], ident[:-1] + [m],
-            ident[:-1] + [-1],  # numpy indexing would wrap it onto slot m - 1
-            [0] * m, [float(x) for x in ident], np.arange(m, dtype=np.float64),
-            "".join(map(str, ident)), [*ident[:-1], None], [*ident[:-1], 2 ** 70]]
+    return [[0] * m, ident[:-1] + [m], ident[:-1] + [-1],  # numpy indexing would wrap -1
+            [*ident[:-1], 2 ** 62], [*ident[:-1], -2 ** 62], [m - 1] * m]
 
 
-def malformed_draws(k: int) -> list:
-    """Commitments that are not an integer in ``[0, k)``, one per way to fail."""
-    return [MISSING, None, -1, k, 2 ** 70, 1.5, 1.0, np.float64(1.0), "1", [1],
-            np.array([1]), {1: 1}]
+def malformed_draws(k: int) -> list[int]:
+    """Integers outside ``[0, k)``, one per way to fail; each fits ``int64``."""
+    return [-1, k, k + 1, 2 ** 62, -2 ** 62]
+
+
+def malformed_commits(s: int, shape: tuple[int, ...]) -> list:
+    """Commit returns for ``s`` susceptible players that are not an integer
+    ``ndarray`` of ``shape``; each makes every susceptible player violate."""
+    good = np.zeros(shape, dtype=np.int64)
+    return [None, {p: row for p, row in enumerate(good)}, good.tolist(), tuple(good.tolist()),
+            good.astype(np.float64), good.astype(np.bool_), good.astype(object),
+            good.astype(np.complex128), np.zeros(shape[:-1] + (shape[-1] + 1,), np.int64),
+            np.zeros((s + 1,) + shape[1:], np.int64), good[..., None], np.zeros((), np.int64),
+            np.int64(0), np.ma.masked_array(good), "0" * s]
+
+
+def opening_junk(m: int) -> list:
+    """Values that are no opening of an integer commitment."""
+    return [MISSING, None, 1.5, "1", [[0] * m], np.arange(m, dtype=np.float64), {1: 1}]
 
 
 class Malformer(Adversary):
-    """Commits ``value`` for ``player``; every other entry is the base strategy's."""
+    """Commits ``value`` as the entry (or row) of each of ``players``, in an
+    array of ``dtype``; every other entry is the base strategy's."""
 
-    def __init__(self, player: int, value):
+    def __init__(self, players, value, dtype=np.int64):
         super().__init__()
-        self.player = player
+        self.players = frozenset(players)
         self.value = value
+        self.dtype = dtype
 
-    def _swap(self, record: dict) -> dict:
-        record = dict(record)
-        if self.value is MISSING:
-            record.pop(self.player, None)
-        elif self.player in record:
-            record[self.player] = self.value
-        return record
+    def _swap(self, committed: np.ndarray, susceptible) -> np.ndarray:
+        committed = committed.astype(self.dtype)
+        for i, p in enumerate(susceptible):
+            if p in self.players:
+                committed[i] = self.value
+        return committed
 
     def commit_permutations(self, view, susceptible, m):
-        return self._swap(super().commit_permutations(view, susceptible, m))
+        return self._swap(super().commit_permutations(view, susceptible, m), susceptible)
 
     def commit_draws(self, view, susceptible, k):
-        return self._swap(super().commit_draws(view, susceptible, k))
+        return self._swap(super().commit_draws(view, susceptible, k), susceptible)
 
 
 class JunkAdversary(Adversary):
-    """Rushing strategy that mixes malformed values and forgeries into every record.
+    """Rushing strategy that mixes malformed values and forgeries into every round.
 
-    At commit, each entry is kept with probability 3/4 and otherwise left
-    out or replaced by a malformed value.  At open, a round about to
+    At commit, each entry (or row) is kept with probability 3/4 and
+    otherwise replaced by a malformed one.  At open, a round about to
     eliminate the honest player is opened faithfully; any other entry is
     opened faithfully with probability 1/4 and otherwise forged, left out,
     aborted or replaced by a malformed value.
     """
 
-    def _junk(self, record: dict, malformed: list, p_keep: float, forge=None) -> dict:
+    def _junk_rows(self, committed: np.ndarray, malformed: list) -> np.ndarray:
+        committed = committed.copy()
+        for i in range(len(committed)):
+            u, v = self._floats.take(2)
+            if u >= 0.75:
+                committed[i] = malformed[int(v * len(malformed))]
+        return committed
+
+    def _junk(self, record, malformed: list, forge) -> dict:
         out = {}
         for p, value in record.items():
             u, v = self._floats.take(2)
-            if u < p_keep:
+            if u < 0.25:
                 out[p] = value
-            elif forge is not None and u < (1 + p_keep) / 2:
+            elif u < 0.625:
                 out[p] = forge(value)
             else:
                 junk = malformed[int(v * len(malformed))]
@@ -424,18 +447,20 @@ class JunkAdversary(Adversary):
         return out
 
     def commit_permutations(self, view, susceptible, m):
-        return self._junk(super().commit_permutations(view, susceptible, m),
-                          malformed_perms(m), 0.75)
+        return self._junk_rows(super().commit_permutations(view, susceptible, m),
+                               malformed_perms(m))
 
     def commit_draws(self, view, susceptible, k):
-        return self._junk(super().commit_draws(view, susceptible, k), malformed_draws(k), 0.75)
+        return self._junk_rows(super().commit_draws(view, susceptible, k), malformed_draws(k))
 
     def open_permutations(self, view, susceptible, commitments, m):
-        return self._junk(commitments, malformed_perms(m), 0.25, lambda v: np.roll(v, 1))
+        return self._junk(commitments, malformed_perms(m) + opening_junk(m),
+                          lambda v: np.roll(v, 1))
 
     def open_draws(self, view, susceptible, commitments, k):
         if view.honest_revealed is not None and len(commitments) == len(susceptible):
             total = view.honest_revealed + sum(commitments.values())
             if view.active_set[total % k] == self.honest:
                 return commitments
-        return self._junk(commitments, malformed_draws(k), 0.25, lambda v: (v + 1) % k)
+        return self._junk(commitments, malformed_draws(k) + opening_junk(k),
+                          lambda v: (v + 1) % k)

@@ -448,23 +448,33 @@ def test_dp_runs_build_each_row_once_at_600_samples(tmp_path, monkeypatch, comma
     assert len({id(record) for record in tables[0].decisions}) < 600  # shared records
 
 
-def test_bench_tracer_wraps_the_names_it_traces(tmp_path):
-    # bench/tracing.py patches library names by string; a renamed one would
-    # only show when the benchmark runs
+@pytest.mark.parametrize("args, expect", [
+    (CDF_DP, lambda m: (m["dp.rows_built"] == 12  # R
+                        and m["dp.slices_rebuilt"] == 0 and m["dp.lockstep_s"] > 0)),
+    (["simulate", "--game", "lb", "--n", "10", "--protocol", "seq", "--adversary", "passive",
+      "--R", "5", "--seed", "4"],
+     lambda m: m["protocols.elim_rounds"] == 50),  # n rounds per P-sample, none aborted
+    (["simulate", "--game", "pair", "--n", "4", "--i-star", "3", "--j-star", "2",
+      "--protocol", "naive", "--adversary", "cyclic", "--budget", "100", "--R", "50",
+      "--seed", "4"],
+     lambda m: m["adversaries.aborts"] == m["protocols.violations"] > 0),
+], ids=["cdf", "simulate-seq", "simulate-naive"])
+def test_bench_tracer_wraps_the_names_it_traces(tmp_path, args, expect):
+    # bench/tracing.py patches library names by string and reads the hook
+    # contract; a renamed name or a changed contract would only show when
+    # the benchmark runs
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    assert run(CDF_DP + ["--out", tmp_path / "plain.csv"]) == EXIT_OK
+    assert run(args + ["--out", tmp_path / "plain.csv"]) == EXIT_OK
     done = subprocess.run([sys.executable, str(root / "bench" / "tracing.py"),
                            "--metrics-out", str(tmp_path / "m.json"), "--",
-                           *CDF_DP, "--out", str(tmp_path / "traced.csv")],
+                           *args, "--out", str(tmp_path / "traced.csv")],
                           env=env, capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
     assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
     metrics = json.loads(read(tmp_path / "m.json"))
-    assert metrics["dp.rows_built"] == 12  # R
-    assert metrics["dp.slices_rebuilt"] == 0
-    assert metrics["dp.lockstep_s"] > 0
+    assert expect(metrics), metrics
 
 
 # --- committed demo outputs -----------------------------------------------------------------

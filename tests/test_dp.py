@@ -66,6 +66,19 @@ def test_base_case_honest_alone():
     assert sl[lone, 0] == pytest.approx(2.0, abs=1e-12)
 
 
+def test_one_player_game_builds_decisions_and_never_aborts():
+    # no class to abort from: every record is empty, and a run driven by the
+    # table is the passive run
+    g = Game(n=1, utility=lambda mask: float(mask))
+    table = dp_build(g, 0, 70, 1, decisions=True)
+    assert table.R == 70 and table.worst_value() == pytest.approx(70.0)
+    assert all(len(cells) == 1 for cells, classes in table.decisions)  # the sentinel only
+    played = parallel_runs(g, 0, 70, 1, 5, seed=3, table=table)
+    passive = parallel_runs(g, 0, 70, 1, 5, seed=3)
+    assert np.array_equal(played.x_honest, passive.x_honest)
+    assert not played.violations.any()
+
+
 def test_zero_budget_column_is_phi_per_sample():
     for game, honest in [(make_pair_game(4), 0), (make_lb_game(6), 0)]:
         table = dp_build(game, honest, R=20, C=3)

@@ -18,8 +18,8 @@ from shapsim import (
     seq_perm,
     substream,
 )
-from oracles import (MISSING, BindingBreaker, JunkAdversary, Malformer, RecordingAdversary,
-                     ScriptedAdversary, malformed_draws, malformed_perms)
+from oracles import (BindingBreaker, JunkAdversary, Malformer, RecordingAdversary,
+                     ScriptedAdversary, malformed_commits, malformed_draws, malformed_perms)
 
 
 def passive(n, honest, seed=1):
@@ -40,7 +40,7 @@ class IdentityRng:
 
 class IdentityAdversary(PassiveAdversary):
     def commit_permutations(self, view, susceptible, m):
-        return {p: np.arange(m) for p in susceptible}
+        return np.tile(np.arange(m), (len(susceptible), 1))
 
 
 # --- full-permutation protocol ---------------------------------------------------
@@ -158,6 +158,19 @@ def test_rand_elim_without_honest_member():
     adv, _ = passive(4, 0, seed=11)
     eliminated, dev = rand_elim([1, 2, 3], None, adv, substream(11, "honest"))
     assert eliminated in (1, 2, 3) and dev == frozenset()
+
+
+@pytest.mark.parametrize("protocol", [rand_elim, seq_perm])
+def test_pool_as_range_list_or_unsorted_tuple_gives_the_same_result(protocol):
+    for seed in range(30):
+        results = []
+        for pool in (range(6), list(range(6)), (3, 0, 5, 1, 4, 2)):
+            adv = RecordingAdversary()
+            adv.reset(n=6, honest=2, rng=substream(35, seed, "adversary"))
+            results.append((protocol(pool, 2, adv, substream(35, seed, "honest")),
+                            [v.active_set for v in adv.commit_views]))
+        assert results[0] == results[1] == results[2]
+        assert results[0][1][0] == tuple(range(6))
 
 
 # --- sequential permutation -----------------------------------------------------------
@@ -314,6 +327,47 @@ def test_open_hook_cannot_rewrite_committed_draws():
         assert adv.refused == trials
 
 
+class ArrayEditor(PassiveAdversary):
+    """Keeps its committed array and rewrites it from inside the open hook.
+
+    In ``open_permutations`` every row is overwritten with slot 0; in
+    ``open_draws`` one draw is replaced, after seeing the honest draw, so
+    that a sum read from the array would eliminate the honest player.
+    """
+
+    def commit_permutations(self, view, susceptible, m):
+        self.committed = super().commit_permutations(view, susceptible, m)
+        return self.committed
+
+    def commit_draws(self, view, susceptible, k):
+        self.committed = super().commit_draws(view, susceptible, k)
+        return self.committed
+
+    def open_permutations(self, view, susceptible, commitments, m):
+        self.committed[:] = 0
+        return commitments
+
+    def open_draws(self, view, susceptible, commitments, k):
+        if view.honest_revealed is not None and len(self.committed):
+            rest = view.honest_revealed + int(self.committed[1:].sum())
+            self.committed[0] = (view.active_set.index(self.honest) - rest) % k
+        return commitments
+
+
+def test_editing_the_committed_array_after_commit_changes_nothing():
+    editor, twin = ArrayEditor(), PassiveAdversary()
+    for adv in (editor, twin):
+        adv.reset(n=5, honest=4, rng=substream(31, "adversary"))
+    rngs = [substream(31, "honest"), substream(31, "honest")]
+    for _ in range(200):
+        out = naive_perm(range(5), 4, editor, rngs[0])
+        assert out == naive_perm(range(5), 4, twin, rngs[1])
+        assert out.dev == frozenset()
+        assert not editor.committed.any()  # the edit did land in the array
+        assert rand_elim(range(5), 4, editor, rngs[0]) == rand_elim(range(5), 4, twin, rngs[1])
+        assert seq_perm(range(5), 4, editor, rngs[0]) == seq_perm(range(5), 4, twin, rngs[1])
+
+
 def test_rushing_open_sees_honest_commit_value():
     class Rusher(PassiveAdversary):
         def __init__(self):
@@ -334,13 +388,9 @@ def test_rushing_open_sees_honest_commit_value():
 # Every value an adversary returns is either a well-formed, faithfully opened
 # commitment or a detected violation; the protocols never raise on it.
 
-def _value_id(value) -> str:
-    return "missing" if value is MISSING else repr(value)
-
-
 class ZeroCommitter(PassiveAdversary):
     def commit_permutations(self, view, susceptible, m):
-        return {p: np.zeros(m, dtype=np.int64) for p in susceptible}
+        return np.zeros((len(susceptible), m), dtype=np.int64)
 
 
 def test_naive_all_zeros_commitments_are_violations():
@@ -352,9 +402,9 @@ def test_naive_all_zeros_commitments_are_violations():
     assert sorted(out.order) == [0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("value", malformed_perms(4), ids=_value_id)
+@pytest.mark.parametrize("value", malformed_perms(4), ids=repr)
 def test_naive_malformed_commitment_is_violation(value):
-    adv = Malformer(1, value)
+    adv = Malformer({1}, value)
     adv.reset(n=4, honest=3, rng=substream(21, "adversary"))
     out = naive_perm(range(4), 3, adv, substream(21, "honest"))
     assert out.dev == frozenset({1})
@@ -362,14 +412,68 @@ def test_naive_malformed_commitment_is_violation(value):
     assert sorted(out.order) == [0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("value", malformed_draws(4), ids=_value_id)
+@pytest.mark.parametrize("value", malformed_draws(4), ids=repr)
 def test_elimination_malformed_commitment_is_violation(value):
-    adv = Malformer(2, value)
+    adv = Malformer({2}, value)
     adv.reset(n=4, honest=0, rng=substream(22, "adversary"))
     assert rand_elim(range(4), 0, adv, substream(22, "honest")) == (2, frozenset({2}))
     out = seq_perm(range(4), 0, adv, substream(22, "honest"))
     assert out.order[0] == 2 and out.dev == frozenset({2})
     assert sorted(out.order) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint8, np.uint64])
+@pytest.mark.parametrize("bad", [(), (0,), (2,), (0, 3), (0, 1, 2, 3)])
+def test_each_malformed_entry_makes_exactly_its_player_violate(bad, dtype):
+    for seed in range(20):
+        adv = Malformer(bad, [4] * 5, dtype)
+        adv.reset(n=5, honest=4, rng=substream(32, seed, "adversary"))
+        out = naive_perm(range(5), 4, adv, substream(32, seed, "honest"))
+        assert out.dev == frozenset(bad) and out.violations_used == len(bad)
+        assert sorted(out.order) == list(range(5))
+        adv = Malformer(bad, 5, dtype)
+        adv.reset(n=5, honest=4, rng=substream(32, seed, "adversary"))
+        eliminated, dev = rand_elim(range(5), 4, adv, substream(32, seed, "honest"))
+        assert dev == frozenset(bad) and (not bad or eliminated == min(bad))
+    # unsigned and narrow integer arrays are accepted like int64 ones
+    for protocol, value in [(naive_perm, [4] * 5), (seq_perm, 5)]:
+        twin, adv = Malformer(bad, value), Malformer(bad, value, dtype)
+        for a in (twin, adv):
+            a.reset(n=5, honest=4, rng=substream(33, "adversary"))
+        assert (protocol(range(5), 4, adv, substream(33, "honest"))
+                == protocol(range(5), 4, twin, substream(33, "honest")))
+
+
+class WholeReturn(PassiveAdversary):
+    """Returns ``make(s, shape)`` from a commit hook instead of its array."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def commit_permutations(self, view, susceptible, m):
+        return self.make(len(susceptible), (len(susceptible), m))
+
+    def commit_draws(self, view, susceptible, k):
+        return self.make(len(susceptible), (len(susceptible),))
+
+
+def _commit_id(value) -> str:
+    if isinstance(value, (np.ndarray, np.generic)):
+        return f"{type(value).__name__}-{value.dtype}-{value.shape}"
+    return type(value).__name__
+
+
+@pytest.mark.parametrize("case", range(len(malformed_commits(3, (3,)))),
+                         ids=list(map(_commit_id, malformed_commits(3, (3,)))))
+def test_commit_that_is_not_an_integer_array_of_the_shape_makes_every_player_violate(case):
+    adv = WholeReturn(lambda s, shape: malformed_commits(s, shape)[case])
+    adv.reset(n=4, honest=3, rng=substream(34, "adversary"))
+    out = naive_perm(range(4), 3, adv, substream(34, "honest"))
+    assert out.dev == frozenset({0, 1, 2}) and sorted(out.order) == [0, 1, 2, 3]
+    assert rand_elim(range(4), 3, adv, substream(34, "honest")) == (0, frozenset({0, 1, 2}))
+    out = seq_perm(range(4), 3, adv, substream(34, "honest"))
+    assert out.order[:3] == (0, 1, 2) and out.dev == frozenset({0, 1, 2})
 
 
 class MalformedOpener(PassiveAdversary):
@@ -414,15 +518,21 @@ def test_opening_an_equal_copy_is_faithful():
 
 
 class NonDictAdversary(PassiveAdversary):
+    """At commit, returns its well-formed values as a dict keyed by player
+    instead of an array; at open, returns a list instead of a mapping."""
+
     def __init__(self, phase):
         super().__init__()
         self.phase = phase
 
+    def _as_dict(self, committed, susceptible):
+        return dict(zip(susceptible, committed)) if self.phase == "commit" else committed
+
     def commit_permutations(self, view, susceptible, m):
-        return None if self.phase == "commit" else super().commit_permutations(view, susceptible, m)
+        return self._as_dict(super().commit_permutations(view, susceptible, m), susceptible)
 
     def commit_draws(self, view, susceptible, k):
-        return None if self.phase == "commit" else super().commit_draws(view, susceptible, k)
+        return self._as_dict(super().commit_draws(view, susceptible, k), susceptible)
 
     def open_permutations(self, view, susceptible, commitments, m):
         return [] if self.phase == "open" else commitments
@@ -450,7 +560,12 @@ _JUNK = st.one_of(
 
 
 class HostileAdversary(Adversary):
-    """Every callback returns what ``data`` draws: junk, gaps, extra keys, forgeries."""
+    """Every callback returns what ``data`` draws.
+
+    A commit hook returns an integer array whose entries mix well-formed and
+    malformed values, or junk; an open hook returns the record itself or a
+    mapping with junk, gaps, extra keys and forgeries.
+    """
 
     def __init__(self, data):
         super().__init__()
@@ -469,15 +584,25 @@ class HostileAdversary(Adversary):
         return self._record(commitments, lambda p: st.one_of(
             st.just(commitments.get(p)), st.just(copy(commitments.get(p))), _JUNK))
 
+    def _commit(self, s, entries, width=()):
+        draw = self.data.draw
+        if draw(st.integers(0, 9)) == 0:
+            return draw(_JUNK)  # not an array of the right shape, or by chance one
+        dtype = draw(st.sampled_from([np.int64, np.int16]))
+        return np.array(draw(st.lists(entries, min_size=s, max_size=s)),
+                        dtype=dtype).reshape((s, *width))
+
     def commit_permutations(self, view, susceptible, m):
-        perms = st.permutations(range(m)).map(np.array)
-        return self._record(susceptible, lambda p: st.one_of(perms, _JUNK))
+        rows = st.one_of(st.permutations(range(m)),
+                         st.lists(st.integers(-2, m + 2), min_size=m, max_size=m))
+        return self._commit(len(susceptible), rows, (m,))
 
     def open_permutations(self, view, susceptible, commitments, m):
         return self._open(commitments, lambda v: None if v is None else list(v))
 
     def commit_draws(self, view, susceptible, k):
-        return self._record(susceptible, lambda p: st.one_of(st.integers(0, k - 1), _JUNK))
+        return self._commit(len(susceptible), st.one_of(st.integers(0, k - 1),
+                                                        st.integers(-2, k + 2)))
 
     def open_draws(self, view, susceptible, commitments, k):
         return self._open(commitments, lambda v: None if v is None else np.int64(v))
