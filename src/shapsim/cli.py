@@ -53,46 +53,60 @@ DESK_STATE_BUDGET = 5_000_000     # adversary-table slice entries
 
 
 def _gate_full_scale(cfg: "ExperimentConfig", units: int, budget: int, what: str) -> None:
-    if units > budget and not cfg._bool("full_scale"):
+    if units > budget and not cfg["full_scale"]:
         raise ConfigError(
             f"{what} needs ~{units} work units (desk budget {budget}); "
             "pass --full-scale to run it anyway"
         )
 
 
-# Every config key, with its default and the options of its flag ``--key``
-# ("-" for "_").  A subcommand registers only the flags it reads (see
-# build_parser), so argparse rejects any other with exit code 2.
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
+def _count(value: float, field: str = "budget") -> int:
+    """A budget read as a violation count, which must be a non-negative integer."""
+    if not (value >= 0 and value.is_integer()):
+        raise ConfigError(f"field {field}: expected a non-negative integer count, got {value!r}")
+    return int(value)
+
+
+# Every config key, with its typed default and the options of its flag
+# ``--key`` ("-" for "_").  A subcommand registers only the flags it reads
+# (see build_parser), so argparse rejects any other with exit code 2; a
+# config-file value goes through the same type, choices or boolean parse.
 _KEYS = {
     "game": (None, {"choices": ["pair", "max-gamma", "lb", "collab"]}),
     "n": (None, {"type": int}),
-    "i_star": ("0", {"type": int}),
-    "j_star": ("1", {"type": int}),
+    "i_star": (0, {"type": int}),
+    "j_star": (1, {"type": int}),
     "hypergraph": (None, {}),
     "honest": (None, {"type": int}),
-    "padding": ("0", {"type": int}),
+    "padding": (0, {"type": int}),
     "protocol": ("seq", {"choices": ["naive", "seq"]}),
     "adversary": ("passive", {"choices": ["passive", "cyclic", "eager", "block", "dp"]}),
     "budget_kind": ("known", {"choices": ["known", "rate"]}),
-    "budget": ("0", {"type": float}),
+    "budget": (0.0, {"type": float}),
     "eps": (None, {"type": float}),
     "delta": (None, {"type": float}),
     "gamma": (None, {"type": float}),
     "stopping": (None, {"choices": ["fixed", "known", "unknown", "adaptive"]}),
     "R": (None, {"type": int}),
-    "M": ("1", {"type": int}),
+    "M": (1, {"type": _positive}),
     "punish": ("count_only", {"choices": ["count_only", "perpetual"]}),
-    "seed": ("0", {"type": int}),
+    "seed": (0, {"type": int}),
     "block_len": (None, {"type": int}),
-    "block_greedy": ("false", {"action": "store_const", "const": "true"}),
+    "block_greedy": (False, {"action": "store_true"}),
     "sweep": (None, {"help": "param=v1,v2,... with param in n, C, eps"}),
-    "r_max": (None, {"type": int}),
+    "r_max": (None, {"type": _positive}),
     "max_samples": (None, {"type": int}),
-    "jobs": ("1", {"type": int}),
-    "full_scale": ("false", {"action": "store_const", "const": "true"}),
+    "jobs": (1, {"type": _positive}),
+    "full_scale": (False, {"action": "store_true"}),
     "out": (None, {"help": "output CSV path ('-' for stdout)"}),
 }
-_DEFAULTS = {key: default for key, (default, _) in _KEYS.items()}
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -110,85 +124,69 @@ def parse_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path} line {line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise ConfigError(f"{path} line {line_no}: unknown key {key!r}")
         values[key] = value
     return values
 
 
+def _parse_value(key: str, text: str):
+    """A config-file value, parsed as the flag ``--key`` parses it."""
+    options = _KEYS[key][1]
+    if "choices" in options:
+        if text not in options["choices"]:
+            raise ConfigError(f"field {key}: expected one of {options['choices']}, got {text!r}")
+        return text
+    if "type" in options:
+        try:
+            return options["type"](text)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"field {key}: {exc}") from None
+    if "action" in options:
+        if text.lower() not in _BOOLS:
+            raise ConfigError(f"field {key}: expected boolean, got {text!r}")
+        return _BOOLS[text.lower()]
+    return text
+
+
 @dataclass
 class ExperimentConfig:
-    """Validated settings for one driver invocation."""
+    """Validated settings for one driver invocation: every key of ``_KEYS``, typed."""
 
-    raw: dict[str, str]
+    values: dict[str, object]
 
-    def _get(self, key: str) -> str | None:
-        return self.raw.get(key, _DEFAULTS[key])
-
-    def _int(self, key: str) -> int | None:
-        value = self._get(key)
-        if value is None:
-            return None
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"field {key}: expected integer, got {value!r}") from None
-
-    def _float(self, key: str) -> float | None:
-        value = self._get(key)
-        if value is None:
-            return None
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"field {key}: expected number, got {value!r}") from None
-
-    def _bool(self, key: str) -> bool:
-        value = str(self._get(key)).lower()
-        if value not in _BOOLS:
-            raise ConfigError(f"field {key}: expected boolean, got {value!r}")
-        return _BOOLS[value]
+    def __getitem__(self, key: str):
+        return self.values[key]
 
     # Game -----------------------------------------------------------------
     def build_game(self) -> tuple[Game, int]:
-        named = self._get("game")
-        hg_path = self._get("hypergraph")
+        named, hg_path, n = self["game"], self["hypergraph"], self["n"]
         if (named is None) == (hg_path is None):
             raise ConfigError("exactly one game spec: either 'game' or 'hypergraph'")
-        padding = self._int("padding") or 0
         if hg_path is not None:
             try:
                 h = load_hypergraph(hg_path)
             except (OSError, HypergraphFormatError) as exc:
                 raise ConfigError(f"field hypergraph: {exc}") from exc
-            honest = self._int("honest")
-            if honest is None:
+            if self["honest"] is None:
                 raise ConfigError("hypergraph games need an explicit 'honest' player")
-            core = h.n
+            core, padding = h.n, self["padding"]
             classes = tuple((p,) for p in range(core))
             if padding:
                 h = h.padded(core + padding)
                 classes = classes + (tuple(range(core, core + padding)),)
             game = make_synergy_game(h, symmetry_classes=classes)
-            return game, honest
-        n = self._int("n")
-        if named == "pair":
-            if n is None:
-                raise ConfigError("game 'pair' needs n")
-            game = make_pair_game(n, self._int("i_star"), self._int("j_star"))
-        elif named == "max-gamma":
-            if n is None:
-                raise ConfigError("game 'max-gamma' needs n")
-            game = make_max_gamma_game(n)
-        elif named == "lb":
-            if n is None:
-                raise ConfigError("game 'lb' needs n")
-            game = make_lb_game(n)
         elif named == "collab":
             game = make_collab_game(n if n is not None else 14)
+        elif n is None:
+            raise ConfigError(f"game {named!r} needs n")
+        elif named == "pair":
+            game = make_pair_game(n, self["i_star"], self["j_star"])
+        elif named == "max-gamma":
+            game = make_max_gamma_game(n)
         else:
-            raise ConfigError(f"unknown game {named!r}")
-        honest = self._int("honest")
+            game = make_lb_game(n)
+        honest = self["honest"]
         if honest is None:
             honest = game.extras.get("i_star", 0)
         if not 0 <= honest < game.n:
@@ -196,27 +194,22 @@ class ExperimentConfig:
         return game, honest
 
     def gamma_for(self, game: Game, honest: int) -> float:
-        override = self._float("gamma")
-        if override is not None:
-            return override
+        if self["gamma"] is not None:
+            return self["gamma"]
         if game.protocol_gamma is not None:
             return game.protocol_gamma
         return float(shapley_exact(game).gamma)
 
     # Run pieces -----------------------------------------------------------
     def budget(self) -> Budget:
-        kind = self._get("budget_kind")
-        value = self._float("budget") or 0.0
-        if kind == "known":
-            return Budget.known(int(value))
-        if kind == "rate":
-            return Budget.rate(value)
-        raise ConfigError(f"unknown budget_kind {kind!r}")
+        if self["budget_kind"] == "rate":
+            return Budget.rate(self["budget"])
+        return Budget.known(_count(self["budget"]))
 
     def adversary_factory(self, game: Game, honest: int,
                           planned_R: int | None) -> Callable[[], Adversary]:
         """A maker of fresh adversaries, one per run; a DP table is built here, once."""
-        kind = self._get("adversary")
+        kind = self["adversary"]
         budget = self.budget  # called per adversary: each run spends its own budget
         if kind == "passive":
             return PassiveAdversary
@@ -225,63 +218,45 @@ class ExperimentConfig:
         if kind == "eager":
             return lambda: EagerAbortAdversary(budget())
         if kind == "block":
-            block_len = self._int("block_len")
+            block_len = self["block_len"]
             if block_len is None:
-                eps = self._float("eps")
-                if eps is None:
+                if self["eps"] is None:
                     raise ConfigError("block adversary needs block_len or eps")
-                block_len = max(1, math.ceil(game.n / (10.0 * eps)))
-            greedy = self._bool("block_greedy")
+                block_len = max(1, math.ceil(game.n / (10.0 * self["eps"])))
+            greedy = self["block_greedy"]
             return lambda: BlockAttackAdversary(budget(), block_len, greedy=greedy)
-        if kind == "dp":
-            if planned_R is None:
-                raise ConfigError("dp adversary needs a predetermined sample count")
-            table = self.dp_table(game, honest, planned_R)
-            return lambda: DPAdversary(table, budget())
-        raise ConfigError(f"unknown adversary {kind!r}")
+        if planned_R is None:
+            raise ConfigError("dp adversary needs a predetermined sample count")
+        table = self.dp_table(game, honest, planned_R)
+        return lambda: DPAdversary(table, budget())
 
     def dp_table(self, game: Game, honest: int, R: int) -> DPTable:
         """The optimal adversary's table, with decisions, for ``R`` samples and the budget."""
-        if self._get("budget_kind") == "rate":
+        if self["budget_kind"] == "rate":
             raise ConfigError("the dp adversary needs a violation count (budget_kind "
                               "known), not a rate")
-        C = int(self._float("budget") or 0)
+        C = _count(self["budget"])
         _gate_full_scale(self, state_count(game, honest) * (C + 1), DESK_STATE_BUDGET,
                          "the adversary table")
         return dp_build(game, honest, R, C, decisions=True)
 
     def stopping(self, game: Game, honest: int) -> StoppingRule:
-        kind = self._get("stopping")
-        R = self._int("R")
+        """The rule of a run whose stopping is not adaptive."""
+        kind = self["stopping"]
         if kind in (None, "fixed"):
-            if R is None:
+            if self["R"] is None:
                 raise ConfigError("fixed stopping needs R")
-            return StoppingRule.fixed(R)
-        eps, delta = self._float("eps"), self._float("delta")
+            return StoppingRule.fixed(self["R"])
+        eps, delta = self["eps"], self["delta"]
         if eps is None or delta is None:
             raise ConfigError(f"stopping {kind!r} needs eps and delta")
         g = self.gamma_for(game, honest)
         if kind == "known":
-            C = int(self._float("budget") or 0)
-            return StoppingRule.known_budget(eps, delta, C, g)
-        if kind == "unknown":
-            return StoppingRule.unknown_budget(eps, delta, g)
-        raise ConfigError(f"unknown stopping rule {kind!r}")
-
-    @property
-    def seed(self) -> int:
-        return self._int("seed") or 0
-
-    @property
-    def M(self) -> int:
-        return self._int("M") or 1
-
-    @property
-    def jobs(self) -> int:
-        return max(1, self._int("jobs") or 1)
+            return StoppingRule.known_budget(eps, delta, _count(self["budget"]), g)
+        return StoppingRule.unknown_budget(eps, delta, g)
 
     def out_path(self, default_name: str) -> str | None:
-        out = self._get("out")
+        out = self["out"]
         if out == "-":
             return None
         base = os.environ.get(OUTPUT_DIR_ENV)
@@ -294,18 +269,14 @@ class ExperimentConfig:
 
 
 def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
-    values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
-    for key, value in values.items():  # a file value a flag would refuse is refused too
-        choices = _KEYS[key][1].get("choices")
-        if choices and hasattr(args, key) and value not in choices:
-            raise ConfigError(f"field {key}: expected one of {choices}, got {value!r}")
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = str(flag)
-    return ExperimentConfig(raw=values)
+    """Defaults, then the file's values of the keys the subcommand registers, then flags."""
+    values = {key: default for key, (default, _) in _KEYS.items()}
+    if args.config:
+        values.update((key, _parse_value(key, text))
+                      for key, text in parse_config_file(args.config).items()
+                      if key in args.keys)
+    values.update((key, flag) for key, flag in vars(args).items() if key in _KEYS)
+    return ExperimentConfig(values)
 
 
 def cmd_shapley(cfg: ExperimentConfig) -> int:
@@ -324,10 +295,10 @@ def cmd_shapley(cfg: ExperimentConfig) -> int:
 
 def cmd_dp_table(cfg: ExperimentConfig) -> int:
     game, honest = cfg.build_game()
-    R = cfg._int("R")
+    R = cfg["R"]
     if R is None:
         raise ConfigError("dp-table needs R")
-    C = int(cfg._float("budget") or 0)
+    C = _count(cfg["budget"])
     _gate_full_scale(cfg, R, DESK_SCAN_BUDGET, "this table build")
     table = dp_build(game, honest, R, C)
     rows = [(T, c, row[c]) for T, row in enumerate(table.rows) for c in range(C + 1)]
@@ -339,25 +310,24 @@ def cmd_dp_table(cfg: ExperimentConfig) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     game, honest = cfg.build_game()
-    if cfg._get("stopping") == "adaptive":
-        eps, delta = cfg._float("eps"), cfg._float("delta")
+    if cfg["stopping"] == "adaptive":
+        eps, delta = cfg["eps"], cfg["delta"]
         if eps is None or delta is None:
             raise ConfigError("adaptive stopping needs eps and delta")
-        if cfg._get("punish") != "count_only":
+        if cfg["punish"] != "count_only":
             raise ConfigError("adaptive stopping supports only count_only punishment")
-        if cfg._get("max_samples") is not None:
+        if cfg["max_samples"] is not None:
             raise ConfigError("adaptive stopping takes no max_samples cap")
         adversary = cfg.adversary_factory(game, honest, None)()
         record = run_adaptive(game, adversary, eps, delta, cfg.gamma_for(game, honest),
-                              honest=honest, seed=cfg.seed, protocol=cfg._get("protocol"))
+                              honest=honest, seed=cfg["seed"], protocol=cfg["protocol"])
     else:
         stopping = cfg.stopping(game, honest)
         _gate_full_scale(cfg, stopping.R, DESK_SAMPLE_BUDGET, "this simulation")
         adversary = cfg.adversary_factory(game, honest, stopping.planned_R)()
-        record = run_allocation(game, cfg._get("protocol"), adversary, stopping,
-                                honest=honest, seed=cfg.seed,
-                                punish=cfg._get("punish"),
-                                hard_cap=cfg._int("max_samples"))
+        record = run_allocation(game, cfg["protocol"], adversary, stopping,
+                                honest=honest, seed=cfg["seed"], punish=cfg["punish"],
+                                hard_cap=cfg["max_samples"])
     write_text(cfg.out_path("simulate.csv"), record.to_csv())
     return EXIT_OK
 
@@ -404,8 +374,8 @@ def min_samples_scan(game: Game, honest: int, C: int, eps: float, *,
 
 
 def cmd_min_samples(cfg: ExperimentConfig) -> int:
-    C = int(cfg._float("budget") or 0)
-    sweep = cfg._get("sweep")
+    C = _count(cfg["budget"])
+    sweep = cfg["sweep"]
     points: list[tuple[str, float]] = [("-", math.nan)]
     if sweep is not None:
         try:
@@ -416,30 +386,30 @@ def cmd_min_samples(cfg: ExperimentConfig) -> int:
             raise ConfigError(f"bad sweep spec {sweep!r}; expected 'param=v1,v2,...'") from None
         if param not in ("n", "C", "eps"):
             raise ConfigError(f"sweep parameter must be n, C, or eps, not {param!r}")
-    eps = cfg._float("eps")
+    eps = cfg["eps"]
     if eps is None:
         if points[0][0] == "eps":
             eps = points[0][1]  # swept values supply it
         else:
             raise ConfigError("min-samples needs eps")
     if points[0][0] == "n":
-        cfg = ExperimentConfig(raw={**cfg.raw, "n": str(int(points[0][1]))})
+        cfg = ExperimentConfig({**cfg.values, "n": int(points[0][1])})
     game, honest = cfg.build_game()
 
     rows = []
     for param, value in points:
         g, h, c_run, eps_run = game, honest, C, eps
         if param == "n":
-            sub = ExperimentConfig(raw={**cfg.raw, "n": str(int(value))})
+            sub = ExperimentConfig({**cfg.values, "n": int(value)})
             g, h = sub.build_game()
         elif param == "C":
-            c_run = int(value)
+            c_run = _count(value, "sweep")
         elif param == "eps":
             eps_run = value
         report = shapley_exact(g)
         gamma_h = report.u_max[h] / report.phi[h] if report.phi[h] > 0 else 1.0
         default_r_max = math.ceil(2.0 * gamma_h * max(c_run, 1) / eps_run) + 8
-        r_max = cfg._int("r_max") or default_r_max
+        r_max = default_r_max if cfg["r_max"] is None else cfg["r_max"]
         _gate_full_scale(cfg, r_max, DESK_SCAN_BUDGET, f"the scan at {param}={value}")
         min_r, _ = min_samples_scan(g, h, c_run, eps_run, r_max=r_max)
         rows.append((param, value if param != "-" else "", min_r))
@@ -451,44 +421,45 @@ def cmd_min_samples(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _cdf_runs(cfg_raw: dict[str, str], runs) -> np.ndarray:
+def _cdf_runs(values: dict[str, object], runs) -> np.ndarray:
     """Honest allocations of the given run indices; also the ``--jobs`` worker."""
-    cfg = ExperimentConfig(raw=cfg_raw)
+    cfg = ExperimentConfig(values)
     game, honest = cfg.build_game()
     stopping = cfg.stopping(game, honest)
-    return run_many(game, cfg._get("protocol"),
+    return run_many(game, cfg["protocol"],
                     cfg.adversary_factory(game, honest, stopping.planned_R), stopping, runs,
-                    honest=honest, seed=cfg.seed, punish=cfg._get("punish"))
+                    honest=honest, seed=cfg["seed"], punish=cfg["punish"])
 
 
 def cmd_cdf(cfg: ExperimentConfig) -> int:
     game, honest = cfg.build_game()
-    eps, delta = cfg._float("eps"), cfg._float("delta")
-    M = cfg.M
+    eps, delta, M, jobs = cfg["eps"], cfg["delta"], cfg["M"], cfg["jobs"]
+    if cfg["stopping"] == "adaptive":
+        raise ConfigError("cdf needs a fixed, known or unknown stopping rule, not 'adaptive'")
     stopping = cfg.stopping(game, honest)
     _gate_full_scale(cfg, stopping.R * M, DESK_SAMPLE_BUDGET, "this experiment")
     phi = float(shapley_exact(game).phi[honest])
     if phi == 0:
         raise ConfigError(f"honest player {honest} has phi = 0: eps_hat = 1 - x/phi is undefined")
-    adversary_kind = cfg._get("adversary")
+    adversary_kind = cfg["adversary"]
 
-    fast = (adversary_kind in ("passive", "dp") and cfg._get("protocol") == "seq"
-            and cfg._get("punish") == "count_only" and stopping.planned_R is not None)
-    if fast and cfg.jobs > 1:
+    fast = (adversary_kind in ("passive", "dp") and cfg["protocol"] == "seq"
+            and cfg["punish"] == "count_only" and stopping.planned_R is not None)
+    if fast and jobs > 1:
         raise ConfigError("jobs > 1: the lockstep engine (seq, passive or dp, count_only, "
                           "fixed R) runs in one process")
     if fast:
         R = stopping.planned_R
         table = cfg.dp_table(game, honest, R) if adversary_kind == "dp" else None
         C = table.C if table is not None else 0
-        stats = parallel_runs(game, honest, R, C, M, cfg.seed, table=table)
+        stats = parallel_runs(game, honest, R, C, M, cfg["seed"], table=table)
         x = stats.x_honest
-    elif cfg.jobs > 1:
-        chunks = np.array_split(np.arange(M), cfg.jobs)
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            x = np.concatenate(list(pool.map(_cdf_runs, [cfg.raw] * len(chunks), chunks)))
+    elif jobs > 1:
+        chunks = np.array_split(np.arange(M), jobs)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            x = np.concatenate(list(pool.map(_cdf_runs, [cfg.values] * len(chunks), chunks)))
     else:
-        x = _cdf_runs(cfg.raw, range(M))
+        x = _cdf_runs(cfg.values, range(M))
 
     eps_hat = np.maximum(0.0, 1.0 - x / phi)
     order = np.sort(eps_hat)
@@ -525,8 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
         for key in keys:
-            p.add_argument("--" + key.replace("_", "-"), dest=key, **_KEYS[key][1])
-        p.set_defaults(func=fn)
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=argparse.SUPPRESS,
+                           **_KEYS[key][1])
+        p.set_defaults(func=fn, keys=keys)
     return parser
 
 

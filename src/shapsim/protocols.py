@@ -84,7 +84,10 @@ class PSampleOutcome:
 
     order: tuple[int, ...]
     dev: frozenset[int]
-    violations_used: int
+
+    @property
+    def violations_used(self) -> int:
+        return len(self.dev)
 
     def rank_of(self, player: int) -> int:
         return self.order.index(player) + 1
@@ -200,7 +203,7 @@ def naive_perm(
                 dev.add(p)  # abort, or binding violation
 
     order = compose_order(active, perms)
-    return PSampleOutcome(order=order, dev=frozenset(dev), violations_used=len(dev))
+    return PSampleOutcome(order=order, dev=frozenset(dev))
 
 
 def rand_elim(
@@ -306,4 +309,4 @@ def seq_perm(
             del pool[bisect_left(pool, p)]
         order.extend(out)
         r += 1
-    return PSampleOutcome(order=tuple(order), dev=frozenset(dev_total), violations_used=len(dev_total))
+    return PSampleOutcome(order=tuple(order), dev=frozenset(dev_total))

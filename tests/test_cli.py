@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shapsim.cli import EXIT_CAP, EXIT_CONFIG, EXIT_OK, main
+from shapsim.cli import EXIT_CAP, EXIT_CONFIG, EXIT_OK, _merge_config, build_parser, main
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "collab_reconstruction.hg"
 
@@ -59,6 +61,13 @@ def test_shapley_from_hypergraph_file(tmp_path):
     assert "# gamma = 3.15789473684" in text
     rows = [l for l in text.splitlines() if not l.startswith("#")]
     assert len(rows) == 1 + 20  # header + 14 core + 6 padding
+
+
+def test_hypergraph_honest_player_out_of_range_rejected(tmp_path):
+    for honest in ("20", "-1"):  # 14 core players and 6 padding ones
+        assert run(["shapley", "--hypergraph", DATA, "--honest", honest, "--padding", "6",
+                    "--out", tmp_path / "s.csv"]) == EXIT_CONFIG
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_shapley_triangle_file(tmp_path):
@@ -348,6 +357,191 @@ def test_flags_a_subcommand_does_not_read_are_rejected(tmp_path, capsys, command
     assert exc.value.code == EXIT_CONFIG
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
+
+
+# --- one parse for flags and config files ---------------------------------------------------
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+SUBCOMMANDS = _subcommands()
+REGISTERED = [(name, key) for name, p in SUBCOMMANDS.items() for key in p.get_default("keys")]
+
+# key: (a valid value, what it parses to, a value its flag refuses or None);
+# a valid value of None is a boolean flag, given bare or as "true" in a file
+VALUES = {
+    "game": ("lb", "lb", "hex"),
+    "n": ("6", 6, "six"),
+    "i_star": ("2", 2, "1.5"),
+    "j_star": ("0", 0, "x"),
+    "hypergraph": ("g.hg", "g.hg", None),
+    "honest": ("1", 1, "one"),
+    "padding": ("3", 3, "2.5"),
+    "protocol": ("naive", "naive", "fast"),
+    "adversary": ("eager", "eager", "lazy"),
+    "budget_kind": ("rate", "rate", "unknown"),
+    "budget": ("0.5", 0.5, "half"),
+    "eps": ("0.1", 0.1, "small"),
+    "delta": ("0.2", 0.2, "x"),
+    "gamma": ("3", 3.0, "x"),
+    "stopping": ("unknown", "unknown", "never"),
+    "R": ("12", 12, "1e3"),
+    "M": ("7", 7, "0"),
+    "punish": ("perpetual", "perpetual", "never"),
+    "seed": ("42", 42, "x"),
+    "block_len": ("3", 3, "x"),
+    "block_greedy": (None, True, "maybe"),
+    "sweep": ("C=1,2", "C=1,2", None),
+    "r_max": ("50", 50, "0"),
+    "max_samples": ("100", 100, "lots"),
+    "jobs": ("2", 2, "-3"),
+    "full_scale": (None, True, "maybe"),
+    "out": ("o.csv", "o.csv", None),
+}
+
+# a quick run of each subcommand that exits 0
+BASE = {
+    "shapley": ["--game", "pair", "--n", "3"],
+    "simulate": ["--game", "pair", "--n", "3", "--R", "2"],
+    "min-samples": ["--game", "lb", "--n", "4", "--eps", "0.5"],
+    "cdf": ["--game", "pair", "--n", "3", "--R", "2", "--M", "2"],
+    "dp-table": ["--game", "pair", "--n", "3", "--R", "2"],
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _config(tmp_path, lines: dict) -> Path:
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in lines.items()))
+    return cfg
+
+
+def test_registered_keys_are_the_keys_with_a_test_value():
+    assert {key for _, key in REGISTERED} == set(VALUES)
+    assert set(BASE) == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("command, key", REGISTERED)
+def test_flag_and_file_merge_to_the_same_typed_value(tmp_path, command, key):
+    text, value, _ = VALUES[key]
+    flag = [_flag(key)] if text is None else [_flag(key), text]
+    from_flag = _merge_config(build_parser().parse_args([command, *flag]))[key]
+    cfg = _config(tmp_path, {key: "true" if text is None else text})
+    from_file = _merge_config(build_parser().parse_args([command, "--config", str(cfg)]))[key]
+    assert from_flag == from_file == value
+    assert type(from_flag) is type(from_file) is type(value)
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c, k in REGISTERED if VALUES[k][2] is not None])
+def test_refused_value_exits_2_from_flag_and_file(tmp_path, capsys, command, key):
+    # the file value is refused even where a flag overrides it or the run
+    # would not read it (block_len = x under --adversary passive)
+    bad = VALUES[key][2]
+    out = tmp_path / "o.csv"
+    flag = [f"{_flag(key)}={bad}"] if VALUES[key][0] is None else [_flag(key), bad]
+    with pytest.raises(SystemExit) as exc:
+        run([command, *BASE[command], *flag, "--out", out])
+    assert exc.value.code == EXIT_CONFIG
+    capsys.readouterr()
+    cfg = _config(tmp_path, {key: bad})
+    assert run([command, *BASE[command], "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert f"field {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_file_keys_a_subcommand_does_not_register_are_ignored(tmp_path, command):
+    # one shared file may configure every subcommand; each ignores the keys
+    # it does not read, even values their flags would refuse
+    registered = SUBCOMMANDS[command].get_default("keys")
+    cfg = _config(tmp_path, {key: refused if refused is not None else text
+                             for key, (text, _, refused) in VALUES.items()
+                             if key not in registered})
+    out = tmp_path / "o.csv"
+    assert run([command, *BASE[command], "--out", out]) == EXIT_OK
+    assert run([command, *BASE[command], "--config", cfg, "--out", tmp_path / "f.csv"]) == EXIT_OK
+    assert read(tmp_path / "f.csv") == read(out)
+
+
+def test_passive_run_refuses_file_values_it_would_not_read(tmp_path):
+    args = ["simulate", *BASE["simulate"], "--adversary", "passive", "--out", tmp_path / "o.csv"]
+    for line in ({"block_len": "x"}, {"block_greedy": "maybe"}):
+        assert run(args + ["--config", _config(tmp_path, line)]) == EXIT_CONFIG
+    assert run(args + ["--config", _config(tmp_path, {"block_len": "2",
+                                                      "block_greedy": "Yes"})]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("cdf", "M", "0"), ("cdf", "jobs", "0"), ("cdf", "jobs", "-3"), ("min-samples", "r_max", "0"),
+])
+def test_count_flags_below_one_exit_2(tmp_path, capsys, command, key, value):
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        run([command, *BASE[command], _flag(key), value, "--out", out])
+    assert exc.value.code == EXIT_CONFIG
+    assert "at least 1" in capsys.readouterr().err
+    cfg = _config(tmp_path, {key: value})
+    assert run([command, *BASE[command], "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert "at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+CYCLIC = ["--game", "pair", "--n", "3", "--i-star", "2", "--j-star", "0", "--honest", "2",
+          "--protocol", "naive", "--adversary", "cyclic", "--R", "5"]
+KNOWN = ["--game", "pair", "--n", "3", "--stopping", "known", "--eps", "0.5", "--delta", "0.5"]
+
+
+@pytest.mark.parametrize("args, key, bad", [
+    (["simulate", "--game", "lb", "--n", "6", "--adversary", "eager", "--R", "5"], "budget", "1.5"),
+    (["simulate", *CYCLIC], "budget", "-1"),
+    (["cdf", *CYCLIC, "--M", "3"], "budget", "nan"),
+    (["simulate", *KNOWN], "budget", "-3"),
+    (["cdf", *KNOWN, "--M", "3"], "budget", "2.5"),
+    (["dp-table", "--game", "lb", "--n", "6", "--R", "5"], "budget", "1.5"),
+    (["min-samples", "--game", "lb", "--n", "6", "--eps", "0.5"], "budget", "-1"),
+    (["min-samples", "--game", "lb", "--n", "6", "--eps", "0.5"], "sweep", "C=1,1.5"),
+], ids=["eager", "cyclic", "cdf-cyclic", "stopping-known", "cdf-stopping-known", "dp-table",
+        "min-samples", "min-samples-sweep"])
+def test_a_budget_read_as_a_count_must_be_a_non_negative_integer(tmp_path, capsys, args, key, bad):
+    out = tmp_path / "o.csv"
+    good = "C=1,2" if key == "sweep" else "2"
+    assert run(args + [_flag(key), good, "--out", out]) == EXIT_OK
+    out.unlink()
+    assert run(args + [_flag(key), bad, "--out", out]) == EXIT_CONFIG
+    assert "non-negative integer count" in capsys.readouterr().err
+    assert run(args + ["--config", _config(tmp_path, {key: bad}), "--out", out]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_cdf_names_the_stopping_rules_it_takes(tmp_path, capsys):
+    assert run(["cdf", *BASE["cdf"], "--stopping", "adaptive", "--eps", "0.5", "--delta", "0.5",
+                "--out", tmp_path / "o.csv"]) == EXIT_CONFIG
+    assert "cdf needs a fixed, known or unknown stopping rule" in capsys.readouterr().err
+
+
+def test_merged_config_holds_typed_defaults():
+    cfg = _merge_config(build_parser().parse_args(["simulate"]))
+    assert (cfg["seed"], cfg["budget"], cfg["M"], cfg["block_greedy"], cfg["eps"]) == (
+        0, 0.0, 1, False, None)
+
+
+def test_readme_flag_lists_match_the_parser():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("Every subcommand takes"):readme.index("A config file may")]
+    common, beyond = section.split("Beyond those:")
+    flags = re.compile(r"`(--[\w-]+)`")
+    documented = {}
+    for item in beyond.split("\n- ")[1:]:
+        name = re.match(r"`([\w-]+)`", item).group(1)
+        documented[name] = set(flags.findall(common)) | set(flags.findall(item))
+    registered = {name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+                  for name, p in SUBCOMMANDS.items()}
+    assert documented == registered
 
 
 def test_cdf_builds_dp_table_once_for_all_runs(tmp_path, monkeypatch):

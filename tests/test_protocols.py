@@ -54,6 +54,12 @@ def test_identity_composition_gives_identity():
     assert out.violations_used == 0
 
 
+def test_outcome_counts_one_violation_per_detected_player():
+    from shapsim.protocols import PSampleOutcome
+
+    assert PSampleOutcome(order=(2, 0, 1), dev=frozenset({0, 2})).violations_used == 2
+
+
 def test_naive_passive_uniform_small():
     adv, rng = passive(3, 2, seed=2)
     counts = Counter()
