@@ -49,15 +49,14 @@ class Budget:
         self.used = 0
         self.samples_seen = 0
 
-    def allows(self, units: int = 1) -> bool:
-        if self.kind == "rate":
-            return self.used + units <= self.limit * self.samples_seen
-        return self.used + units <= self.limit
+    def allows(self) -> bool:
+        cap = self.limit * self.samples_seen if self.kind == "rate" else self.limit
+        return self.used + 1 <= cap
 
-    def spend(self, units: int = 1) -> None:
-        if not self.allows(units):
+    def spend(self) -> None:
+        if not self.allows():
             raise RuntimeError("violation budget overspent")
-        self.used += units
+        self.used += 1
 
 
 class _UniformBuffer:
@@ -89,7 +88,8 @@ class Adversary:
     player a detected violator; in a well-shaped array, a bad entry or row
     makes only its own player violate.  An open hook receives the
     protocol's record of the commitments as a read-only mapping and returns
-    it as is (faithful open) or an edited copy (``commitments.copy()``).
+    what :meth:`_abort` makes of it: the one place where a strategy aborts,
+    so a strategy that does not abort returns the record itself.
     One adversary instance is exclusively owned by one run at a time;
     :meth:`reset` rebinds it to a new run.
     """
@@ -116,6 +116,22 @@ class Adversary:
     def begin_sample(self, index: int) -> None:
         """Called by the runner before P-sample ``index`` (0-based)."""
         self.budget.samples_seen = index + 1
+
+    def _abort(self, commitments: Mapping, victim: int | None) -> Mapping:
+        """The record itself when ``victim`` is ``None`` or the budget refuses;
+        else spend one unit and return a copy that maps ``victim`` to ``None``."""
+        if victim is None or not self.budget.allows():
+            return commitments
+        self.budget.spend()
+        opened = commitments.copy()
+        opened[victim] = None
+        return opened
+
+    @staticmethod
+    def _drawn(view: PhaseView, commitments: Mapping, k: int) -> int:
+        """The player that the opened draws of an elimination round pick."""
+        total = int(view.honest_revealed) + sum(int(v) for v in commitments.values())
+        return view.active_set[total % k]
 
     # Full-permutation protocol hooks.
     def commit_permutations(self, view: PhaseView, susceptible, m: int) -> np.ndarray:
@@ -169,8 +185,7 @@ class CyclicShiftAdversary(Adversary):
             self._POWER_CACHE[m] = powers
         return powers[:len(susceptible)]  # susceptible is ascending
 
-    def open_permutations(self, view, susceptible, commitments: Mapping, m: int) -> dict:
-        opened = commitments.copy()
+    def open_permutations(self, view, susceptible, commitments: Mapping, m: int) -> Mapping:
         slot_h = view.active_set.index(self.honest)
         # Composition applies the honest opening f_h outermost, over a net
         # cyclic shift B' from the remaining committed powers.  The honest
@@ -180,14 +195,8 @@ class CyclicShiftAdversary(Adversary):
         x_star = list(view.honest_revealed).index(0)
         total_shift = (m * (m - 1) // 2) % m
         drop = (total_shift - (x_star - slot_h)) % m
-        if drop == 0:
-            return opened  # zero-shift case: already least preferable
-        if not self.budget.allows():
-            return opened
-        self.budget.spend()
-        victim = sorted(susceptible)[drop - 1]
-        opened[victim] = None
-        return opened
+        # drop == 0 is the zero-shift case: already least preferable
+        return self._abort(commitments, sorted(susceptible)[drop - 1] if drop else None)
 
 
 class EagerAbortAdversary(Adversary):
@@ -198,19 +207,13 @@ class EagerAbortAdversary(Adversary):
     drawn one.  A deliberately naive spender used as a baseline.
     """
 
-    def open_draws(self, view, susceptible, commitments: Mapping, k: int) -> dict:
-        opened = commitments.copy()
-        if view.honest_revealed is None or not self.budget.allows():
-            return opened
-        total = int(view.honest_revealed) + sum(int(v) for v in commitments.values())
-        drawn = view.active_set[total % k]
+    def open_draws(self, view, susceptible, commitments: Mapping, k: int) -> Mapping:
+        if view.honest_revealed is None:
+            return commitments
+        drawn = self._drawn(view, commitments, k)
         if drawn == self.honest:
-            return opened
-        candidates = [p for p in susceptible if p != drawn]
-        if candidates:
-            self.budget.spend()
-            opened[min(candidates)] = None
-        return opened
+            return commitments
+        return self._abort(commitments, min((p for p in susceptible if p != drawn), default=None))
 
 
 class BlockAttackAdversary(Adversary):
@@ -249,25 +252,21 @@ class BlockAttackAdversary(Adversary):
         super().begin_sample(index)
         self._sample = index
 
-    def open_draws(self, view, susceptible, commitments: Mapping, k: int) -> dict:
-        opened = commitments.copy()
+    def open_draws(self, view, susceptible, commitments: Mapping, k: int) -> Mapping:
         pool = view.active_set
         if len(pool) != 3 or view.honest_revealed is None:
-            return opened
+            return commitments
         core_members = [p for p in pool if p in self._core]
         outsiders = [p for p in pool if p != self.honest and p not in self._core]
         if len(core_members) != 1 or len(outsiders) != 1:
-            return opened
-        total = int(view.honest_revealed) + sum(int(v) for v in commitments.values())
-        if pool[total % k] != outsiders[0]:
-            return opened
+            return commitments
+        if self._drawn(view, commitments, k) != outsiders[0]:
+            return commitments
         self.opportunities_seen += 1
         block = self._sample // self.block_len
         if not self.greedy and block == self._last_violated_block:
-            return opened
-        if not self.budget.allows():
-            return opened
-        self.budget.spend()
-        self._last_violated_block = block
-        opened[core_members[0]] = None
+            return commitments
+        opened = self._abort(commitments, core_members[0])
+        if opened is not commitments:
+            self._last_violated_block = block
         return opened

@@ -43,9 +43,8 @@ def make_pair_game(n: int, i_star: int = 0, j_star: int = 1) -> Game:
         utility=v,
         name=f"pair(n={n})",
         symmetry_classes=classes,
-        closed_forms=ClosedForms(phi=tuple(phi), u_max=tuple(u_max), gamma=2.0),
+        closed_forms=ClosedForms(phi=tuple(phi), u_max=tuple(u_max)),
         declared_monotone=True,
-        declared_supermodular=True,
         extras={"i_star": i_star, "j_star": j_star},
     )
 
@@ -76,16 +75,14 @@ def make_max_gamma_game(n: int) -> Game:
     phi_in /= n
     phi = tuple(float(phi_in) if p < k else float(phi_out) for p in range(n))
     u_max = tuple(1.0 for _ in range(n))
-    gamma = float(n * math.comb(n - 1, k))
     classes = ((tuple(range(k)),) if k else ()) + (tuple(range(k, n)),)
     return Game(
         n=n,
         utility=v,
         name=f"max-gamma(n={n})",
         symmetry_classes=classes,
-        closed_forms=ClosedForms(phi=phi, u_max=u_max, gamma=gamma),
+        closed_forms=ClosedForms(phi=phi, u_max=u_max),
         declared_monotone=True,
-        declared_supermodular=False,
         extras={"pivot_size": k},
     )
 
@@ -126,7 +123,6 @@ def make_lb_game(n: int) -> Game:
     phi_out = float(Fraction(5 * n - 2, 3 * n - 2))
     phi = tuple(phi_core if p <= half else phi_out for p in range(n))
     u_max = tuple(alpha_f if p <= half else 2.0 * alpha_f for p in range(n))
-    gamma_true = float(Fraction(4 * n * (n - 1), 5 * n - 2))
     q = tuple(range(1, half + 1))
     outsiders = tuple(range(half + 1, n))
     return Game(
@@ -134,10 +130,9 @@ def make_lb_game(n: int) -> Game:
         utility=v,
         name=f"lb(n={n})",
         symmetry_classes=((0,), q) + ((outsiders,) if outsiders else ()),
-        closed_forms=ClosedForms(phi=phi, u_max=u_max, gamma=gamma_true),
+        closed_forms=ClosedForms(phi=phi, u_max=u_max),
         protocol_gamma=float(n),
         declared_monotone=True,
-        declared_supermodular=True,
         extras={"i_star": 0, "Q": frozenset(q), "alpha": alpha_f},
     )
 
@@ -172,15 +167,13 @@ def make_synergy_game(
             if emask >> p & 1:
                 phi[p] += w / size
                 u_max[p] += w
-    ratios = [u_max[p] / phi[p] if phi[p] > 0 else 1.0 for p in range(n)]
     return Game(
         n=n,
         utility=v,
         name=f"synergy(n={n},m={len(edges)})",
         symmetry_classes=symmetry_classes,
-        closed_forms=ClosedForms(phi=tuple(phi), u_max=tuple(u_max), gamma=max(ratios, default=1.0)),
+        closed_forms=ClosedForms(phi=tuple(phi), u_max=tuple(u_max)),
         declared_monotone=True,
-        declared_supermodular=True,
         extras={"hypergraph": h},
     )
 

@@ -67,6 +67,13 @@ def _positive(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"expected a number strictly between 0 and 1, got {text!r}")
+    return value
+
+
 def _count(value: float, field: str = "budget") -> int:
     """A budget read as a violation count, which must be a non-negative integer."""
     if not (value >= 0 and value.is_integer()):
@@ -90,8 +97,8 @@ _KEYS = {
     "adversary": ("passive", {"choices": ["passive", "cyclic", "eager", "block", "dp"]}),
     "budget_kind": ("known", {"choices": ["known", "rate"]}),
     "budget": (0.0, {"type": float}),
-    "eps": (None, {"type": float}),
-    "delta": (None, {"type": float}),
+    "eps": (None, {"type": _fraction}),
+    "delta": (None, {"type": _fraction}),
     "gamma": (None, {"type": float}),
     "stopping": (None, {"choices": ["fixed", "known", "unknown", "adaptive"]}),
     "R": (None, {"type": int}),
@@ -376,36 +383,31 @@ def min_samples_scan(game: Game, honest: int, C: int, eps: float, *,
 def cmd_min_samples(cfg: ExperimentConfig) -> int:
     C = _count(cfg["budget"])
     sweep = cfg["sweep"]
-    points: list[tuple[str, float]] = [("-", math.nan)]
+    param, values = "-", [math.nan]
     if sweep is not None:
-        try:
-            param, values = sweep.split("=", 1)
-            param = param.strip()
-            points = [(param, float(v)) for v in values.split(",")]
-        except ValueError:
-            raise ConfigError(f"bad sweep spec {sweep!r}; expected 'param=v1,v2,...'") from None
-        if param not in ("n", "C", "eps"):
+        param, eq, listed = sweep.partition("=")
+        param = param.strip()
+        if not eq:
+            raise ConfigError(f"bad sweep spec {sweep!r}; expected 'param=v1,v2,...'")
+        key = {"n": "n", "C": "budget", "eps": "eps"}.get(param)  # whose parse the values take
+        if key is None:
             raise ConfigError(f"sweep parameter must be n, C, or eps, not {param!r}")
+        values = [_parse_value(key, v) for v in listed.split(",")]
+        if param == "C":
+            values = [_count(v) for v in values]
     eps = cfg["eps"]
     if eps is None:
-        if points[0][0] == "eps":
-            eps = points[0][1]  # swept values supply it
-        else:
+        if param != "eps":
             raise ConfigError("min-samples needs eps")
-    if points[0][0] == "n":
-        cfg = ExperimentConfig({**cfg.values, "n": int(points[0][1])})
-    game, honest = cfg.build_game()
+        eps = values[0]  # swept values supply it
+    games = ([ExperimentConfig({**cfg.values, "n": n}).build_game() for n in values]
+             if param == "n" else [cfg.build_game()] * len(values))
+    game, honest = games[0]
 
     rows = []
-    for param, value in points:
-        g, h, c_run, eps_run = game, honest, C, eps
-        if param == "n":
-            sub = ExperimentConfig({**cfg.values, "n": int(value)})
-            g, h = sub.build_game()
-        elif param == "C":
-            c_run = _count(value, "sweep")
-        elif param == "eps":
-            eps_run = value
+    for value, (g, h) in zip(values, games):
+        c_run = value if param == "C" else C
+        eps_run = value if param == "eps" else eps
         report = shapley_exact(g)
         gamma_h = report.u_max[h] / report.phi[h] if report.phi[h] > 0 else 1.0
         default_r_max = math.ceil(2.0 * gamma_h * max(c_run, 1) / eps_run) + 8

@@ -405,22 +405,19 @@ class DPAdversary(Adversary):
     def commit_permutations(self, view, susceptible, m):
         raise ValueError("the optimal table adversary only plays sequential elimination")
 
-    def open_draws(self, view, susceptible, commitments: Mapping, k: int) -> dict:
-        opened = commitments.copy()
+    def open_draws(self, view, susceptible, commitments: Mapping, k: int) -> Mapping:
+        # a spent budget skips the table lookup
         if self._T < 0 or view.honest_revealed is None or not self.budget.allows():
-            return opened
-        pool = view.active_set
-        total = int(view.honest_revealed) + sum(int(v) for v in commitments.values())
-        drawn = pool[total % k]
+            return commitments
+        drawn = self._drawn(view, commitments, k)
         if drawn == self.honest:
-            return opened
+            return commitments
+        pool = view.active_set
         c = int(max(0, min(self.budget.limit - self.budget.used, self.table.C)))  # limit may be inf
         space = self.table.space
         d = int(self.table.abort_class(self._T, space.state_of(pool), space.class_of[drawn], c))
-        if d >= 0:
-            self.budget.spend()
-            opened[next(j for j in pool if space.class_of[j] == d and j != drawn)] = None
-        return opened
+        victim = next(j for j in pool if space.class_of[j] == d and j != drawn) if d >= 0 else None
+        return self._abort(commitments, victim)
 
 
 @dataclass

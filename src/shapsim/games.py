@@ -33,15 +33,10 @@ def as_mask(players: int | Iterable[int]) -> int:
 
 @dataclass(frozen=True)
 class ClosedForms:
-    """Analytically known per-player Shapley values and extremes.
-
-    ``phi`` and ``u_max`` are per-player tuples; ``gamma`` is the overall
-    max-to-mean ratio implied by them (0/0 read as 1).
-    """
+    """Analytically known per-player Shapley values and maxima (tuples)."""
 
     phi: tuple[float, ...]
     u_max: tuple[float, ...]
-    gamma: float
 
 
 @dataclass(eq=False)
@@ -71,7 +66,6 @@ class Game:
     closed_forms: ClosedForms | None = None
     protocol_gamma: float | None = None
     declared_monotone: bool | None = None
-    declared_supermodular: bool | None = None
     extras: dict = field(default_factory=dict)
     _table: np.ndarray | None = field(default=None, repr=False)
 

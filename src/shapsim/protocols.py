@@ -27,14 +27,14 @@ the adversary callback API rather than as simulated cryptography:
   shape or dtype) makes every susceptible player a detected violator.  In a
   well-shaped array the check is per entry: a draw outside ``[0, k)``, or a
   row that is not a bijection of ``0..m-1``, makes only that player
-  violate.  An opening must be the committed value (faithful open) or
-  ``None`` (abort).  Anything else is converted into a detected violation,
-  exactly like an abort, and never reaches the composition; nothing an
-  adversary returns raises.  The protocol copies the array into its own
-  immutable record (Python ints, tuples for permutation rows) and computes
-  the outcome from that record alone; the open hook receives a read-only
-  view of it, so nothing the hook does, to the record or to the array it
-  committed, can change what was committed.
+  violate.  The protocol copies the array into its own immutable record
+  (Python ints, tuples for permutation rows) and computes the outcome from
+  that record alone; the open hook receives a read-only view of it, so
+  nothing the hook does, to the record or to the array it committed, can
+  change what was committed.  :func:`_unfaithful` is the one open rule of
+  both protocols: an opening is the committed value (returning the record
+  itself opens everyone faithfully) or ``None`` (abort), and anything else
+  is a detected violation like an abort; nothing an adversary returns raises.
 * rushing - open-phase callbacks receive the honest player's opened value
   before the adversary decides which susceptible players abort.
 
@@ -118,6 +118,26 @@ def _as_draw(value, k: int) -> int | None:
     return draw if 0 <= draw < k else None
 
 
+def _unfaithful(opened, record: MappingProxyType, parse, arg) -> list[int]:
+    """The players whose opening in ``opened`` is not their value in ``record``.
+
+    Returning ``record`` itself opens everyone faithfully; a return that is
+    not a dict opens nobody.  Otherwise an opening is faithful when it is the
+    recorded value or ``parse(value, arg)`` equals it; ``None`` (an abort)
+    is never parsed.
+    """
+    if opened is record:
+        return []
+    if not isinstance(opened, dict):
+        return list(record)
+    dev = []
+    for p, committed in record.items():
+        value = opened.get(p)
+        if value is not committed and (value is None or parse(value, arg) != committed):
+            dev.append(p)
+    return dev
+
+
 def _is_commit_array(value, shape: tuple[int, ...]) -> bool:
     """Whether a commit hook returned an integer ``ndarray`` of ``shape``.
 
@@ -190,18 +210,10 @@ def naive_perm(
     record = MappingProxyType(checked)
     opened = adversary.open_permutations(PhaseView(active, honest_perm), susceptible, record, m)
 
-    perms = {honest: honest_perm}
-    if opened is record:  # faithful open of the protocol-held record
-        perms.update(checked)
-    else:
-        opened = opened if isinstance(opened, dict) else {}
-        for p, perm in checked.items():
-            value = opened.get(p)
-            if value is perm or value is not None and _as_perm(value, slots) == perm:
-                perms[p] = perm  # faithful open
-            else:
-                dev.add(p)  # abort, or binding violation
-
+    perms = {**checked, honest: honest_perm}
+    for p in _unfaithful(opened, record, _as_perm, slots):
+        dev.add(p)
+        del perms[p]
     order = compose_order(active, perms)
     return PSampleOutcome(order=order, dev=frozenset(dev))
 
@@ -254,19 +266,10 @@ def rand_elim(
     record = MappingProxyType(committed)
     opened = adversary.open_draws(PhaseView(pool, honest_draw), susceptible, record, k)
 
-    total = honest_draw or 0
-    if opened is record and not dev:  # faithful open of the protocol-held record
-        return pool[(total + sum(draws)) % k], frozenset()
-    opened = opened if isinstance(opened, dict) or opened is record else {}
-    for p, c in committed.items():
-        value = opened.get(p)
-        if value is c or _as_draw(value, k) == c:
-            total += c
-        else:
-            dev.add(p)  # abort, or binding violation
+    dev.update(_unfaithful(opened, record, _as_draw, k))
     if dev:
         return min(dev), frozenset(dev)
-    return pool[total % k], frozenset()
+    return pool[((honest_draw or 0) + sum(draws)) % k], frozenset()
 
 
 def seq_perm(

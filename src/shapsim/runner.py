@@ -118,12 +118,6 @@ class RunRecord:
                 + "# trailer: R,V,x_honest,eps_hat,seed\n" + ",".join(trailer) + "\n")
 
 
-def _honest_umax(game: Game, honest: int) -> float:
-    if game.closed_forms is not None:
-        return float(game.closed_forms.u_max[honest])
-    return float(shapley_exact(game).u_max[honest])
-
-
 def _check_runnable(game: Game, honest: int, punish: str, protocol: str) -> None:
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; pick one of {sorted(PROTOCOLS)}")
@@ -160,7 +154,7 @@ def _p_samples(game: Game, protocol: str, adversary: Adversary, *, honest: int, 
     honest_rng = substream(seed, *stream_labels, "honest")
     adversary.reset(n=game.n, honest=honest, rng=substream(seed, *stream_labels, "adversary"),
                     game=game, planned_samples=planned_samples)
-    u_max_star = _honest_umax(game, honest)
+    u_max_star = float(shapley_exact(game).u_max[honest])
     v = game.utility
     bank = _Bank(z=np.zeros(game.n))
     z = bank.z

@@ -66,7 +66,7 @@ def random_supermodular_game(rng: np.random.Generator, n: int) -> Game:
         return a * syn_v(mask) + b * s * s
 
     return Game(n=n, utility=v, name=f"rand-supermodular({n})",
-                declared_monotone=True, declared_supermodular=True)
+                declared_monotone=True)
 
 
 # --- direct-definition checks ------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -6,11 +7,16 @@ import pytest
 from shapsim import (
     BlockAttackAdversary,
     Budget,
+    CyclicShiftAdversary,
+    DPAdversary,
     EagerAbortAdversary,
     PassiveAdversary,
+    PhaseView,
     ProtocolInfeasible,
     StoppingRule,
+    dp_build,
     make_lb_game,
+    make_pair_game,
     run_allocation,
     seq_perm,
     substream,
@@ -164,3 +170,55 @@ def test_block_infeasible_without_eliminations_is_fine_smoke():
     # n=4 pool hits size 3 immediately after one elimination; smoke-check
     g, adv, rec = run_block(n=4, C=2, block_len=5, samples=10, seed=9)
     assert rec.samples_used == 10
+
+
+# --- the one abort rule ---------------------------------------------------------------
+
+def _open_once(strategy: str, budget: int, chance: bool):
+    """One open-hook call of ``strategy`` on a 4-player game.
+
+    With ``chance`` the honest opening gives the strategy a reason to abort;
+    without, it has none (the cyclic shift needs no drop, or the honest
+    player is drawn, which is no block opportunity either).
+    """
+    if strategy == "cyclic":
+        game, honest = make_pair_game(4, 3, 2), 3
+        adv = CyclicShiftAdversary(Budget.known(budget))
+    else:
+        game, honest = make_lb_game(4), 0
+        adv = {"eager": lambda b: EagerAbortAdversary(b),
+               "block": lambda b: BlockAttackAdversary(b, 1),
+               "dp": lambda b: DPAdversary(dp_build(game, 0, 1, 1, decisions=True), b),
+               }[strategy](Budget.known(budget))
+    adv.reset(n=4, honest=honest, rng=substream(1, "adversary"), game=game, planned_samples=1)
+    adv.begin_sample(0)
+    if strategy == "cyclic":
+        pool, susceptible = (0, 1, 2, 3), (0, 1, 2)
+        rows = adv.commit_permutations(PhaseView(pool, None), susceptible, 4).tolist()
+        record = MappingProxyType({p: tuple(row) for p, row in zip(susceptible, rows)})
+        honest_perm = (0, 1, 2, 3) if chance else (1, 0, 2, 3)  # drop 1, or drop 0
+        return adv, susceptible, record, adv.open_permutations(
+            PhaseView(pool, honest_perm), susceptible, record, 4)
+    # core member 1 and outsider 3 left with the honest player: draw 2 picks
+    # the outsider, which every strategy here answers by aborting player 1;
+    # draw 0 picks the honest player
+    pool, susceptible = (0, 1, 3), (1, 3)
+    record = MappingProxyType({1: 0, 3: 0})
+    return adv, susceptible, record, adv.open_draws(
+        PhaseView(pool, 2 if chance else 0), susceptible, record, 3)
+
+
+@pytest.mark.parametrize("budget, chance", [(0, True), (1, False), (1, True)],
+                         ids=["budget-0", "no-reason", "aborts"])
+@pytest.mark.parametrize("strategy", ["cyclic", "eager", "block", "dp"])
+def test_a_strategy_that_does_not_abort_returns_the_record_it_got(strategy, budget, chance):
+    adv, susceptible, record, opened = _open_once(strategy, budget, chance)
+    if not (budget and chance):
+        assert opened is record
+        assert adv.budget.used == 0
+        return
+    aborted = [p for p in susceptible if opened[p] is None]
+    assert len(aborted) == 1
+    assert {p: v for p, v in opened.items() if p not in aborted} == {
+        p: v for p, v in record.items() if p not in aborted}
+    assert adv.budget.used == 1

@@ -11,7 +11,11 @@ import pytest
 
 from shapsim.cli import EXIT_CAP, EXIT_CONFIG, EXIT_OK, _merge_config, build_parser, main
 
-DATA = Path(__file__).resolve().parent.parent / "data" / "collab_reconstruction.hg"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data" / "collab_reconstruction.hg"
+# the environment of a child interpreter that imports shapsim from this checkout
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def run(args):
@@ -518,6 +522,50 @@ def test_a_budget_read_as_a_count_must_be_a_non_negative_integer(tmp_path, capsy
     assert not out.exists()
 
 
+CDF_KNOWN = ["cdf", "--game", "lb", "--n", "6", "--stopping", "known", "--M", "2"]
+
+
+@pytest.mark.parametrize("args, key, bad", [
+    ([*CDF_KNOWN, "--delta", "0.1"], "eps", "0"),
+    ([*CDF_KNOWN, "--eps", "0.4"], "delta", "0"),
+    (["min-samples", "--game", "lb", "--n", "6"], "eps", "0"),
+    (["simulate", "--game", "lb", "--n", "6", "--stopping", "adaptive", "--delta", "0.5"],
+     "eps", "0"),
+    (["simulate", "--game", "lb", "--n", "6", "--stopping", "known", "--eps", "0.5"],
+     "delta", "1.5"),
+    (["simulate", "--game", "lb", "--n", "6", "--stopping", "unknown", "--delta", "0.5"],
+     "eps", "-0.5"),
+    (["min-samples", "--game", "lb", "--budget", "1", "--eps", "0.1"], "sweep", "n=6.5,8"),
+    (["min-samples", "--game", "lb", "--n", "6", "--budget", "1"], "sweep", "eps=0.1,-1"),
+], ids=["cdf-eps-0", "cdf-delta-0", "min-samples-eps-0", "adaptive-eps-0", "delta-1.5",
+        "unknown-eps-negative", "sweep-n-fraction", "sweep-eps-negative"])
+def test_eps_and_delta_outside_the_open_unit_interval_exit_2(tmp_path, capsys, args, key, bad):
+    # adaptive stopping with eps = 0 would never end, so that case runs in a
+    # child interpreter with a time limit
+    field = bad.split("=")[0] if key == "sweep" else key
+    out = tmp_path / "o.csv"
+
+    def exit_code(argv):
+        argv = [str(a) for a in argv + ["--out", out]]
+        if "adaptive" in argv:
+            done = subprocess.run([sys.executable, "-m", "shapsim.cli", *argv], env=SRC_ENV,
+                                  capture_output=True, text=True, timeout=60)
+            return done.returncode, done.stderr
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the flag
+            code = exc.code
+        return code, capsys.readouterr().err
+
+    code, err = exit_code(args + [_flag(key), bad])
+    assert code == EXIT_CONFIG
+    assert f"field {field}" in err or f"argument {_flag(key)}" in err
+    code, err = exit_code(args + ["--config", _config(tmp_path, {key: bad})])
+    assert code == EXIT_CONFIG
+    assert f"field {field}" in err
+    assert not out.exists()
+
+
 def test_cdf_names_the_stopping_rules_it_takes(tmp_path, capsys):
     assert run(["cdf", *BASE["cdf"], "--stopping", "adaptive", "--eps", "0.5", "--delta", "0.5",
                 "--out", tmp_path / "o.csv"]) == EXIT_CONFIG
@@ -531,7 +579,7 @@ def test_merged_config_holds_typed_defaults():
 
 
 def test_readme_flag_lists_match_the_parser():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("Every subcommand takes"):readme.index("A config file may")]
     common, beyond = section.split("Beyond those:")
     flags = re.compile(r"`(--[\w-]+)`")
@@ -657,14 +705,11 @@ def test_bench_tracer_wraps_the_names_it_traces(tmp_path, args, expect):
     # bench/tracing.py patches library names by string and reads the hook
     # contract; a renamed name or a changed contract would only show when
     # the benchmark runs
-    root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
     assert run(args + ["--out", tmp_path / "plain.csv"]) == EXIT_OK
-    done = subprocess.run([sys.executable, str(root / "bench" / "tracing.py"),
+    done = subprocess.run([sys.executable, str(ROOT / "bench" / "tracing.py"),
                            "--metrics-out", str(tmp_path / "m.json"), "--",
                            *args, "--out", str(tmp_path / "traced.csv")],
-                          env=env, capture_output=True)
+                          env=SRC_ENV, capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
     assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
     metrics = json.loads(read(tmp_path / "m.json"))
@@ -673,7 +718,7 @@ def test_bench_tracer_wraps_the_names_it_traces(tmp_path, args, expect):
 
 # --- committed demo outputs -----------------------------------------------------------------
 
-DEMO_OUT = Path(__file__).resolve().parent.parent / "demos" / "out"
+DEMO_OUT = ROOT / "demos" / "out"
 
 
 @pytest.mark.parametrize("name, args", [
@@ -701,8 +746,6 @@ def test_demo_05_outputs_match_committed_goldens(tmp_path, name, args):
 @pytest.mark.parametrize("name", ["01_games_and_exact_values", "02_permutation_protocols",
                                   "03_budgets_attacks_and_stopping", "04_optimal_adversary"])
 def test_demo_stdout_matches_committed_golden(name):
-    src = str(DEMO_OUT.parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, str(DEMO_OUT.parent / f"{name}.py")], env=env,
+    done = subprocess.run([sys.executable, str(DEMO_OUT.parent / f"{name}.py")], env=SRC_ENV,
                           capture_output=True, check=True)
     assert done.stdout == (DEMO_OUT / f"{name}.txt").read_bytes()

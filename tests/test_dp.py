@@ -32,7 +32,6 @@ def strip_classes(game: Game) -> Game:
     return Game(n=game.n, utility=game.utility, name=game.name + "-bitset",
                 closed_forms=game.closed_forms,
                 declared_monotone=game.declared_monotone,
-                declared_supermodular=game.declared_supermodular,
                 extras=dict(game.extras))
 
 
