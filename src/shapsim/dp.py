@@ -69,13 +69,14 @@ def state_count(game: Game, honest: int) -> int:
 
 
 class SizeGroup(NamedTuple):
-    """Gather plan of the ``g`` pool states with ``m`` players, work rows ``lo:hi``.
+    """Gather plan of the ``g`` pool states with ``m`` players, work columns ``lo:hi``.
 
-    Indexed by class ``d``, then state: ``nbr`` (shape ``(D, g)``) is the
-    work row of the pool with one class-``d`` member removed, or the
-    all-``inf`` sentinel row when that class is empty; ``k`` is the class's
-    remaining count and ``empty`` / ``shared`` are the masks ``k == 0`` /
-    ``k >= 2``, these three shaped ``(D, g, 1)`` to broadcast over budgets.
+    Each array has shape ``(D, g)``, indexed by class ``d``, then state:
+    ``nbr`` is the work column of the pool with one class-``d`` member
+    removed, or the all-``inf`` sentinel column when that class is empty;
+    ``k`` is the class's remaining count and ``empty`` / ``shared`` are the
+    masks ``k == 0`` / ``k >= 2``, which broadcast over the leading budget
+    axis of a gather.
     """
 
     m: int
@@ -91,9 +92,10 @@ class SizeGroup(NamedTuple):
 class StateSpace:
     """Mixed-radix index over per-class remaining counts (honest excluded).
 
-    Slices are filled in a work array whose rows hold the states sorted by
-    pool size (``work_row[sid]``, the inverse of ``order``), followed by one
-    sentinel row; ``plan`` holds each size group's precomputed gathers into it.
+    Slices are filled in a budget-major work array whose columns hold the
+    states sorted by pool size (column ``work_row[sid]``, the inverse of
+    ``order``), followed by one sentinel column; ``plan`` holds each size
+    group's precomputed gathers into it.
     ``player_strides[p]`` is what player ``p`` adds to a pool's state index
     (0 for the honest player).
     """
@@ -168,7 +170,6 @@ class StateSpace:
             k = (group // col_strides % col_radix).astype(count_type)
             nbr = np.where(k >= 1, work_row[np.maximum(group - col_strides, 0)],
                            n_states).astype(work_row.dtype)
-            k = k[:, :, None]
             plan.append(SizeGroup(m, lo, hi, nbr, k, k == 0, k >= 2))
         player_strides = [0 if d < 0 else int(strides[d]) for d in class_of.tolist()]
         return cls(game=game, honest=honest, classes=classes, totals=totals,
@@ -188,49 +189,54 @@ def _build_slice(space: StateSpace, prev_row: np.ndarray, C: int, *,
                  decisions: bool = False) -> tuple[np.ndarray, tuple | None]:
     """All pool states at one ``T``, from the previous full-pool boundary row.
 
-    Returns the slice and, with ``decisions``, its decision record (see
-    :class:`DPTable`).  States of equal pool size are independent given
-    smaller sizes, so each size group is filled with batched gathers from
-    the group's plan.  Every value equals the per-state reference builder's
-    in the test oracles bit for bit: each abort value is a minimum over the
-    same classes, and each state's sum adds the same terms in the same
-    order.  Work column 0 is ``inf``, so the columns ``:-1`` of a gathered
-    neighbour are its values one budget unit lower, and an abort with no
-    budget left never wins.
+    Returns the slice, shape ``(n_states, C + 1)``, and, with ``decisions``,
+    its decision record (see :class:`DPTable`).  States of equal pool size
+    are independent given smaller sizes, so each size group is filled with
+    batched gathers from the group's plan.  Every value equals the
+    per-state reference builder's in the test oracles bit for bit: each
+    abort value is a minimum over the same classes, and each state's sum
+    adds the same terms in the same order.
+
+    The work array is budget-major, shape ``(C + 2, n_states + 1)``: row
+    ``1 + c`` holds budget ``c`` and row 0 is ``inf``, so rows ``:-1`` of a
+    gathered neighbour are its values one budget unit lower, and an abort
+    with no budget left never wins; column ``n_states`` is the all-``inf``
+    sentinel.  Each operation on a group so runs over its states, which are
+    contiguous, rather than over the few budgets.
     """
     inf = math.inf
     D = len(space.classes)
-    work = np.empty((space.n_states + 1, C + 2), dtype=np.float64)
-    work[:, 0] = inf
-    work[-1] = inf
+    work = np.empty((C + 2, space.n_states + 1), dtype=np.float64)
+    work[0] = inf
+    work[:, -1] = inf
     # honest-drawn branch: the whole value of the honest-only state, and the
     # start of every other state's sum
-    np.add(space.mu_work[:, None], prev_row, out=work[:-1, 1:])
+    np.add(space.mu_work, prev_row[:, None], out=work[1:, :-1])
     # hits[row, d, c]: aborting beats accepting in that cell
     hits = np.empty((space.n_states, D, C + 1), dtype=bool) if decisions else None
     for m, lo, hi, nbr, k, empty, shared in space.plan:
-        near = work.take(nbr, axis=0)  # (D, g, C + 2): the pool without one class-d member
-        lower, accept = near[:, :, :-1], near[:, :, 1:]
+        near = work.take(nbr, axis=1)  # (C + 2, D, g): the pool without one class-d member
+        lower, accept = near[:-1], near[1:]
         # abort in place of a class-d draw: the best of the other classes,
         # or of all classes when class d has a member besides the drawn one
         abort = np.full(lower.shape, inf)
         for d in range(1, D):  # best of the classes before d
-            np.minimum(abort[d - 1], lower[d - 1], out=abort[d])
+            np.minimum(abort[:, d - 1], lower[:, d - 1], out=abort[:, d])
         for d in range(D - 2, -1, -1):  # and of the classes after d
-            rest = lower[D - 1] if d == D - 2 else np.minimum(rest, lower[d + 1])
-            np.minimum(abort[d], rest, out=abort[d])
+            rest = lower[:, D - 1] if d == D - 2 else np.minimum(rest, lower[:, d + 1])
+            np.minimum(abort[:, d], rest, out=abort[:, d])
         np.minimum(abort, lower, out=abort, where=shared)
         if decisions:
-            np.less(abort, accept, out=hits[lo:hi].transpose(1, 0, 2))
+            np.less(abort, accept, out=hits[lo:hi].transpose(2, 1, 0))
         # the cheaper of accepting and aborting, weighted by the class's count
         contrib = np.minimum(accept, abort, out=abort)
         np.copyto(contrib, 0.0, where=empty)
         contrib *= k
-        acc = work[lo:hi, 1:]
-        for term in contrib:
-            acc = acc + term
-        np.divide(acc, m, out=work[lo:hi, 1:])
-    values = work[space.work_row, 1:]
+        acc = work[1:, lo:hi]
+        for d in range(D):
+            acc = acc + contrib[:, d]
+        np.divide(acc, m, out=work[1:, lo:hi])
+    values = work[1:, space.work_row].T
     if not decisions:
         return values, None
     # an empty class's accept is the sentinel inf, so it must not count as a
@@ -244,8 +250,8 @@ def _build_slice(space: StateSpace, prev_row: np.ndarray, C: int, *,
     sid = space.order[row][:, None]
     counts = sid // space.strides % radix
     counts[np.arange(len(row)), d] -= 1
-    lower = np.where(counts > 0, work[space.work_row[np.maximum(sid - space.strides, 0)],
-                                      c[:, None]], inf)
+    near = work[c[:, None], space.work_row[np.maximum(sid - space.strides, 0)]]
+    lower = np.where(counts > 0, near, inf)
     classes = lower.argmin(axis=1) if D else np.empty(0, dtype=np.intp)  # one player: no cell
     return values, (np.append(cells, hits.size).astype(np.min_scalar_type(hits.size)),
                     np.append(classes, -1).astype(np.min_scalar_type(-D - 1)))
@@ -262,32 +268,41 @@ def _recorded(record: tuple, key):
 class DPTable:
     """Boundary rows ``value[T][N][c]``, plus per-``T`` abort decisions if asked for.
 
-    ``boundary[T, c]`` covers ``T = 0 .. R-1`` (``rows[T]`` is the same row
-    without building the array): ``R * (C + 1)`` reals however large the
-    game; ``slice_at(T)`` rebuilds an inner slice.  ``decisions`` is ``None``
+    ``rows[T, c]`` covers ``T = 0 .. R-1`` (``boundary`` is the same
+    array): a read-only view of one float64 buffer that grows by doubling,
+    so at most ``2 * R * (C + 1)`` reals however large the game;
+    ``slice_at(T)`` rebuilds an inner slice.  ``decisions`` is ``None``
     for a values-only table, else ``decisions[T]`` is ``T``'s record
     ``(cells, classes)``: ascending, in the smallest unsigned dtype that
     fits, the flat index into shape ``(n_states, D, C + 1)`` of each (work
-    row of the pool state, drawn class, budget) cell where aborting strictly
-    beats accepting, then the sentinel ``n_states * D * (C + 1)``; and the
-    class each cell aborts from, then -1.  Consecutive equal records are one
-    object.
+    column of the pool state, drawn class, budget) cell where aborting
+    strictly beats accepting, then the sentinel ``n_states * D * (C + 1)``;
+    and the class each cell aborts from, then -1.  Consecutive equal
+    records are one object.
     """
 
     space: StateSpace
     C: int
-    rows: list = field(default_factory=list)
     decisions: list | None = None
     _phi_star: float | None = None
     _umax_star: float | None = None
+    _R: int = field(default=0, init=False)
+    _buffer: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._buffer = np.empty((0, self.C + 1))
 
     @property
     def R(self) -> int:
-        return len(self.rows)
+        return self._R
 
     @property
-    def boundary(self) -> np.ndarray:
-        return np.asarray(self.rows, dtype=np.float64).reshape(self.R, self.C + 1)
+    def rows(self) -> np.ndarray:
+        view = self._buffer[:self._R]
+        view.flags.writeable = False
+        return view
+
+    boundary = rows
 
     def _check_row(self, T: int, row: np.ndarray) -> None:
         if self._phi_star is None:
@@ -303,14 +318,19 @@ class DPTable:
             raise AssertionError(f"boundary at T={T} below the budget-damage floor")
 
     def extend_to(self, R: int) -> "DPTable":
-        while self.R < R:
-            T = self.R
-            prev = self.rows[-1] if self.rows else np.zeros(self.C + 1)
+        if R > len(self._buffer):
+            grown = np.empty((max(R, 2 * len(self._buffer)), self.C + 1))
+            grown[:self._R] = self._buffer[:self._R]
+            self._buffer = grown
+        while self._R < R:
+            T = self._R
+            prev = self._buffer[T - 1] if T else np.zeros(self.C + 1)
             sl, record = _build_slice(self.space, prev, self.C,
                                       decisions=self.decisions is not None)
-            row = sl[self.space.full_state].copy()
+            row = self._buffer[T]
+            row[:] = sl[self.space.full_state]
             self._check_row(T, row)
-            self.rows.append(row)
+            self._R = T + 1
             if record is not None:  # a record equal to the previous one is stored as that one
                 same = self.decisions and all(map(np.array_equal, record, self.decisions[-1]))
                 self.decisions.append(self.decisions[-1] if same else record)
@@ -319,7 +339,7 @@ class DPTable:
     def slice_at(self, T: int) -> np.ndarray:
         if not 0 <= T < self.R:
             raise ValueError(f"sample index {T} outside built range 0..{self.R - 1}")
-        prev = self.rows[T - 1] if T > 0 else np.zeros(self.C + 1)
+        prev = self._buffer[T - 1] if T > 0 else np.zeros(self.C + 1)
         return _build_slice(self.space, prev, self.C)[0]
 
     def abort_class(self, T, sid, d, c):
@@ -386,6 +406,9 @@ class DPAdversary(Adversary):
     def __init__(self, table: DPTable, budget: Budget):
         if table.decisions is None:
             raise ValueError("the optimal adversary needs a table built with decisions=True")
+        if budget.kind == "rate":  # the table's budget axis counts violations
+            raise ValueError("the dp adversary needs a violation count (budget_kind known), "
+                             "not a rate")
         super().__init__(budget)
         self.table = table
         self.horizon = table.R

@@ -35,6 +35,12 @@ class SampleCapExceeded(RuntimeError):
     """The stopping rule was not satisfied within the configured hard cap."""
 
 
+def _check_accuracy(eps: float, delta: float) -> None:
+    if not (0 < eps < 1 and 0 < delta < 1):
+        raise ValueError(f"eps and delta must lie strictly between 0 and 1, "
+                         f"got eps={eps!r}, delta={delta!r}")
+
+
 @dataclass(frozen=True)
 class StoppingRule:
     """When the allocation loop terminates.
@@ -68,6 +74,7 @@ class StoppingRule:
 
     @classmethod
     def known_budget(cls, eps: float, delta: float, C: int, gamma: float) -> "StoppingRule":
+        _check_accuracy(eps, delta)
         a = 8.0 * gamma / eps**2 * math.log(1.0 / delta)
         b = 2.0 * C * gamma / eps
         return cls(kind="known_budget", eps=eps, delta=delta, C=C, gamma=gamma,
@@ -75,6 +82,7 @@ class StoppingRule:
 
     @classmethod
     def unknown_budget(cls, eps: float, delta: float, gamma: float) -> "StoppingRule":
+        _check_accuracy(eps, delta)
         r0 = 8.0 * gamma / eps**2 * (math.log(16.0 * gamma / eps**2) + math.log(1.0 / delta))
         return cls(kind="unknown_budget", eps=eps, delta=delta, gamma=gamma,
                    R=math.ceil(r0), formula_values=(r0,))
@@ -253,6 +261,7 @@ def run_adaptive(
     adversary with violation rate ``f`` the reported level never exceeds
     ``max(eps, 4*f*gamma)``.
     """
+    _check_accuracy(eps, delta)
     x = np.zeros(game.n)
     k = 0
     for bank in _p_samples(game, protocol, adversary, honest=honest, seed=seed,

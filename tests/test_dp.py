@@ -165,6 +165,72 @@ def test_boundary_memory_is_r_by_budget():
     assert len({id(record) for record in played.decisions}) < 17
 
 
+def test_row_storage_is_one_array_of_r_by_budget():
+    # grown one row at a time, as min-samples does: the rows share one
+    # buffer that at most doubles past R
+    g = make_lb_game(8)
+    R, C = 4000, 2
+    table = dp_build(g, 0, R=1, C=C)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for r in range(2, R + 1):
+            table.extend_to(r)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert table.R == R
+    assert held <= 2 * R * (C + 1) * 8 + 4096, held
+    rows = table.rows
+    assert rows.shape == (R, C + 1) and not rows.flags.writeable
+    assert not table.boundary.flags.writeable
+    assert np.shares_memory(rows, table.boundary)  # no copy
+
+
+def test_check_row_rejects_each_broken_boundary(monkeypatch):
+    g = make_lb_game(8)
+    C = 2
+    table = dp_build(g, 0, R=1, C=C)
+    phi, umax = table._phi_star, table._umax_star
+    expect = 2 * phi  # the zero-budget value of row T = 1
+    assert umax > 0
+    table._phi_star = 1.5 * phi
+    with pytest.raises(AssertionError, match="zero-budget boundary at T=1"):
+        table.extend_to(2)
+    assert table.R == 1
+    table._phi_star = phi
+
+    def returning(row):
+        def build(space, prev_row, C, *, decisions=False):
+            sl = np.zeros((space.n_states, C + 1))
+            sl[space.full_state] = row
+            return sl, None
+        return build
+
+    broken = {
+        "not non-increasing in budget": [expect, expect - umax, expect - umax + 1e-6],
+        "below the budget-damage floor": [expect, expect - umax, expect - 2 * umax - 1e-3],
+    }
+    for message, row in broken.items():
+        monkeypatch.setattr("shapsim.dp._build_slice", returning(np.array(row)))
+        with pytest.raises(AssertionError, match=message):
+            table.extend_to(2)
+        assert table.R == 1
+    # the same checks let the true row through
+    monkeypatch.undo()
+    table.extend_to(2)
+    assert table.rows[1, 0] == pytest.approx(expect, rel=1e-9)
+
+
+def test_dp_adversary_refuses_a_rate_budget():
+    # the table's budget axis counts violations; a rate's limit is a fraction
+    table = dp_build(make_lb_game(8), 0, R=20, C=4, decisions=True)
+    for f in (0.5, 1.0):
+        with pytest.raises(ValueError, match="not a rate"):
+            DPAdversary(table, Budget.rate(f))
+    assert DPAdversary(table, Budget.known(4)).budget.limit == 4
+
+
 def test_slice_rebuild_equals_stored():
     # a slice rebuilt from the previous boundary row reproduces the stored
     # boundary row bit for bit
@@ -503,22 +569,23 @@ def test_vectorized_builder_matches_reference_bitwise():
     tied = strip_classes(make_pair_game(6))
     games = (make_pair_game(5), make_lb_game(8), make_max_gamma_game(5),
              make_collab_game(20), single, tied)
-    for g in games:
+    for g, C in itertools.product(games, (0, 1, 3)):
         space = StateSpace.build(g, 0)
         # a row rising in budget: when values fall in budget, as every
         # boundary row does, aborting in place of a draw from the best class
         # never beats accepting, so a wrong abort value there would not show
-        prev = np.array([0.0, 3.0, 1.0, 4.0])
+        prev = np.array([0.0, 3.0, 1.0, 4.0])[:C + 1]
         for _ in range(3 if space.n_states < 1000 else 1):  # chain a few sample indices
-            a, record = _build_slice(space, prev, 3, decisions=True)
-            b = _build_slice_reference(space, prev, 3)
-            assert np.array_equal(a, b)
-            values_only = _build_slice(space, prev, 3)
+            a, record = _build_slice(space, prev, C, decisions=True)
+            b = _build_slice_reference(space, prev, C)
+            assert a.shape == (space.n_states, C + 1)
+            assert np.array_equal(a, b), (g.name, C)
+            values_only = _build_slice(space, prev, C)
             assert values_only[1] is None and np.array_equal(values_only[0], a)
             if space.n_states < 1000:
-                played = DPTable(space=space, C=3, decisions=[record])
+                played = DPTable(space=space, C=C, decisions=[record])
                 assert np.array_equal(_record_everywhere(played, 0),
-                                      _abort_rule_everywhere(space, a, 3))
+                                      _abort_rule_everywhere(space, a, C)), (g.name, C)
             prev = a[space.full_state]
         if g is tied:
             assert _tied_minima(space, a) > 0

@@ -69,6 +69,22 @@ def test_unknown_budget_rule():
     assert not rule.satisfied(rule.R, bad_v)
 
 
+@pytest.mark.parametrize("eps, delta", [
+    (0.0, 0.1), (-0.5, 0.5), (1.0, 0.5), (1.5, 0.5), (math.nan, 0.5),
+    (0.1, 0.0), (0.1, 1.0), (0.1, 1.5), (0.1, -1.0), (0.1, math.nan),
+])
+@pytest.mark.parametrize("rule", ["known_budget", "unknown_budget", "adaptive"])
+def test_eps_and_delta_outside_the_open_unit_interval_raise(rule, eps, delta):
+    calls = {
+        "known_budget": lambda: StoppingRule.known_budget(eps, delta, 1, 2.0),
+        "unknown_budget": lambda: StoppingRule.unknown_budget(eps, delta, 2.0),
+        "adaptive": lambda: run_adaptive(single_edge_game(), PassiveAdversary(), eps, delta,
+                                         4.0, honest=0, seed=0),
+    }
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+        calls[rule]()
+
+
 # --- allocation loop --------------------------------------------------------------------
 
 def test_allocation_efficiency_every_run():
