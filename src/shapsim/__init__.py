@@ -40,6 +40,7 @@ from .games import (
     is_monotone,
     is_supermodular,
     marginal_contribution,
+    mask_dtype,
     rank_expectation,
     shapley_exact,
     shapley_via_permutations,

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .games import ClosedForms, Game, as_mask
 from .hypergraph import Hypergraph
 
@@ -149,6 +151,8 @@ def make_synergy_game(
     hypergraph yields the all-zero game.
 
     Symmetry classes are caller-declared (constructors never infer them).
+    The game carries a vectorised oracle, so :meth:`Game.values` evaluates
+    an array of masks edge by edge rather than mask by mask.
     """
     n = h.n
     edges = tuple((as_mask(verts), float(w), len(verts)) for verts, w in h.edges)
@@ -158,6 +162,13 @@ def make_synergy_game(
         for emask, w, _ in edges:
             if mask & emask == emask:
                 total += w
+        return total
+
+    def values(masks):
+        # edge by edge in v's order, adding each weight where v adds it
+        total = np.zeros(len(masks))
+        for emask, w, _ in edges:
+            np.add(total, w, out=total, where=masks & emask == emask)
         return total
 
     phi = [0.0] * n
@@ -170,6 +181,7 @@ def make_synergy_game(
     return Game(
         n=n,
         utility=v,
+        bulk_utility=values,
         name=f"synergy(n={n},m={len(edges)})",
         symmetry_classes=symmetry_classes,
         closed_forms=ClosedForms(phi=tuple(phi), u_max=tuple(u_max)),

@@ -16,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -457,6 +456,8 @@ def cmd_cdf(cfg: ExperimentConfig) -> int:
         stats = parallel_runs(game, honest, R, C, M, cfg["seed"], table=table)
         x = stats.x_honest
     elif jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only here
+
         chunks = np.array_split(np.arange(M), jobs)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             x = np.concatenate(list(pool.map(_cdf_runs, [cfg.values] * len(chunks), chunks)))

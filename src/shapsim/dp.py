@@ -29,7 +29,6 @@ Both simulation engines play that record and compare no values.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
@@ -37,7 +36,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .adversaries import Adversary, Budget
-from .games import Game, shapley_exact
+from .games import Game, mask_dtype, shapley_exact
 from .streams import substream
 
 DEFAULT_STATE_CAP = 2_000_000
@@ -76,7 +75,8 @@ class SizeGroup(NamedTuple):
     removed, or the all-``inf`` sentinel column when that class is empty;
     ``k`` is the class's remaining count and ``empty`` / ``shared`` are the
     masks ``k == 0`` / ``k >= 2``, which broadcast over the leading budget
-    axis of a gather.
+    axis of a gather (``empty`` is the group's columns of
+    :attr:`StateSpace.empty`).
     """
 
     m: int
@@ -95,7 +95,8 @@ class StateSpace:
     Slices are filled in a budget-major work array whose columns hold the
     states sorted by pool size (column ``work_row[sid]``, the inverse of
     ``order``), followed by one sentinel column; ``plan`` holds each size
-    group's precomputed gathers into it.
+    group's precomputed gathers into it, and ``empty[d, w]`` is whether the
+    pool at work column ``w`` has no class-``d`` member.
     ``player_strides[p]`` is what player ``p`` adds to a pool's state index
     (0 for the honest player).
     """
@@ -112,6 +113,7 @@ class StateSpace:
     work_row: np.ndarray
     mu_work: np.ndarray
     order: np.ndarray
+    empty: np.ndarray
     plan: tuple[SizeGroup, ...]
 
     @classmethod
@@ -134,26 +136,22 @@ class StateSpace:
 
         # Marginal contribution of the honest player joining the complement
         # of each pool state; exchangeability lets one canonical member set
-        # stand for every pool with the same class counts.  absent[d][k] is
-        # the mask of the class-d members missing when k of them remain; the
-        # masks are disjoint, so their sum is the complement, and the product
-        # walks the states in index order (last class fastest).
-        absent = []
+        # stand for every pool with the same class counts.  absent[k] is the
+        # mask of the class's members missing when k of them remain; the
+        # masks are disjoint, so their sums are the complements, and the
+        # outer sum lays them out in index order (last class fastest), as it
+        # does the pool sizes.
+        comp = np.zeros(1, dtype=mask_dtype(game.n))
+        sizes = np.ones(1, dtype=np.min_scalar_type(game.n))
         for members in classes:
-            prefix = [0]
+            absent = [0]
             for p in members:
-                prefix.append(prefix[-1] | 1 << p)
-            absent.append(prefix[::-1])
-        v = game.utility
-        hbit = 1 << honest
-        mu_star = np.fromiter((v(comp | hbit) - v(comp)
-                               for comp in map(sum, itertools.product(*absent))),
-                              dtype=np.float64, count=n_states)
+                absent.append(absent[-1] | 1 << p)
+            comp = np.add.outer(comp, np.array(absent[::-1], dtype=comp.dtype)).ravel()
+            sizes = np.add.outer(sizes, np.arange(len(members) + 1, dtype=sizes.dtype)).ravel()
+        mu_star = game.values(comp | 1 << honest)
+        mu_star -= game.values(comp)  # in place: one array fewer at the build's peak
 
-        sids = np.arange(n_states, dtype=np.int64)
-        sizes = np.ones(n_states, dtype=np.int64)
-        for stride, total in zip(strides, totals):
-            sizes += sids // stride % (total + 1)
         order = np.argsort(sizes, kind="stable")  # work row -> state
         starts = np.searchsorted(sizes[order], np.arange(1, game.n + 2)).tolist()
         work_row = np.empty(n_states, dtype=np.min_scalar_type(n_states))
@@ -161,6 +159,7 @@ class StateSpace:
 
         count_type = np.min_scalar_type(int(totals.max(initial=0)))
         col_strides, col_radix = strides[:, None], totals[:, None] + 1
+        empty = np.ones((len(classes), n_states), dtype=bool)  # column 0: the honest alone
         plan = []
         for m in range(2, game.n + 1):
             lo, hi = starts[m - 1], starts[m]
@@ -170,12 +169,13 @@ class StateSpace:
             k = (group // col_strides % col_radix).astype(count_type)
             nbr = np.where(k >= 1, work_row[np.maximum(group - col_strides, 0)],
                            n_states).astype(work_row.dtype)
-            plan.append(SizeGroup(m, lo, hi, nbr, k, k == 0, k >= 2))
+            np.equal(k, 0, out=empty[:, lo:hi])
+            plan.append(SizeGroup(m, lo, hi, nbr, k, empty[:, lo:hi], k >= 2))
         player_strides = [0 if d < 0 else int(strides[d]) for d in class_of.tolist()]
         return cls(game=game, honest=honest, classes=classes, totals=totals,
                    strides=strides, n_states=n_states, class_of=class_of,
                    player_strides=player_strides, mu_star=mu_star, work_row=work_row,
-                   mu_work=mu_star[order], order=order, plan=tuple(plan))
+                   mu_work=mu_star[order], order=order, empty=empty, plan=tuple(plan))
 
     @property
     def full_state(self) -> int:
@@ -241,14 +241,13 @@ def _build_slice(space: StateSpace, prev_row: np.ndarray, C: int, *,
         return values, None
     # an empty class's accept is the sentinel inf, so it must not count as a
     # hit; this also clears row 0, the honest-alone state, which no group fills
-    radix = space.totals + 1
-    hits &= (space.order[:, None] // space.strides % radix > 0)[:, :, None]
+    hits &= ~space.empty.T[:, :, None]
     cells = np.flatnonzero(hits)
     row, d, c = np.unravel_index(cells, hits.shape)
     # abort from the lowest-index class whose value one unit lower is the
     # minimum among the classes that keep a member besides the drawn one
     sid = space.order[row][:, None]
-    counts = sid // space.strides % radix
+    counts = sid // space.strides % (space.totals + 1)
     counts[np.arange(len(row)), d] -= 1
     near = work[c[:, None], space.work_row[np.maximum(sid - space.strides, 0)]]
     lower = np.where(counts > 0, near, inf)
@@ -371,10 +370,17 @@ class DPTable:
         return out
 
     def worst_value(self, R: int | None = None, c: int | None = None) -> float:
-        """Full-run value ``value[R-1][N][c]`` (defaults: all built samples, full budget)."""
+        """Full-run value ``value[R-1][N][c]`` (defaults: all built samples, full budget).
+
+        Raises ``ValueError`` unless ``1 <= R <= self.R`` and ``0 <= c <= C``.
+        """
         R = self.R if R is None else R
         c = self.C if c is None else c
-        return float(self.rows[R - 1][c])
+        if not 1 <= R <= self.R:
+            raise ValueError(f"run length {R} outside built range 1..{self.R}")
+        if not 0 <= c <= self.C:
+            raise ValueError(f"budget {c} outside 0..{self.C}")
+        return float(self.rows[R - 1, c])
 
 
 def dp_build(game: Game, honest: int, R: int, C: int, *,

@@ -3,6 +3,9 @@ structural property checks.
 
 Player subsets are fixed-width bit-sets: player ``i`` corresponds to bit
 ``1 << i``.  Utility oracles map a subset mask to a non-negative real reward.
+:meth:`Game.values` evaluates an array of masks in one call: ``int64`` masks
+while ``n <= 62`` and ``object`` arrays of Python ints above that (see
+:func:`mask_dtype`), with each value bit-identical to the scalar oracle's.
 Exhaustive routines enumerate subsets in increasing popcount order and are
 capped at sizes where the enumeration is tractable (``n <= 20`` for exact
 Shapley values, ``n <= 12`` for structural checks).
@@ -19,6 +22,8 @@ import numpy as np
 
 MAX_EXACT_PLAYERS = 20
 MAX_CHECK_PLAYERS = 12
+MAX_INT64_PLAYERS = 62  # masks of larger games are Python ints in object arrays
+VALUES_BLOCK = 8192  # masks per bulk-oracle call; larger blocks fragment the heap
 
 
 def as_mask(players: int | Iterable[int]) -> int:
@@ -29,6 +34,11 @@ def as_mask(players: int | Iterable[int]) -> int:
     for p in players:
         mask |= 1 << int(p)
     return mask
+
+
+def mask_dtype(n: int) -> type:
+    """The dtype of subset-mask arrays for an ``n``-player game."""
+    return np.int64 if n <= MAX_INT64_PLAYERS else object
 
 
 @dataclass(frozen=True)
@@ -47,6 +57,12 @@ class Game:
     defined on the empty set and is assumed non-negative on every subset the
     protocols query.  Games are immutable after construction and the oracle
     must be safe for concurrent read-only evaluation.
+
+    :meth:`values` is the bulk entry point: the utilities of an array of
+    masks (dtype :func:`mask_dtype`), each equal to ``utility`` of that mask
+    bit for bit.  ``bulk_utility``, when a constructor supplies it, is the
+    vectorised oracle behind it; without one, ``values`` calls ``utility``
+    once per mask, in the given order.
 
     ``symmetry_classes``, when declared by a constructor, partitions the
     players into interchangeable categories: permuting players inside one
@@ -67,6 +83,7 @@ class Game:
     protocol_gamma: float | None = None
     declared_monotone: bool | None = None
     extras: dict = field(default_factory=dict)
+    bulk_utility: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     _table: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -78,6 +95,17 @@ class Game:
 
     def grand_value(self) -> float:
         return float(self.utility(self.full_mask))
+
+    def values(self, masks: np.ndarray) -> np.ndarray:
+        """The utility at each mask of a 1-d array, as float64, bit-identical to ``utility``."""
+        masks = np.asarray(masks)
+        if self.bulk_utility is None:
+            return np.fromiter(map(self.utility, masks.tolist()), dtype=np.float64,
+                               count=len(masks))
+        out = np.empty(len(masks), dtype=np.float64)
+        for lo in range(0, len(masks), VALUES_BLOCK):
+            out[lo:lo + VALUES_BLOCK] = self.bulk_utility(masks[lo:lo + VALUES_BLOCK])
+        return out
 
 
 @dataclass(frozen=True)
@@ -124,11 +152,9 @@ def value_table(game: Game) -> np.ndarray:
         return game._table
     if game.n > MAX_EXACT_PLAYERS:
         raise ValueError(f"value table for n={game.n} exceeds the n<={MAX_EXACT_PLAYERS} cap")
-    pops = _popcounts(game.n)
+    masks = np.argsort(_popcounts(game.n), kind="stable")
     table = np.empty(1 << game.n, dtype=np.float64)
-    v = game.utility
-    for mask in np.argsort(pops, kind="stable"):
-        table[mask] = v(int(mask))
+    table[masks] = game.values(masks)
     game._table = table
     return table
 

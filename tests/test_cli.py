@@ -299,6 +299,17 @@ def test_cdf_jobs_fanout_deterministic(tmp_path):
     assert read(out1) == read(out2)
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # only cdf --jobs N > 1 needs one, so no other command pays for the import
+    probe = ("import sys, shapsim.cli; "
+             "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+             "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 # --- flags that must take effect or be rejected ---------------------------------------------
 
 ADAPTIVE = ["simulate", "--game", "pair", "--n", "4", "--adversary", "passive",

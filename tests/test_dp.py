@@ -10,6 +10,7 @@ from shapsim import (
     DPAdversary,
     DPTable,
     Game,
+    Hypergraph,
     PassiveAdversary,
     PhaseView,
     StateCapExceeded,
@@ -19,16 +20,18 @@ from shapsim import (
     make_lb_game,
     make_max_gamma_game,
     make_pair_game,
+    make_synergy_game,
     parallel_runs,
     run_allocation,
     shapley_exact,
     substream,
 )
-from shapsim.dp import LOCKSTEP_CHUNK
+from shapsim.dp import LOCKSTEP_CHUNK, StateSpace
 from oracles import _counts_of, abort_class, lockstep_reference, worst_case_value
 
 
 def strip_classes(game: Game) -> Game:
+    # no bulk oracle either: state spaces of these games take the scalar fallback
     return Game(n=game.n, utility=game.utility, name=game.name + "-bitset",
                 closed_forms=game.closed_forms,
                 declared_monotone=game.declared_monotone,
@@ -229,6 +232,18 @@ def test_dp_adversary_refuses_a_rate_budget():
         with pytest.raises(ValueError, match="not a rate"):
             DPAdversary(table, Budget.rate(f))
     assert DPAdversary(table, Budget.known(4)).budget.limit == 4
+
+
+def test_worst_value_refuses_a_run_length_or_budget_outside_the_table():
+    table = dp_build(make_pair_game(4), 0, R=5, C=1)
+    assert table.worst_value() == table.worst_value(5, 1) == table.rows[4, 1]
+    assert table.worst_value(1, 0) == table.rows[0, 0]
+    for R in (0, -2, 6):
+        with pytest.raises(ValueError, match="run length"):
+            table.worst_value(R)
+    for c in (-1, 2):
+        with pytest.raises(ValueError, match="budget"):
+            table.worst_value(3, c)
 
 
 def test_slice_rebuild_equals_stored():
@@ -559,7 +574,7 @@ def _tied_minima(space, sl) -> int:
 
 def test_vectorized_builder_matches_reference_bitwise():
     from oracles import _build_slice_reference
-    from shapsim.dp import StateSpace, _build_slice
+    from shapsim.dp import _build_slice
 
     # one symmetry class besides the honest player, so D = 1
     single = Game(n=5, utility=lambda m: float(bin(m).count("1") ** 2), name="square",
@@ -591,6 +606,54 @@ def test_vectorized_builder_matches_reference_bitwise():
             assert _tied_minima(space, a) > 0
     assert len(StateSpace.build(make_collab_game(20), 0).classes) > 2
     assert len(StateSpace.build(single, 0).classes) == 1
+
+
+def _scalar_mu_star(space: StateSpace) -> np.ndarray:
+    """Each pool state's mu* from two scalar oracle calls, the pool keeping
+    the first members of each class that its counts name."""
+    v, hbit = space.game.utility, 1 << space.honest
+    out = np.empty(space.n_states)
+    for sid in range(space.n_states):
+        comp = 0
+        for members, k in zip(space.classes, _counts_of(space, sid).tolist()):
+            for p in members[k:]:
+                comp |= 1 << p
+        out[sid] = v(comp | hbit) - v(comp)
+    return out
+
+
+def test_mu_star_is_the_scalar_oracle_bit_for_bit():
+    # 70 players: the bulk oracle runs on object masks; vertex 69 is a class
+    # of its own and 5..68 are isolated, so one class
+    wide = make_synergy_game(
+        Hypergraph(n=70, edges=(
+            (frozenset({0, 1}), 1.0), (frozenset({0, 2, 69}), 0.5), (frozenset({1, 3}), 2.0),
+            (frozenset({0, 3, 4}), 0.75), (frozenset({4, 69}), 1.25), (frozenset({0, 69}), 0.3))),
+        symmetry_classes=tuple((p,) for p in range(5)) + ((69,), tuple(range(5, 69))))
+    for game, n_states in ((make_collab_game(20), 57_344), (wide, 2 ** 5 * 65),
+                           (make_lb_game(8), 5 * 4), (make_lb_game(100), 51 * 50)):
+        space = StateSpace.build(game, 0)
+        assert space.n_states == n_states
+        assert space.mu_star.tobytes() == _scalar_mu_star(space).tobytes(), game.name
+        assert space.mu_star.any()
+
+
+def test_building_the_collab20_state_space_makes_no_scalar_oracle_calls():
+    game = make_collab_game(20)
+    calls = []
+    utility = game.utility
+
+    def counted(mask):
+        calls.append(mask)
+        return utility(mask)
+
+    game.utility = counted
+    space = StateSpace.build(game, 0)
+    assert space.n_states == 57_344 and calls == []
+    # the wrapper counts: without the bulk oracle each state costs two calls
+    game.bulk_utility = None
+    assert StateSpace.build(game, 0).mu_star.tobytes() == space.mu_star.tobytes()
+    assert len(calls) == 2 * space.n_states
 
 
 def test_collab_game_compressed_dp_builds():

@@ -16,12 +16,15 @@ from shapsim import (
     make_pair_game,
     make_synergy_game,
     marginal_contribution,
+    mask_dtype,
     rank_expectation,
     shapley_exact,
     shapley_via_permutations,
     verify_symmetry_classes,
 )
+from shapsim.games import VALUES_BLOCK, value_table
 from oracles import (
+    random_hypergraph,
     random_monotone_game,
     random_simple_graph,
     random_supermodular_game,
@@ -380,3 +383,71 @@ def test_symmetric_players_get_equal_phi():
 def test_mask_helpers_roundtrip():
     assert as_mask([0, 2, 5]) == 0b100101
     assert as_mask(as_mask([1, 3])) == 0b1010
+
+
+# --- bulk oracle ------------------------------------------------------------------
+
+def _random_masks(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """The empty and full masks, then ``count`` masks of random density."""
+    masks = [0, (1 << n) - 1]
+    for _ in range(count):
+        keep = np.flatnonzero(rng.random(n) < rng.random())
+        masks.append(sum(1 << int(p) for p in keep))
+    return np.array(masks, dtype=mask_dtype(n))
+
+
+def _assert_values_are_scalar_bits(game: Game, masks: np.ndarray) -> None:
+    got = game.values(masks)
+    expect = np.array([game.utility(m) for m in masks.tolist()], dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == masks.shape
+    assert got.tobytes() == expect.tobytes(), game.name
+    assert got.any()  # some mask holds an edge
+
+
+def test_mask_dtype_is_int64_up_to_62_players():
+    assert mask_dtype(1) is np.int64 and mask_dtype(62) is np.int64
+    assert mask_dtype(63) is object and mask_dtype(200) is object
+
+
+@pytest.mark.parametrize("game", [
+    make_pair_game(6, 2, 4), make_lb_game(8), make_max_gamma_game(7), triangle_game(),
+    make_collab_game(14), make_collab_game(20),
+], ids=lambda g: g.name)
+def test_values_match_the_scalar_oracle_for_builtin_games(game):
+    if game.n <= 14:
+        _assert_values_are_scalar_bits(game, np.arange(1 << game.n, dtype=np.int64))
+    else:  # more masks than one block of the bulk oracle
+        _assert_values_are_scalar_bits(game, _random_masks(np.random.default_rng(5), game.n,
+                                                           VALUES_BLOCK + 1000))
+
+
+@pytest.mark.parametrize("n", [5, 30, 62, 63, 100, 200])
+def test_synergy_values_match_the_scalar_oracle_on_random_hypergraphs(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        game = make_synergy_game(random_hypergraph(rng, n, max_size=4))
+        masks = _random_masks(rng, n, 500)
+        assert masks.dtype == (np.int64 if n <= 62 else object)
+        _assert_values_are_scalar_bits(game, masks)
+
+
+def test_values_without_a_bulk_oracle_call_utility_once_per_mask_in_order():
+    seen = []
+
+    def v(mask):
+        seen.append(mask)
+        return float(bin(mask).count("1")) / 3.0
+
+    game = Game(n=70, utility=v)
+    assert game.bulk_utility is None
+    masks = _random_masks(np.random.default_rng(1), 70, 50)
+    got = game.values(masks)
+    assert seen == masks.tolist()
+    assert got.tobytes() == np.array([bin(m).count("1") / 3.0 for m in seen]).tobytes()
+    assert game.values(np.array([], dtype=np.int64)).shape == (0,)
+
+
+def test_value_table_of_a_synergy_game_is_the_scalar_oracle_bit_for_bit():
+    game = make_synergy_game(random_hypergraph(np.random.default_rng(9), 11, max_size=5))
+    table = value_table(game)
+    assert table.tobytes() == np.array([game.utility(m) for m in range(1 << 11)]).tobytes()
