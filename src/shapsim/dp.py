@@ -37,6 +37,7 @@ import numpy as np
 
 from .adversaries import Adversary, Budget
 from .games import Game, mask_dtype, shapley_exact
+from .dp_kernels import FlatPlan, build_flat_plan, decision_record, flat_rows, wide_rows
 from .streams import substream
 
 DEFAULT_STATE_CAP = 2_000_000
@@ -67,16 +68,23 @@ def state_count(game: Game, honest: int) -> int:
     return math.prod(len(c) + 1 for c in _pool_classes(game, honest))
 
 
+# Games with at most this many classes take the flat row kernel.  It gathers
+# D + 1 values per (drawn class, state, budget) cell, so its plan grows as D
+# squared: at D = 14 (collab20, C = 2) the plan takes about 300 MB and a row
+# five to six times as long as with the budget-major kernel.
+FLAT_MAX_CLASSES = 3
+
+
 class SizeGroup(NamedTuple):
-    """Gather plan of the ``g`` pool states with ``m`` players, work columns ``lo:hi``.
+    """Gather plan of the ``g`` pool states with ``m`` players, work rows ``lo:hi``.
 
     Each array has shape ``(D, g)``, indexed by class ``d``, then state:
-    ``nbr`` is the work column of the pool with one class-``d`` member
-    removed, or the all-``inf`` sentinel column when that class is empty;
-    ``k`` is the class's remaining count and ``empty`` / ``shared`` are the
-    masks ``k == 0`` / ``k >= 2``, which broadcast over the leading budget
-    axis of a gather (``empty`` is the group's columns of
-    :attr:`StateSpace.empty`).
+    ``nbr`` is the work row of the pool with one class-``d`` member
+    removed, or ``n_states`` when that class is empty; ``k`` is the class's
+    remaining count and ``empty`` / ``shared`` are the masks ``k == 0`` /
+    ``k >= 2`` (``empty`` is the group's slice of :attr:`StateSpace.empty`).
+    The budget-major kernel gathers with these directly, and the flat
+    kernel's :class:`FlatPlan` is derived from them.
     """
 
     m: int
@@ -92,13 +100,16 @@ class SizeGroup(NamedTuple):
 class StateSpace:
     """Mixed-radix index over per-class remaining counts (honest excluded).
 
-    Slices are filled in a budget-major work array whose columns hold the
-    states sorted by pool size (column ``work_row[sid]``, the inverse of
-    ``order``), followed by one sentinel column; ``plan`` holds each size
-    group's precomputed gathers into it, and ``empty[d, w]`` is whether the
-    pool at work column ``w`` has no class-``d`` member.
-    ``player_strides[p]`` is what player ``p`` adds to a pool's state index
-    (0 for the honest player).
+    A row's values are kept in work order: the states sorted by pool size,
+    state ``order[w]`` at work row ``w`` (``work_row`` is the inverse), so
+    the honest-alone state comes first, the full pool last, and each size
+    group is a contiguous run of work rows.  ``plan`` holds each size
+    group's gathers (:class:`SizeGroup`), and ``empty[d, w]`` is whether
+    the pool at work row ``w`` has no class-``d`` member.  Games with at
+    most ``FLAT_MAX_CLASSES`` classes build their rows with the flat
+    kernel, whose plan for a budget cap ``C`` is made once per space and
+    ``C`` by :meth:`flat_plan`.  ``player_strides[p]`` is what player
+    ``p`` adds to a pool's state index (0 for the honest player).
     """
 
     game: Game
@@ -115,6 +126,7 @@ class StateSpace:
     order: np.ndarray
     empty: np.ndarray
     plan: tuple[SizeGroup, ...]
+    _flat_plans: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, game: Game, honest: int, *, state_cap: int = DEFAULT_STATE_CAP) -> "StateSpace":
@@ -184,76 +196,33 @@ class StateSpace:
     def state_of(self, pool: Sequence[int]) -> int:
         return sum(map(self.player_strides.__getitem__, pool))  # the honest player's is 0
 
+    def flat_plan(self, C: int) -> FlatPlan:
+        """The flat kernel's plan for budgets ``0..C``, made on first use."""
+        if C not in self._flat_plans:
+            self._flat_plans[C] = build_flat_plan(self, C)
+        return self._flat_plans[C]
+
 
 def _build_slice(space: StateSpace, prev_row: np.ndarray, C: int, *,
                  decisions: bool = False) -> tuple[np.ndarray, tuple | None]:
     """All pool states at one ``T``, from the previous full-pool boundary row.
 
-    Returns the slice, shape ``(n_states, C + 1)``, and, with ``decisions``,
-    its decision record (see :class:`DPTable`).  States of equal pool size
-    are independent given smaller sizes, so each size group is filled with
-    batched gathers from the group's plan.  Every value equals the
-    per-state reference builder's in the test oracles bit for bit: each
-    abort value is a minimum over the same classes, and each state's sum
-    adds the same terms in the same order.
-
-    The work array is budget-major, shape ``(C + 2, n_states + 1)``: row
-    ``1 + c`` holds budget ``c`` and row 0 is ``inf``, so rows ``:-1`` of a
-    gathered neighbour are its values one budget unit lower, and an abort
-    with no budget left never wins; column ``n_states`` is the all-``inf``
-    sentinel.  Each operation on a group so runs over its states, which are
-    contiguous, rather than over the few budgets.
+    Returns the slice in work order, shape ``(n_states, C + 1)`` (row ``w``
+    is state ``space.order[w]``, the full pool is the last row), and, with
+    ``decisions``, its decision record (see :class:`DPTable`).  States of
+    equal pool size are independent given smaller sizes, so each size group
+    is filled with batched gathers.  Games with at most
+    ``FLAT_MAX_CLASSES`` classes take the flat kernel, wider ones the
+    budget-major kernel (both in :mod:`shapsim.dp_kernels`).  Every value
+    equals the per-state reference builder's in the test oracles bit for
+    bit: each abort value is a minimum over the same classes, and each
+    state's sum adds the same terms in the same order.
     """
-    inf = math.inf
-    D = len(space.classes)
-    work = np.empty((C + 2, space.n_states + 1), dtype=np.float64)
-    work[0] = inf
-    work[:, -1] = inf
-    # honest-drawn branch: the whole value of the honest-only state, and the
-    # start of every other state's sum
-    np.add(space.mu_work, prev_row[:, None], out=work[1:, :-1])
-    # hits[row, d, c]: aborting beats accepting in that cell
-    hits = np.empty((space.n_states, D, C + 1), dtype=bool) if decisions else None
-    for m, lo, hi, nbr, k, empty, shared in space.plan:
-        near = work.take(nbr, axis=1)  # (C + 2, D, g): the pool without one class-d member
-        lower, accept = near[:-1], near[1:]
-        # abort in place of a class-d draw: the best of the other classes,
-        # or of all classes when class d has a member besides the drawn one
-        abort = np.full(lower.shape, inf)
-        for d in range(1, D):  # best of the classes before d
-            np.minimum(abort[:, d - 1], lower[:, d - 1], out=abort[:, d])
-        for d in range(D - 2, -1, -1):  # and of the classes after d
-            rest = lower[:, D - 1] if d == D - 2 else np.minimum(rest, lower[:, d + 1])
-            np.minimum(abort[:, d], rest, out=abort[:, d])
-        np.minimum(abort, lower, out=abort, where=shared)
-        if decisions:
-            np.less(abort, accept, out=hits[lo:hi].transpose(2, 1, 0))
-        # the cheaper of accepting and aborting, weighted by the class's count
-        contrib = np.minimum(accept, abort, out=abort)
-        np.copyto(contrib, 0.0, where=empty)
-        contrib *= k
-        acc = work[1:, lo:hi]
-        for d in range(D):
-            acc = acc + contrib[:, d]
-        np.divide(acc, m, out=work[1:, lo:hi])
-    values = work[1:, space.work_row].T
-    if not decisions:
-        return values, None
-    # an empty class's accept is the sentinel inf, so it must not count as a
-    # hit; this also clears row 0, the honest-alone state, which no group fills
-    hits &= ~space.empty.T[:, :, None]
-    cells = np.flatnonzero(hits)
-    row, d, c = np.unravel_index(cells, hits.shape)
-    # abort from the lowest-index class whose value one unit lower is the
-    # minimum among the classes that keep a member besides the drawn one
-    sid = space.order[row][:, None]
-    counts = sid // space.strides % (space.totals + 1)
-    counts[np.arange(len(row)), d] -= 1
-    near = work[c[:, None], space.work_row[np.maximum(sid - space.strides, 0)]]
-    lower = np.where(counts > 0, near, inf)
-    classes = lower.argmin(axis=1) if D else np.empty(0, dtype=np.intp)  # one player: no cell
-    return values, (np.append(cells, hits.size).astype(np.min_scalar_type(hits.size)),
-                    np.append(classes, -1).astype(np.min_scalar_type(-D - 1)))
+    if len(space.classes) <= FLAT_MAX_CLASSES:
+        values, cells = flat_rows(space, space.flat_plan(C), prev_row, C, decisions)
+    else:
+        values, cells = wide_rows(space, prev_row, C, decisions)
+    return values, None if cells is None else decision_record(space, values, cells, C)
 
 
 def _recorded(record: tuple, key):
@@ -274,7 +243,7 @@ class DPTable:
     for a values-only table, else ``decisions[T]`` is ``T``'s record
     ``(cells, classes)``: ascending, in the smallest unsigned dtype that
     fits, the flat index into shape ``(n_states, D, C + 1)`` of each (work
-    column of the pool state, drawn class, budget) cell where aborting
+    row of the pool state, drawn class, budget) cell where aborting
     strictly beats accepting, then the sentinel ``n_states * D * (C + 1)``;
     and the class each cell aborts from, then -1.  Consecutive equal
     records are one object.
@@ -306,14 +275,22 @@ class DPTable:
     def _check_row(self, T: int, row: np.ndarray) -> None:
         if self._phi_star is None:
             return
-        phi, umax = self._phi_star, self._umax_star
-        expect = (T + 1) * phi
-        if abs(row[0] - expect) > 1e-6 * max(1.0, abs(expect)):
+        umax = self._umax_star
+        expect = (T + 1) * self._phi_star
+        scale = max(1.0, abs(expect))
+        # one pass over the C + 1 values; the first failing check is reported
+        values = row.tolist()
+        rising = below = False
+        last = values[0]
+        for c, value in enumerate(values):
+            rising |= value - last > 1e-9 * scale
+            below |= value < expect - c * umax - 1e-6 * scale
+            last = value
+        if abs(values[0] - expect) > 1e-6 * scale:
             raise AssertionError(f"zero-budget boundary at T={T}: {row[0]} != {expect}")
-        if np.any(np.diff(row) > 1e-9 * max(1.0, abs(expect))):
+        if rising:
             raise AssertionError(f"boundary at T={T} not non-increasing in budget")
-        floor_vals = expect - np.arange(self.C + 1) * umax
-        if np.any(row < floor_vals - 1e-6 * max(1.0, abs(expect))):
+        if below:
             raise AssertionError(f"boundary at T={T} below the budget-damage floor")
 
     def extend_to(self, R: int) -> "DPTable":
@@ -324,14 +301,16 @@ class DPTable:
         while self._R < R:
             T = self._R
             prev = self._buffer[T - 1] if T else np.zeros(self.C + 1)
-            sl, record = _build_slice(self.space, prev, self.C,
-                                      decisions=self.decisions is not None)
+            values, record = _build_slice(self.space, prev, self.C,
+                                          decisions=self.decisions is not None)
             row = self._buffer[T]
-            row[:] = sl[self.space.full_state]
+            row[:] = values[-1]  # the full pool
             self._check_row(T, row)
             self._R = T + 1
             if record is not None:  # a record equal to the previous one is stored as that one
-                same = self.decisions and all(map(np.array_equal, record, self.decisions[-1]))
+                # (a table's records share their dtypes, so equal bytes are equal records)
+                same = self.decisions and all(len(a) == len(b) and a.tobytes() == b.tobytes()
+                                              for a, b in zip(record, self.decisions[-1]))
                 self.decisions.append(self.decisions[-1] if same else record)
         return self
 
@@ -339,7 +318,7 @@ class DPTable:
         if not 0 <= T < self.R:
             raise ValueError(f"sample index {T} outside built range 0..{self.R - 1}")
         prev = self._buffer[T - 1] if T > 0 else np.zeros(self.C + 1)
-        return _build_slice(self.space, prev, self.C)[0]
+        return _build_slice(self.space, prev, self.C)[0][self.space.work_row]
 
     def abort_class(self, T, sid, d, c):
         """The class to abort from at sample index ``T``, or -1 to accept.

@@ -179,7 +179,8 @@ def _counts_of(space, sid: int) -> np.ndarray:
 
 
 def _build_slice_reference(space, prev_row: np.ndarray, C: int) -> np.ndarray:
-    """Per-state builder; the plain-loop reference for ``shapsim.dp._build_slice``."""
+    """Per-state builder in state order; the plain-loop reference for
+    ``shapsim.dp._build_slice``, whose slice is in work order."""
     strides = space.strides
     out = np.empty((space.n_states, C + 1), dtype=np.float64)
     inf = math.inf

@@ -194,6 +194,7 @@ def test_check_row_rejects_each_broken_boundary(monkeypatch):
     g = make_lb_game(8)
     C = 2
     table = dp_build(g, 0, R=1, C=C)
+    on_floor = dp_build(g, 0, R=1, C=C)
     phi, umax = table._phi_star, table._umax_star
     expect = 2 * phi  # the zero-budget value of row T = 1
     assert umax > 0
@@ -205,8 +206,8 @@ def test_check_row_rejects_each_broken_boundary(monkeypatch):
 
     def returning(row):
         def build(space, prev_row, C, *, decisions=False):
-            sl = np.zeros((space.n_states, C + 1))
-            sl[space.full_state] = row
+            sl = np.zeros((space.n_states, C + 1))  # in work order: the full pool last
+            sl[space.work_row[space.full_state]] = row
             return sl, None
         return build
 
@@ -219,6 +220,10 @@ def test_check_row_rejects_each_broken_boundary(monkeypatch):
         with pytest.raises(AssertionError, match=message):
             table.extend_to(2)
         assert table.R == 1
+    # a row on the floor at every budget passes
+    monkeypatch.setattr("shapsim.dp._build_slice", returning(expect - umax * np.arange(C + 1)))
+    on_floor.extend_to(2)
+    assert on_floor.R == 2
     # the same checks let the true row through
     monkeypatch.undo()
     table.extend_to(2)
@@ -456,6 +461,26 @@ def test_parallel_working_set_does_not_grow_with_R():
     assert peaks[1] <= peaks[0] * 1.05, peaks
 
 
+def test_row_working_set_does_not_grow_with_T():
+    # one row's build holds the same arrays at T = 10 and T = 1000; the
+    # least peak of a few consecutive steps leaves out the steps where the
+    # row buffer or the list of records grows
+    g = make_lb_game(8)
+    peaks = []
+    for T in (10, 1000):
+        table = dp_build(g, 0, T, 2, decisions=True)
+        steps = []
+        for _ in range(8):
+            tracemalloc.start()
+            try:
+                table.extend_to(table.R + 1)
+                steps.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        peaks.append(min(steps))
+    assert peaks[1] <= peaks[0] * 1.05, peaks
+
+
 def test_dp_adversary_plays_the_lockstep_abort_rule():
     # every (T, pool, drawn, c) cell of a game whose classes (2, 5) and
     # (3, 4) tie: the aborter is the smallest pool member, other than the
@@ -488,23 +513,28 @@ def test_dp_adversary_plays_the_lockstep_abort_rule():
                             T, pool, drawn, c)
 
 
-def _abort_rule_everywhere(space, sl: np.ndarray, C: int) -> np.ndarray:
-    """``abort_class`` at every (state, drawn class, c) cell; -1 where class d is empty."""
-    D = len(space.classes)
-    expect = np.full((space.n_states, D, C + 1), -1)
-    for sid in range(space.n_states):
-        counts = _counts_of(space, sid)
-        for d in np.flatnonzero(counts):
-            for c in range(C + 1):
-                expect[sid, d, c] = abort_class(space, sl, sid, counts, d, c)
+def _abort_rule_at(space, sl: np.ndarray, sid, d, c) -> np.ndarray:
+    """``abort_class`` at each (state, drawn class, c) cell; -1 where class d is empty."""
+    expect = np.full(len(sid), -1)
+    for i, (s, dd, cc) in enumerate(zip(sid.tolist(), d.tolist(), c.tolist())):
+        counts = _counts_of(space, s)
+        if counts[dd]:
+            expect[i] = abort_class(space, sl, s, counts, dd, cc)
     return expect
+
+
+def _every_cell(space, C: int):
+    """(state, drawn class, c) of every cell, as three flat arrays."""
+    return tuple(np.indices((space.n_states, len(space.classes), C + 1)).reshape(3, -1))
+
+
+def _abort_rule_everywhere(space, sl: np.ndarray, C: int) -> np.ndarray:
+    return _abort_rule_at(space, sl, *_every_cell(space, C))
 
 
 def _record_everywhere(table: DPTable, T: int) -> np.ndarray:
     """``table.abort_class`` at every cell, in one vectorised lookup."""
-    space = table.space
-    sid, d, c = np.indices((space.n_states, len(space.classes), table.C + 1))
-    return table.abort_class(T, sid, d, c)
+    return table.abort_class(T, *_every_cell(table.space, table.C))
 
 
 @pytest.mark.parametrize("game", [
@@ -572,40 +602,74 @@ def _tied_minima(space, sl) -> int:
     return ties
 
 
-def test_vectorized_builder_matches_reference_bitwise():
+def _class_count_game(n: int, classes, f, name: str) -> Game:
+    """A game whose value depends on how many members of each class a coalition holds."""
+    masks = [sum(1 << p for p in members) for members in classes]
+    return Game(n=n, utility=lambda mask: float(f(*(bin(mask & cm).count("1") for cm in masks))),
+                name=name, symmetry_classes=classes)
+
+
+# Games for the builder-against-reference test, with D = 1, 2, 3, 4, 5 and 14
+# classes besides the honest player, so both kernels of _build_slice run.
+BITWISE_GAMES = (
+    make_pair_game(5), make_lb_game(8), make_max_gamma_game(5),
+    make_lb_game(100),  # 2,550 states: the published-scale shape
+    # one symmetry class besides the honest player, so D = 1
+    Game(n=5, utility=lambda m: float(bin(m).count("1") ** 2), name="square",
+         symmetry_classes=((0, 1, 2, 3, 4),)),
+    # classes (3, 4) and (5, 6) play the same part, so their values tie
+    _class_count_game(7, ((0, 1, 2), (3, 4), (5, 6)),
+                      lambda h, a, b: (h + 1) ** 2 * (a + b) + a * b + 3 * min(a, b), "three"),
+    _class_count_game(8, ((0, 1), (2, 3), (4,), (5, 6, 7)),
+                      lambda h, a, b, e: (h + a) * (b + e) + 2 * a * e + (h + b) ** 2, "four"),
+    # players 2..5 are interchangeable singleton classes: neighbour values tie
+    # for the minimum, and a tied class can be the drawn one with one member
+    strip_classes(make_pair_game(6)),
+    make_collab_game(20),  # 57,344 states
+)
+
+
+def test_bitwise_games_cover_both_kernels():
+    from shapsim.dp import FLAT_MAX_CLASSES
+
+    # the widest game of each kernel, and one wider
+    widths = {len(StateSpace.build(g, 0).classes) for g in BITWISE_GAMES}
+    assert {1, 2, 3, FLAT_MAX_CLASSES} <= widths, widths
+    assert any(width > FLAT_MAX_CLASSES for width in widths), widths
+
+
+@pytest.mark.parametrize("game", BITWISE_GAMES, ids=lambda g: g.name)
+def test_vectorized_builder_matches_reference_bitwise(game):
     from oracles import _build_slice_reference
     from shapsim.dp import _build_slice
 
-    # one symmetry class besides the honest player, so D = 1
-    single = Game(n=5, utility=lambda m: float(bin(m).count("1") ** 2), name="square",
-                  symmetry_classes=((0, 1, 2, 3, 4),))
-    # players 2..5 are interchangeable singleton classes: neighbour values tie
-    # for the minimum, and a tied class can be the drawn one with one member
-    tied = strip_classes(make_pair_game(6))
-    games = (make_pair_game(5), make_lb_game(8), make_max_gamma_game(5),
-             make_collab_game(20), single, tied)
-    for g, C in itertools.product(games, (0, 1, 3)):
-        space = StateSpace.build(g, 0)
+    space = StateSpace.build(game, 0)
+    full = space.n_states <= 2550  # every cell's decision; else a fixed sample of cells
+    for C in (0, 1, 3):
         # a row rising in budget: when values fall in budget, as every
         # boundary row does, aborting in place of a draw from the best class
         # never beats accepting, so a wrong abort value there would not show
         prev = np.array([0.0, 3.0, 1.0, 4.0])[:C + 1]
         for _ in range(3 if space.n_states < 1000 else 1):  # chain a few sample indices
-            a, record = _build_slice(space, prev, C, decisions=True)
-            b = _build_slice_reference(space, prev, C)
-            assert a.shape == (space.n_states, C + 1)
-            assert np.array_equal(a, b), (g.name, C)
+            work, record = _build_slice(space, prev, C, decisions=True)
+            assert work.shape == (space.n_states, C + 1)
+            a = work[space.work_row]
+            assert np.array_equal(a, _build_slice_reference(space, prev, C)), (game.name, C)
             values_only = _build_slice(space, prev, C)
-            assert values_only[1] is None and np.array_equal(values_only[0], a)
-            if space.n_states < 1000:
-                played = DPTable(space=space, C=C, decisions=[record])
-                assert np.array_equal(_record_everywhere(played, 0),
-                                      _abort_rule_everywhere(space, a, C)), (g.name, C)
+            assert values_only[1] is None and np.array_equal(values_only[0], work)
+            played = DPTable(space=space, C=C, decisions=[record])
+            if full:
+                cells = _every_cell(space, C)
+            else:
+                rng = np.random.default_rng(13)
+                cells = tuple(rng.integers(0, top, 3000)
+                              for top in (space.n_states, len(space.classes), C + 1))
+            got = played.abort_class(0, *cells)
+            assert np.array_equal(got, _abort_rule_at(space, a, *cells)), (game.name, C)
+            assert C == 0 or np.any(got >= 0)
             prev = a[space.full_state]
-        if g is tied:
-            assert _tied_minima(space, a) > 0
-    assert len(StateSpace.build(make_collab_game(20), 0).classes) > 2
-    assert len(StateSpace.build(single, 0).classes) == 1
+    if game.name in ("three", "pair(n=6)-bitset"):
+        assert _tied_minima(space, a) > 0
 
 
 def _scalar_mu_star(space: StateSpace) -> np.ndarray:
