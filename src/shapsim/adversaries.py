@@ -86,10 +86,14 @@ class Adversary:
     ``(s,)`` of draws in ``[0, k)``, or shape ``(s, m)`` whose rows are
     bijections of ``0..m-1``.  Any other return makes every susceptible
     player a detected violator; in a well-shaped array, a bad entry or row
-    makes only its own player violate.  An open hook receives the
-    protocol's record of the commitments as a read-only mapping and returns
-    what :meth:`_abort` makes of it: the one place where a strategy aborts,
-    so a strategy that does not abort returns the record itself.
+    makes only its own player violate.  An open hook receives a read-only
+    mapping from each kept susceptible player to its committed value
+    (Python ints for draws, in ``susceptible`` order; tuples for
+    permutation rows) and returns what :meth:`_abort` makes of it: the one
+    place where a strategy aborts, so a strategy that does not abort
+    returns the mapping itself, and one that aborts returns a plain dict
+    from its ``copy()``.  The protocol judges every opening against its own
+    copy of the commitments, never against the mapping it handed out.
     One adversary instance is exclusively owned by one run at a time;
     :meth:`reset` rebinds it to a new run.
     """
@@ -130,7 +134,7 @@ class Adversary:
     @staticmethod
     def _drawn(view: PhaseView, commitments: Mapping, k: int) -> int:
         """The player that the opened draws of an elimination round pick."""
-        total = int(view.honest_revealed) + sum(int(v) for v in commitments.values())
+        total = int(view.honest_revealed) + sum(commitments.values())
         return view.active_set[total % k]
 
     # Full-permutation protocol hooks.

@@ -27,14 +27,19 @@ the adversary callback API rather than as simulated cryptography:
   shape or dtype) makes every susceptible player a detected violator.  In a
   well-shaped array the check is per entry: a draw outside ``[0, k)``, or a
   row that is not a bijection of ``0..m-1``, makes only that player
-  violate.  The protocol copies the array into its own immutable record
+  violate.  The protocol copies the array into values it holds itself
   (Python ints, tuples for permutation rows) and computes the outcome from
-  that record alone; the open hook receives a read-only view of it, so
-  nothing the hook does, to the record or to the array it committed, can
-  change what was committed.  :func:`_unfaithful` is the one open rule of
-  both protocols: an opening is the committed value (returning the record
-  itself opens everyone faithfully) or ``None`` (abort), and anything else
-  is a detected violation like an abort; nothing an adversary returns raises.
+  those alone.  The open hook receives a read-only mapping from each kept
+  player to its committed value: a :class:`types.MappingProxyType` of the
+  protocol's dict in :func:`naive_perm`, and in :func:`rand_elim` a
+  :class:`_Record` over the protocol's tuples of players and draws.
+  Openings are judged against the protocol's own values, never against the
+  object handed out, so nothing the hook does, to that object or to the
+  array it committed, can change what was committed.  :func:`_unfaithful`
+  is the one open rule of both protocols: an opening is the committed value
+  (returning the mapping itself opens everyone faithfully) or ``None``
+  (abort), and anything else is a detected violation like an abort; nothing
+  an adversary returns raises.
 * rushing - open-phase callbacks receive the honest player's opened value
   before the adversary decides which susceptible players abort.
 
@@ -50,6 +55,7 @@ P-sample costs the same however long the run has been going.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import index as _index, itemgetter
 from types import MappingProxyType
@@ -93,6 +99,9 @@ class PSampleOutcome:
         return self.order.index(player) + 1
 
 
+_NO_DEV: frozenset[int] = frozenset()  # shared by every round that detects no violator
+
+
 class ProtocolInfeasible(ValueError):
     """An adversary strategy cannot run against this configuration."""
 
@@ -118,20 +127,57 @@ def _as_draw(value, k: int) -> int | None:
     return draw if 0 <= draw < k else None
 
 
-def _unfaithful(opened, record: MappingProxyType, parse, arg) -> list[int]:
-    """The players whose opening in ``opened`` is not their value in ``record``.
+class _Record(Mapping):
+    """A read-only mapping over parallel tuples of players and their values.
 
-    Returning ``record`` itself opens everyone faithfully; a return that is
-    not a dict opens nobody.  Otherwise an opening is faithful when it is the
-    recorded value or ``parse(value, arg)`` equals it; ``None`` (an abort)
-    is never parsed.
+    It behaves like ``dict(zip(players, values))``: ``values()`` is the
+    ``values`` tuple itself, in ``players`` order, and :meth:`copy` returns
+    a plain dict.  A lookup scans ``players``.  The protocol that builds one
+    keeps its own references to both tuples and never reads them back from
+    the record, so rebinding the record's slots changes only the record.
+    """
+
+    __slots__ = ("_players", "_values")
+
+    def __init__(self, players: tuple, values: tuple):
+        self._players = players
+        self._values = values
+
+    def __getitem__(self, p):
+        try:
+            return self._values[self._players.index(p)]
+        except ValueError:
+            raise KeyError(p) from None
+
+    def __iter__(self):
+        return iter(self._players)
+
+    def __len__(self) -> int:
+        return len(self._players)
+
+    def values(self) -> tuple:
+        return self._values
+
+    def copy(self) -> dict:
+        return dict(zip(self._players, self._values))
+
+
+def _unfaithful(opened, record: Mapping, players, values, parse, arg) -> Sequence[int]:
+    """The players whose opening in ``opened`` is not their committed value.
+
+    ``players`` and ``values`` are the protocol's own parallel sequences of
+    kept players and committed values, and ``record`` is the read-only
+    mapping over them that the open hook received.  Returning ``record``
+    itself opens everyone faithfully; a return that is not a dict opens
+    nobody.  Otherwise an opening is faithful when it is the committed value
+    or ``parse(value, arg)`` equals it; ``None`` (an abort) is never parsed.
     """
     if opened is record:
-        return []
+        return ()
     if not isinstance(opened, dict):
-        return list(record)
+        return list(players)
     dev = []
-    for p, committed in record.items():
+    for p, committed in zip(players, values):
         value = opened.get(p)
         if value is not committed and (value is None or parse(value, arg) != committed):
             dev.append(p)
@@ -211,7 +257,7 @@ def naive_perm(
     opened = adversary.open_permutations(PhaseView(active, honest_perm), susceptible, record, m)
 
     perms = {**checked, honest: honest_perm}
-    for p in _unfaithful(opened, record, _as_perm, slots):
+    for p in _unfaithful(opened, record, checked, checked.values(), _as_perm, slots):
         dev.add(p)
         del perms[p]
     order = compose_order(active, perms)
@@ -252,24 +298,24 @@ def rand_elim(
     susceptible = _without(pool, honest)
 
     commitments = adversary.commit_draws(PhaseView(pool, None), susceptible, k)
-    dev = set()
+    players, dev = susceptible, _NO_DEV
     if _is_commit_array(commitments, (len(susceptible),)):
-        draws = commitments.tolist()  # protocol-held values
-        if not draws or 0 <= min(draws) and max(draws) < k:  # the common case, checked in bulk
-            committed = dict(zip(susceptible, draws))
-        else:
-            committed = {p: draw for p, draw in zip(susceptible, draws) if 0 <= draw < k}
-            dev = set(susceptible).difference(committed)
+        draws = tuple(commitments.tolist())  # protocol-held values
+        if draws and (min(draws) < 0 or max(draws) >= k):  # checked in bulk: rarely true
+            players = tuple(p for p, draw in zip(susceptible, draws) if 0 <= draw < k)
+            draws = tuple(draw for draw in draws if 0 <= draw < k)
+            dev = set(susceptible).difference(players)
     else:
-        draws, committed, dev = [], {}, set(susceptible)
+        players, draws, dev = (), (), set(susceptible)
 
-    record = MappingProxyType(committed)
+    record = _Record(players, draws)
     opened = adversary.open_draws(PhaseView(pool, honest_draw), susceptible, record, k)
 
-    dev.update(_unfaithful(opened, record, _as_draw, k))
-    if dev:
-        return min(dev), frozenset(dev)
-    return pool[((honest_draw or 0) + sum(draws)) % k], frozenset()
+    unfaithful = _unfaithful(opened, record, players, draws, _as_draw, k)
+    if dev or unfaithful:
+        dev = frozenset(dev).union(unfaithful)
+        return min(dev), dev
+    return pool[((honest_draw or 0) + sum(draws)) % k], _NO_DEV
 
 
 def seq_perm(
@@ -299,6 +345,7 @@ def seq_perm(
     r = 0
     while pool:
         draw = None if current_honest is None else int(floats[r] * len(pool))
+        # a module-level lookup, so a wrapper bound to ``protocols.rand_elim`` sees every round
         eliminated, dev = rand_elim(pool, current_honest, adversary, honest_rng,
                                     honest_draw=draw)
         if dev:  # the eliminated player is the lowest-id violator

@@ -21,6 +21,7 @@ from shapsim import (
     seq_perm,
     substream,
 )
+from shapsim.protocols import _Record
 
 
 # --- budgets -------------------------------------------------------------------
@@ -203,7 +204,7 @@ def _open_once(strategy: str, budget: int, chance: bool):
     # the outsider, which every strategy here answers by aborting player 1;
     # draw 0 picks the honest player
     pool, susceptible = (0, 1, 3), (1, 3)
-    record = MappingProxyType({1: 0, 3: 0})
+    record = _Record((1, 3), (0, 0))  # what rand_elim hands an open hook
     return adv, susceptible, record, adv.open_draws(
         PhaseView(pool, 2 if chance else 0), susceptible, record, 3)
 

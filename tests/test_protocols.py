@@ -282,10 +282,17 @@ class RecordEditor(PassiveAdversary):
     sending every slot to slot 0; in ``open_draws`` it replaces one
     committed draw, after seeing the honest draw, so that the sum
     eliminates the honest player.  Each refused edit is counted.
+
+    With ``rebind`` the draw is replaced by rebinding the record's values
+    slot with ``object.__setattr__``; the hook then opens the tampered
+    record itself (``"record"``) or its ``copy()`` (``"copy"``).  ``forged``
+    is the player whose draw it replaced and ``changed`` whether the forged
+    draw differs from the committed one.
     """
 
-    def __init__(self):
+    def __init__(self, rebind=None):
         super().__init__()
+        self.rebind = rebind
         self.refused = 0
 
     def open_permutations(self, view, susceptible, commitments, m):
@@ -296,13 +303,22 @@ class RecordEditor(PassiveAdversary):
         return commitments
 
     def open_draws(self, view, susceptible, commitments, k):
+        if view.honest_revealed is None or not commitments:
+            return commitments
         p = min(commitments)
         rest = view.honest_revealed + sum(v for q, v in commitments.items() if q != p)
-        try:
-            commitments[p] = (view.active_set.index(self.honest) - rest) % k
-        except TypeError:
-            self.refused += 1
-        return commitments
+        forged = (view.active_set.index(self.honest) - rest) % k
+        if self.rebind is None:
+            try:
+                commitments[p] = forged
+            except TypeError:
+                self.refused += 1
+            return commitments
+        self.forged, self.changed = p, forged != commitments[p]
+        values = tuple(forged if q == p else v for q, v in commitments.items())
+        object.__setattr__(commitments, "_values", values)
+        assert commitments[p] == forged and commitments.copy()[p] == forged  # the edit landed
+        return commitments if self.rebind == "record" else commitments.copy()
 
 
 def test_open_hook_cannot_rewrite_committed_permutations():
@@ -331,6 +347,86 @@ def test_open_hook_cannot_rewrite_committed_draws():
         bound = 1 / size
         assert hits / trials <= bound + 3 * math.sqrt(bound * (1 - bound) / trials), size
         assert adv.refused == trials
+
+
+@pytest.mark.parametrize("rebind", ["record", "copy"])
+def test_open_hook_that_rebinds_the_record_slots_changes_nothing(rebind):
+    editor, twin = RecordEditor(rebind), PassiveAdversary()
+    for adv in (editor, twin):
+        adv.reset(n=5, honest=4, rng=substream(36, "adversary"))
+    rngs = [substream(36, "honest"), substream(36, "honest")]
+    changed = 0
+    for _ in range(500):
+        out = rand_elim(range(5), 4, editor, rngs[0])
+        expected = rand_elim(range(5), 4, twin, rngs[1])
+        if rebind == "copy" and editor.changed:  # the forged opening is a detected violation
+            expected = (editor.forged, frozenset({editor.forged}))
+        assert out == expected
+        changed += editor.changed
+        if rebind == "record":
+            assert seq_perm(range(5), 4, editor, rngs[0]) == seq_perm(range(5), 4, twin, rngs[1])
+    assert changed > 300
+
+
+class RecordKeeper(Malformer):
+    """Commits like :class:`Malformer` and keeps the record its open hook got,
+    with the dict of in-range draws that the record should equal."""
+
+    def commit_draws(self, view, susceptible, k):
+        committed = super().commit_draws(view, susceptible, k)
+        self.expected = {p: d for p, d in zip(susceptible, committed.tolist()) if 0 <= d < k}
+        return committed
+
+    def open_draws(self, view, susceptible, commitments, k):
+        self.record = commitments
+        return commitments
+
+
+@pytest.mark.parametrize("bad", [(), (1,), (0, 3), (0, 1, 2, 3)],
+                         ids=["all-valid", "one-out", "two-out", "all-out"])
+def test_elimination_record_behaves_like_the_dict_of_kept_draws(bad):
+    for seed in range(10):
+        adv = RecordKeeper(bad, 5 + seed % 3)  # draws of k=5 and beyond are out of range
+        adv.reset(n=5, honest=4, rng=substream(35, seed, "adversary"))
+        _, dev = rand_elim(range(5), 4, adv, substream(35, seed, "honest"))
+        record, expected = adv.record, adv.expected
+        assert dev == frozenset(bad)  # the dropped players, and only they, violate
+        assert sorted(expected) == sorted(set(range(4)) - set(bad))
+        assert record == expected and expected == record and dict(record) == expected
+        assert len(record) == len(expected) and list(record) == list(expected)
+        assert list(record.keys()) == list(expected.keys())
+        assert list(record.values()) == list(expected.values())
+        assert all(type(v) is int for v in record.values())
+        assert list(record.items()) == list(expected.items())
+        assert record.items() == expected.items()
+        for p in [*range(6), -1, "x"]:
+            assert (p in record) == (p in expected)
+            assert record.get(p) == expected.get(p)
+            assert record.get(p, "absent") == expected.get(p, "absent")
+        with pytest.raises(KeyError):
+            record[4]  # the honest player is never in it
+        with pytest.raises(TypeError):
+            record[0] = 1
+        copy = record.copy()
+        assert type(copy) is dict and copy == expected
+        copy[min(expected, default=0)] = None  # the copy is the strategy's own
+        assert record == expected
+
+
+def test_seq_perm_plays_every_round_through_the_module_rand_elim(monkeypatch):
+    from shapsim import protocols
+    rounds = []
+    original = protocols.rand_elim
+
+    def counting(pool, *args, **kwargs):
+        rounds.append(len(pool))
+        return original(pool, *args, **kwargs)
+
+    monkeypatch.setattr(protocols, "rand_elim", counting)
+    adv, rng = passive(6, 2, seed=37)
+    for sample in range(1, 4):
+        seq_perm(range(6), 2, adv, rng)
+        assert rounds == [6, 5, 4, 3, 2, 1] * sample
 
 
 class ArrayEditor(PassiveAdversary):
