@@ -148,7 +148,8 @@ class Adversary:
 
     # Elimination protocol hooks.
     def commit_draws(self, view: PhaseView, susceptible, k: int) -> np.ndarray:
-        return (self._floats.take(len(susceptible)) * k).astype(np.int64)
+        # a float factor skips numpy's scalar conversion; exact for k < 2**53
+        return (self._floats.take(len(susceptible)) * float(k)).astype(np.int64)
 
     def open_draws(self, view: PhaseView, susceptible, commitments: Mapping, k: int) -> Mapping:
         return commitments  # faithful open
@@ -196,11 +197,11 @@ class CyclicShiftAdversary(Adversary):
         # rank is f_h[(slot_h + B') % m]; dropping the player holding
         # exponent e turns B into B - e, so the exponent that lands the
         # honest player on the rank-1 slot is directly computable.
-        x_star = list(view.honest_revealed).index(0)
+        x_star = view.honest_revealed.index(0)
         total_shift = (m * (m - 1) // 2) % m
         drop = (total_shift - (x_star - slot_h)) % m
         # drop == 0 is the zero-shift case: already least preferable
-        return self._abort(commitments, sorted(susceptible)[drop - 1] if drop else None)
+        return self._abort(commitments, susceptible[drop - 1] if drop else None)
 
 
 class EagerAbortAdversary(Adversary):

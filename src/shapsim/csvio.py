@@ -10,6 +10,8 @@ SCHEMA_COMMENT = "# schema-version: 1"
 
 def format_number(x) -> str:
     """12 significant digits, stable across platforms."""
+    if type(x) is float:  # the common case, and the text of the last line
+        return f"{x:.12g}"
     if isinstance(x, (int,)) and not isinstance(x, bool):
         return str(x)
     return f"{float(x):.12g}"

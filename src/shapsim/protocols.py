@@ -4,7 +4,9 @@ Three protocols produce permutation samples (P-samples):
 
 * :func:`naive_perm` - every player commits a full permutation, all are
   opened in a second round, and the opened permutations are composed in
-  ascending player-id order (earliest id applied first).
+  ascending player-id order (earliest id applied first).  The honest
+  player's permutation shuffles ``0..m-1`` with exactly the draws of
+  ``Generator.permutation(m)``, so it equals that call on the same stream.
 * :func:`rand_elim` - every player commits a number modulo the pool size;
   the opened sum picks one player to eliminate.
 * :func:`seq_perm` - repeated :func:`rand_elim` rounds fill the permutation
@@ -200,25 +202,6 @@ def _without(pool: tuple[int, ...], honest: int | None) -> tuple[int, ...]:
     return pool
 
 
-def compose_order(active: Sequence[int], perms: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-    """Compose submitted slot permutations and return the rank order.
-
-    Composition runs in ascending player-id order with the earliest player's
-    permutation applied first.  Player ``active[x]`` starts at slot ``x`` and
-    ends at slot ``g(x)``, which is its rank minus one.
-    """
-    m = len(active)
-    if m == 1:  # itemgetter of a single index returns a bare item, not a tuple
-        return tuple(active)
-    g = range(m)
-    for p in sorted(perms):
-        g = itemgetter(*g)(perms[p])
-    order = [0] * m
-    for x, p in enumerate(active):
-        order[g[x]] = p
-    return tuple(order)
-
-
 def naive_perm(
     active: Sequence[int],
     honest: int,
@@ -239,29 +222,48 @@ def naive_perm(
     if honest not in active:
         raise ValueError("the honest player must be in the active set")
     m = len(active)
-    honest_perm = tuple(honest_rng.permutation(m).tolist())
+    slots = list(range(m))
+    shuffled = slots.copy()
+    honest_rng.shuffle(shuffled)  # the draws of honest_rng.permutation(m)
+    honest_perm = tuple(shuffled)
     susceptible = _without(active, honest)
 
-    slots = list(range(m))
     commitments = adversary.commit_permutations(PhaseView(active, None), susceptible, m)
     if _is_commit_array(commitments, (len(susceptible), m)):
         # protocol-held record: a row is kept when it sorts to 0..m-1
-        checked = {p: tuple(row) for p, row, ordered in
-                   zip(susceptible, commitments.tolist(), np.sort(commitments, axis=1).tolist())
-                   if ordered == slots}
+        ordered = commitments.copy()
+        ordered.sort(axis=1)
+        checked = {p: tuple(row) for p, row, sorted_row in
+                   zip(susceptible, commitments.tolist(), ordered.tolist())
+                   if sorted_row == slots}
     else:
         checked = {}
-    dev = set(susceptible).difference(checked)
 
     record = MappingProxyType(checked)
     opened = adversary.open_permutations(PhaseView(active, honest_perm), susceptible, record, m)
+    unfaithful = _unfaithful(opened, record, checked, checked.values(), _as_perm, slots)
+    if unfaithful or len(checked) < len(susceptible):
+        dev = frozenset(susceptible).difference(checked).union(unfaithful)
+    else:
+        dev = _NO_DEV
 
-    perms = {**checked, honest: honest_perm}
-    for p in _unfaithful(opened, record, checked, checked.values(), _as_perm, slots):
-        dev.add(p)
-        del perms[p]
-    order = compose_order(active, perms)
-    return PSampleOutcome(order=order, dev=frozenset(dev))
+    if m == 1:  # itemgetter of a single index returns a bare item, not a tuple
+        return PSampleOutcome(order=active, dev=dev)
+    # Compose in ascending id order, earliest applied first: player
+    # active[x] starts at slot x and ends at slot g[x], its rank minus one.
+    g = range(m)
+    pending = honest_perm  # applied at the honest id's turn
+    for p, perm in checked.items():  # ascending id, as susceptible is
+        if pending is not None and p > honest:
+            g, pending = itemgetter(*g)(pending), None
+        if p not in dev:
+            g = itemgetter(*g)(perm)
+    if pending is not None:
+        g = itemgetter(*g)(pending)
+    order = [0] * m
+    for x, p in enumerate(active):
+        order[g[x]] = p
+    return PSampleOutcome(order=tuple(order), dev=dev)
 
 
 def rand_elim(

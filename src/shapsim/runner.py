@@ -119,10 +119,12 @@ class RunRecord:
         return float(self.x[self.honest])
 
     def to_csv(self) -> str:
-        rows = ((j, y, z, len(dev)) for j, (y, z, dev) in enumerate(self.per_sample, start=1))
+        # the rows render_csv would write, formatted one f-string per row
+        rows = "".join([f"{j},{format_number(y)},{format_number(z)},{len(dev)}\n"
+                        for j, (y, z, dev) in enumerate(self.per_sample, start=1)])
         trailer = [str(self.samples_used), str(self.violations), format_number(self.x_honest),
                    format_number(self.epsilon_hat), str(self.seed)]
-        return (render_csv(["j", "Y", "Z", "dev"], rows)
+        return (render_csv(["j", "Y", "Z", "dev"], ()) + rows
                 + "# trailer: R,V,x_honest,eps_hat,seed\n" + ",".join(trailer) + "\n")
 
 
@@ -166,11 +168,13 @@ def _p_samples(game: Game, protocol: str, adversary: Adversary, *, honest: int, 
     v = game.utility
     bank = _Bank(z=np.zeros(game.n))
     z = bank.z
+    bank_sample = bank.per_sample.append
+    players = tuple(range(game.n))
     pinned: list[int] = []
 
     while True:
         yield bank
-        active = [p for p in range(game.n) if p not in pinned] if pinned else list(range(game.n))
+        active = [p for p in players if p not in pinned] if pinned else players
         adversary.begin_sample(bank.samples)
         outcome: PSampleOutcome = sample_fn(active, honest, adversary, honest_rng)
         order = tuple(pinned) + outcome.order if pinned else outcome.order
@@ -184,13 +188,15 @@ def _p_samples(game: Game, protocol: str, adversary: Adversary, *, honest: int, 
                 x_honest_j = cur - prev
             mask |= 1 << p
             prev = cur
-        zj = outcome.violations_used * u_max_star
-        bank.per_sample.append((x_honest_j + zj, zj, outcome.dev))
-        bank.violations += outcome.violations_used
-        if outcome.dev:
+        dev = outcome.dev
+        used = len(dev)  # one violation per detected player
+        zj = used * u_max_star
+        bank_sample((x_honest_j + zj, zj, dev))
+        if used:
+            bank.violations += used
             bank.violating_samples += 1
             if punish == "perpetual":
-                pinned.extend(p for p in outcome.order if p in outcome.dev)
+                pinned.extend(p for p in outcome.order if p in dev)
         bank.samples += 1
 
 

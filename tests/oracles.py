@@ -269,6 +269,47 @@ def lockstep_reference(table, R: int, C: int, seed: int, run: int = 0) -> tuple[
     return x / R, len(aborted), aborted
 
 
+# --- full-permutation composition ------------------------------------------------
+
+def compose_order(active, perms: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """The rank order that composing ``perms`` over ``active`` gives.
+
+    Reference for ``naive_perm``: the permutations are applied in ascending
+    player-id order, earliest first.  Player ``active[x]`` starts at slot
+    ``x`` and ends at slot ``slot[x]``, which is its rank minus one.
+    """
+    slot = list(range(len(active)))
+    for p in sorted(perms):
+        slot = [perms[p][s] for s in slot]
+    order = [None] * len(active)
+    for x, p in enumerate(active):
+        order[slot[x]] = p
+    return tuple(order)
+
+
+class CommitWitness(Adversary):
+    """Mixin that keeps what the last full-permutation round showed and got:
+    the commit hook's return and the honest opening."""
+
+    def commit_permutations(self, view, susceptible, m):
+        self.committed = super().commit_permutations(view, susceptible, m)
+        return self.committed
+
+    def open_permutations(self, view, susceptible, commitments, m):
+        self.honest_row = view.honest_revealed
+        return super().open_permutations(view, susceptible, commitments, m)
+
+    def faithful_order(self, active, honest, dev) -> tuple[int, ...]:
+        """:func:`compose_order` over the rows of the players outside ``dev``
+        plus the honest row."""
+        perms = {honest: tuple(self.honest_row)}
+        susceptible = [p for p in sorted(active) if p != honest]
+        if not {*susceptible} <= dev:  # some row was kept, so the commit was an array
+            perms.update((p, tuple(row.tolist())) for p, row in zip(susceptible, self.committed)
+                         if p not in dev)
+        return compose_order(sorted(active), perms)
+
+
 # --- instrumented adversaries -------------------------------------------------
 
 class ScriptedAdversary(Adversary):

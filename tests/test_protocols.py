@@ -18,7 +18,7 @@ from shapsim import (
     seq_perm,
     substream,
 )
-from oracles import (BindingBreaker, JunkAdversary, Malformer, RecordingAdversary,
+from oracles import (BindingBreaker, CommitWitness, JunkAdversary, Malformer, RecordingAdversary,
                      ScriptedAdversary, malformed_commits, malformed_draws, malformed_perms)
 
 
@@ -32,10 +32,10 @@ class IdentityRng:
     """Stands in for the honest stream with a fixed permutation."""
 
     def __init__(self, perm):
-        self.perm = np.asarray(perm)
+        self.perm = list(perm)
 
-    def permutation(self, m):
-        return self.perm.copy()
+    def shuffle(self, x):
+        x[:] = self.perm
 
 
 class IdentityAdversary(PassiveAdversary):
@@ -710,14 +710,35 @@ class HostileAdversary(Adversary):
         return self._open(commitments, lambda v: None if v is None else np.int64(v))
 
 
+class HostileWitness(CommitWitness, HostileAdversary):
+    pass
+
+
+class JunkWitness(CommitWitness, JunkAdversary):
+    pass
+
+
+class ScriptedWitness(CommitWitness, ScriptedAdversary):
+    pass
+
+
 @settings(max_examples=300)
-@given(st.data(), st.sampled_from(["naive", "seq", "elim"]), st.integers(1, 6))
-def test_hostile_adversary_output_is_a_permutation_with_accounted_violations(data, protocol, n):
+@given(st.data(), st.sampled_from(["naive", "seq", "elim"]), st.integers(1, 6),
+       st.sampled_from(["hostile", "junk", "scripted"]), st.integers(0, 10_000))
+def test_hostile_adversary_output_is_a_permutation_with_accounted_violations(
+        data, protocol, n, kind, seed):
     honest = data.draw(st.integers(0, n - 1))
     active = sorted({honest} | data.draw(st.sets(st.integers(0, n - 1))))
-    adv = HostileAdversary(data)
-    adv.reset(n=n, honest=honest, rng=substream(26, "adversary"))
-    rng = substream(26, "honest")
+    aborts = set()
+    if kind == "hostile":
+        adv = HostileWitness(data)
+    elif kind == "junk":
+        adv = JunkWitness()
+    else:  # random aborts in the first round; the honest id is no record key
+        aborts = data.draw(st.sets(st.sampled_from(active)))
+        adv = ScriptedWitness({(0, 0): aborts})
+    adv.reset(n=n, honest=honest, rng=substream(26, seed, "adversary"))
+    rng = substream(26, seed, "honest")
     susceptible = frozenset(active) - {honest}
     if protocol == "elim":
         in_pool = data.draw(st.booleans())  # else a fully susceptible pool
@@ -730,6 +751,23 @@ def test_hostile_adversary_output_is_a_permutation_with_accounted_violations(dat
     assert sorted(out.order) == active
     assert out.violations_used == len(out.dev)
     assert out.dev <= susceptible
+    if protocol == "naive":
+        # the order is the reference composition of the faithful rows and the honest row
+        assert out.order == adv.faithful_order(active, honest, out.dev)
+        if kind == "scripted":
+            assert out.dev == aborts - {honest}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 100])
+def test_honest_permutation_takes_the_draws_of_generator_permutation(m):
+    adv = RecordingAdversary()
+    adv.reset(n=m, honest=m - 1, rng=substream(35, "adversary"))
+    rng, twin = substream(35, m, "honest"), substream(35, m, "honest")
+    for _ in range(2000 if m < 100 else 200):
+        naive_perm(range(m), m - 1, adv, rng)
+        assert adv.open_views.pop().honest_revealed == tuple(twin.permutation(m).tolist())
+    assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)  # holds arrays
+    assert rng.random() == twin.random()
 
 
 def test_junk_adversary_keeps_elimination_and_top_k_bounds():

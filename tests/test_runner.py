@@ -340,3 +340,21 @@ def test_run_record_csv_shape():
     assert len(data) == 5  # header + 3 samples + trailer
     assert lines[-2].startswith("# trailer:")
     assert lines[-1].split(",")[0] == "3"  # R in the trailer
+
+
+def test_run_record_csv_rows_are_the_generic_renderer_rows():
+    from shapsim.csvio import format_number, render_csv
+
+    values = [0, 7, -3, 2 ** 70, np.float64(0.1), np.float64(-0.0), np.float64(math.nan),
+              1e13, 1e-7, -0.0, math.nan, math.inf, 0.1 + 0.2, 1 / 3, 123456789012345.6]
+    per_sample = [(y, z, frozenset(range(j % 3))) for j, (y, z) in
+                  enumerate((y, z) for y in values for z in values)]
+    rec = RunRecord(x=np.array([0.25, 1e-7]), epsilon_hat=math.nan, per_sample=per_sample,
+                    samples_used=len(per_sample), violations=5, seed=9, honest=1)
+    rows = [(j, y, z, len(dev)) for j, (y, z, dev) in enumerate(per_sample, start=1)]
+    trailer = f"{len(per_sample)},5,{format_number(1e-7)},nan,9\n"
+    assert rec.to_csv() == (render_csv(["j", "Y", "Z", "dev"], rows)
+                            + "# trailer: R,V,x_honest,eps_hat,seed\n" + trailer)
+    for x in values + [True, np.int64(4), np.float32(0.1)]:
+        if not isinstance(x, int) or isinstance(x, bool):
+            assert format_number(x) == f"{float(x):.12g}"
