@@ -37,14 +37,12 @@ from .games import (
     Game,
     ShapleyReport,
     as_mask,
-    is_monotone,
     is_supermodular,
     marginal_contribution,
     mask_dtype,
     rank_expectation,
     shapley_exact,
     shapley_via_permutations,
-    verify_symmetry_classes,
 )
 from .hypergraph import Hypergraph, HypergraphFormatError, load_hypergraph, parse_hypergraph
 from .protocols import (

@@ -25,6 +25,14 @@ full-pool boundary column ``value[T][N][c]`` per ``T``; a table built for
 an adversary (``decisions=True``) also stores each ``T``'s optimal policy,
 a sparse record of the cells that abort and of the class each aborts.
 Both simulation engines play that record and compare no values.
+
+A row is built one size group of states at a time by the kernels in
+:mod:`shapsim.dp_kernels`, which also emit the record: each aborting cell
+with its class, found from the values they gathered for the row.  Games
+with few classes take a flat kernel that gathers every class per state;
+wider ones a budget-major kernel over a slot plan, in which each state
+lists only the classes its pool holds, in class order, so that empty
+classes cost nothing and each state's sum adds its terms in the same order.
 """
 
 from __future__ import annotations
@@ -78,18 +86,26 @@ FLAT_MAX_CLASSES = 3
 class SizeGroup(NamedTuple):
     """Gather plan of the ``g`` pool states with ``m`` players, work rows ``lo:hi``.
 
-    Each array has shape ``(D, g)``, indexed by class ``d``, then state:
-    ``nbr`` is the work row of the pool with one class-``d`` member
-    removed, or ``n_states`` when that class is empty; ``k`` is the class's
+    Each array has shape ``(J, g)``, indexed by slot ``j``, then state: slot
+    ``j`` of the group's ``s``-th state stands for class ``cls[j, s]``.
+    ``nbr`` is the work row of the pool with one member of that class
+    removed, or ``n_states`` when the class is empty; ``k`` is the class's
     remaining count and ``empty`` / ``shared`` are the masks ``k == 0`` /
-    ``k >= 2`` (``empty`` is the group's slice of :attr:`StateSpace.empty`).
-    The budget-major kernel gathers with these directly, and the flat
-    kernel's :class:`FlatPlan` is derived from them.
+    ``k >= 2``.  In the class plan (:attr:`StateSpace.plan`) slot ``j`` is
+    class ``j`` for every state, ``J = D`` and ``cls`` is ``None``; the flat
+    kernel's :class:`FlatPlan` is derived from it.  In the slot plan
+    (:meth:`StateSpace.slot_plan`), which the budget-major kernel gathers
+    with, slot ``j`` is a state's ``j``-th occupied class in ascending class
+    order and ``J`` is the most occupied classes among the group's states; a
+    state with fewer has padding slots, empty classes, which read the
+    ``inf`` sentinel and weigh 0.  The kernel maps an aborting cell's slots
+    back to classes with ``cls``.
     """
 
     m: int
     lo: int
     hi: int
+    cls: np.ndarray | None
     nbr: np.ndarray
     k: np.ndarray
     empty: np.ndarray
@@ -104,12 +120,14 @@ class StateSpace:
     state ``order[w]`` at work row ``w`` (``work_row`` is the inverse), so
     the honest-alone state comes first, the full pool last, and each size
     group is a contiguous run of work rows.  ``plan`` holds each size
-    group's gathers (:class:`SizeGroup`), and ``empty[d, w]`` is whether
-    the pool at work row ``w`` has no class-``d`` member.  Games with at
+    group's gathers over every class (:class:`SizeGroup`).  Games with at
     most ``FLAT_MAX_CLASSES`` classes build their rows with the flat
     kernel, whose plan for a budget cap ``C`` is made once per space and
-    ``C`` by :meth:`flat_plan`.  ``player_strides[p]`` is what player
-    ``p`` adds to a pool's state index (0 for the honest player).
+    ``C`` by :meth:`flat_plan`; wider games with the budget-major kernel,
+    over the slot plan that :meth:`slot_plan` makes on first use, in which
+    each state lists only the classes its pool holds.
+    ``player_strides[p]`` is what player ``p`` adds to a pool's state index
+    (0 for the honest player).
     """
 
     game: Game
@@ -124,9 +142,9 @@ class StateSpace:
     work_row: np.ndarray
     mu_work: np.ndarray
     order: np.ndarray
-    empty: np.ndarray
     plan: tuple[SizeGroup, ...]
     _flat_plans: dict = field(default_factory=dict, repr=False)
+    _slot_plan: tuple[SizeGroup, ...] | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, game: Game, honest: int, *, state_cap: int = DEFAULT_STATE_CAP) -> "StateSpace":
@@ -171,7 +189,6 @@ class StateSpace:
 
         count_type = np.min_scalar_type(int(totals.max(initial=0)))
         col_strides, col_radix = strides[:, None], totals[:, None] + 1
-        empty = np.ones((len(classes), n_states), dtype=bool)  # column 0: the honest alone
         plan = []
         for m in range(2, game.n + 1):
             lo, hi = starts[m - 1], starts[m]
@@ -181,13 +198,12 @@ class StateSpace:
             k = (group // col_strides % col_radix).astype(count_type)
             nbr = np.where(k >= 1, work_row[np.maximum(group - col_strides, 0)],
                            n_states).astype(work_row.dtype)
-            np.equal(k, 0, out=empty[:, lo:hi])
-            plan.append(SizeGroup(m, lo, hi, nbr, k, empty[:, lo:hi], k >= 2))
+            plan.append(SizeGroup(m, lo, hi, None, nbr, k, k == 0, k >= 2))
         player_strides = [0 if d < 0 else int(strides[d]) for d in class_of.tolist()]
         return cls(game=game, honest=honest, classes=classes, totals=totals,
                    strides=strides, n_states=n_states, class_of=class_of,
                    player_strides=player_strides, mu_star=mu_star, work_row=work_row,
-                   mu_work=mu_star[order], order=order, empty=empty, plan=tuple(plan))
+                   mu_work=mu_star[order], order=order, plan=tuple(plan))
 
     @property
     def full_state(self) -> int:
@@ -201,6 +217,19 @@ class StateSpace:
         if C not in self._flat_plans:
             self._flat_plans[C] = build_flat_plan(self, C)
         return self._flat_plans[C]
+
+    def slot_plan(self) -> tuple[SizeGroup, ...]:
+        """The budget-major kernel's plan over each state's occupied classes, made on first use."""
+        if self._slot_plan is None:
+            groups = []
+            for m, lo, hi, _, nbr, k, empty, _ in self.plan:
+                # a state's occupied classes in class order, then its empty ones
+                cls = np.argsort(empty, axis=0, kind="stable")[:int((~empty).sum(axis=0).max())]
+                k = np.take_along_axis(k, cls, axis=0)
+                groups.append(SizeGroup(m, lo, hi, cls.astype(np.min_scalar_type(len(nbr))),
+                                        np.take_along_axis(nbr, cls, axis=0), k, k == 0, k >= 2))
+            self._slot_plan = tuple(groups)
+        return self._slot_plan
 
 
 def _build_slice(space: StateSpace, prev_row: np.ndarray, C: int, *,
@@ -219,10 +248,10 @@ def _build_slice(space: StateSpace, prev_row: np.ndarray, C: int, *,
     state's sum adds the same terms in the same order.
     """
     if len(space.classes) <= FLAT_MAX_CLASSES:
-        values, cells = flat_rows(space, space.flat_plan(C), prev_row, C, decisions)
+        values, hits = flat_rows(space, space.flat_plan(C), prev_row, C, decisions)
     else:
-        values, cells = wide_rows(space, prev_row, C, decisions)
-    return values, None if cells is None else decision_record(space, values, cells, C)
+        values, hits = wide_rows(space, space.slot_plan(), prev_row, C, decisions)
+    return values, None if hits is None else decision_record(space, *hits, C)
 
 
 def _recorded(record: tuple, key):

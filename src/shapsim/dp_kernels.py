@@ -1,13 +1,16 @@
 """Row kernels of the optimal-adversary table: every pool state at one ``T``.
 
 Both kernels fill a slice in work order (see :class:`shapsim.dp.StateSpace`)
-from the previous full-pool boundary row, one size group after another,
-and return with it the flat cell index of each cell where aborting strictly
-beats accepting.  :func:`flat_rows` serves games with few classes from a
-per-``C`` gather plan on a state-major buffer; :func:`wide_rows` serves the
-rest on a budget-major work array.  :func:`decision_record` turns the hit
-cells of either into a decision record.  ``shapsim.dp._build_slice``
-chooses the kernel.
+from the previous full-pool boundary row, one size group after another.
+With decisions they also return, in ascending order, the flat cell index
+of each cell where aborting strictly beats accepting, and the class each
+such cell aborts from: the lowest class index among the tied minima of the
+abort candidates, the rule of :meth:`shapsim.dp.DPTable.abort_class`.
+:func:`flat_rows` serves games with few classes from a per-``C`` gather
+plan on a state-major buffer; :func:`wide_rows` serves the rest on a
+budget-major work array, over the slot plan, in which each state lists only
+the classes its pool holds.  :func:`decision_record` adds the sentinels.
+``shapsim.dp._build_slice`` chooses the kernel.
 """
 
 from __future__ import annotations
@@ -18,24 +21,24 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 if TYPE_CHECKING:
-    from .dp import StateSpace
+    from .dp import SizeGroup, StateSpace
 
 
 class FlatPlan(NamedTuple):
     """Gathers of the flat kernel for budgets ``0..C``.
 
     The kernel's buffer is state-major: slot ``w * (C + 1) + c`` holds work
-    row ``w`` at budget ``c``, and two sentinel slots follow, ``inf`` and
-    then zero.  A size group's cells are its (drawn class ``d``, state,
+    row ``w`` at budget ``c``; the zero slot and then ``C + 1`` ``inf``
+    slots follow.  A size group's cells are its (drawn class ``d``, state,
     budget ``c``) triples, class-major, so each class's cells are one
     contiguous run in the order of the group's own slots.  ``groups`` holds
     ``(m, take, weight, own, hit)`` per group.  ``take``, shape
     ``(D + 1, cells)``, gathers one value per cell in each row:
 
-    * row 0: class ``d``'s value one budget unit lower, where the class
-      keeps a member besides the drawn one (``k >= 2``), else ``inf``;
-    * rows ``1..D-1``: each other class's value one unit lower, in index
-      order, ``inf`` where that class is empty;
+    * rows ``0..D-1``: the abort candidates in class order, class ``j``'s
+      value one budget unit lower, ``inf`` where that class is empty; the
+      drawn class's own row is ``inf`` unless the class keeps a member
+      besides the drawn one (``k >= 2``);
     * row ``D``: the value with the drawn class-``d`` member removed
       (accepting).
 
@@ -44,50 +47,63 @@ class FlatPlan(NamedTuple):
     nothing and never beats accepting.  ``weight`` is the drawn class's
     count per cell, ``own`` the slice of the group's slots and ``hit`` that
     of its cells in a row's hit array; ``key`` maps each hit position to its
-    flat cell index in a decision record (see :class:`shapsim.dp.DPTable`).
+    flat cell index in a decision record (see :class:`shapsim.dp.DPTable`),
+    and ``cand[j, w * D + d] + c`` is the slot that row ``j`` of ``take``
+    reads for the cell of work row ``w``, drawn class ``d`` and budget
+    ``c >= 1``.
     """
 
     groups: tuple
     key: np.ndarray
+    cand: np.ndarray
 
 
 def build_flat_plan(space: StateSpace, C: int) -> FlatPlan:
     """The :class:`FlatPlan` of ``space`` for budgets ``0..C``."""
     D, C1 = len(space.classes), C + 1
-    inf_slot, zero_slot = space.n_states * C1, space.n_states * C1 + 1
+    zero_slot = space.n_states * C1
+    inf_slot = zero_slot + 1
     budget = np.arange(C1)
-    others = [[o for o in range(D) if o != d] for d in range(D)]
-    groups, keys, h0 = [], [], 0
-    for m, lo, hi, nbr, k, empty, shared in space.plan:
-        empty, shared = empty[:, :, None], shared[:, :, None]
-        slot = nbr[:, :, None].astype(np.intp) * C1 + budget  # (D, g, C + 1)
-        lower = np.where(~empty & (budget >= 1), slot - 1, inf_slot)
-        rows = [np.where(shared, lower, inf_slot)]
-        rows += [lower[[o[i] for o in others]] for i in range(D - 1)]
-        take = np.where(empty, zero_slot, np.stack([*rows, slot])).reshape(D + 1, -1)
+    own_row = (np.arange(D), np.arange(D))
+    # the honest-alone state, work row 0, is in no group and has no cells
+    groups, keys, cands, h0 = [], [], [np.full((D, D), inf_slot - 1)], 0
+    for m, lo, hi, _, nbr, k, empty, shared in space.plan:
+        # plus c >= 1: class j's slot at budget c - 1 (an inf slot if empty)
+        base = np.where(empty, inf_slot - 1, nbr.astype(np.intp) * C1 - 1)
+        cand = np.repeat(base[:, None], D, axis=1)  # cand[j, d, s]: candidate j, class d drawn
+        cand[own_row] = np.where(shared, base, inf_slot - 1)
+        rows = np.where(budget >= 1, cand[..., None] + budget, inf_slot)
+        accept = base[..., None] + 1 + budget
+        take = np.where(empty[:, :, None], zero_slot,
+                        np.concatenate([rows, accept[None]])).reshape(D + 1, -1)
         weight = np.repeat(k[:, :, None].astype(np.float64), C1, axis=2).ravel()
         h1 = h0 + len(weight)
         groups.append((float(m), take, weight, slice(lo * C1, hi * C1), slice(h0, h1)))
         keys.append(((np.arange(lo, hi)[:, None] * D + np.arange(D)[:, None, None]) * C1
                      + budget).ravel())
+        cands.append(cand.transpose(0, 2, 1).reshape(D, -1))
         h0 = h1
-    return FlatPlan(tuple(groups), np.concatenate(keys) if keys else np.empty(0, np.intp))
+    return FlatPlan(tuple(groups), np.concatenate(keys) if keys else np.empty(0, np.intp),
+                    np.concatenate(cands, axis=1))
 
 
 def flat_rows(space: StateSpace, plan: FlatPlan, prev_row: np.ndarray, C: int,
-             decisions: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The work-ordered slice and, with ``decisions``, the flat cell index of each hit.
+             decisions: bool) -> tuple[np.ndarray, tuple | None]:
+    """The work-ordered slice and, with ``decisions``, its hit cells and their classes.
 
-    The buffer is :class:`FlatPlan`'s: state-major, then the ``inf`` and
-    zero sentinel slots.  A group is one gather of its ``D + 1`` rows of
+    The buffer is :class:`FlatPlan`'s: state-major, then the zero and
+    ``inf`` sentinel slots.  A group is one gather of its ``D + 1`` rows of
     cells and a few operations on contiguous 1-D blocks: the minimum over the
     rows is the cheaper of aborting and accepting, and it is weighted by the
     class's count and added to the group's own slots one class after
-    another.
+    another.  The hits are put in cell order by a scatter into a mask over
+    all cells, and each hit's class is the first of its candidates, read
+    again from the buffer, to reach their minimum.
     """
     n_slots = space.n_states * (C + 1)
-    buf = np.empty(n_slots + 2, dtype=np.float64)
-    buf[n_slots:] = (math.inf, 0.0)
+    buf = np.empty(n_slots + C + 2, dtype=np.float64)
+    buf[n_slots] = 0.0
+    buf[n_slots + 1:] = math.inf
     values = buf[:n_slots].reshape(space.n_states, C + 1)
     # honest-drawn branch: the whole value of the honest-only state, and the
     # start of every other state's sum
@@ -108,12 +124,24 @@ def flat_rows(space: StateSpace, plan: FlatPlan, prev_row: np.ndarray, C: int,
         np.divide(acc, m, out=acc)
     if not decisions:
         return values, None
-    return values, np.sort(plan.key[np.flatnonzero(hits)])
+    in_order = np.zeros(space.n_states * D * (C + 1), dtype=bool)
+    in_order[plan.key[hits]] = True
+    cells = np.flatnonzero(in_order)
+    classes = np.zeros(len(cells), dtype=np.intp)  # with one class, every hit aborts from it
+    if D > 1:
+        pair, c = np.divmod(cells, C + 1)
+        near = buf[plan.cand[:, pair] + c]  # (D, hits): each hit's candidates in class order
+        best = near[0]
+        for j in range(1, D):  # the lowest class among the tied minima
+            below = near[j] < best
+            classes[below] = j
+            best = np.where(below, near[j], best)
+    return values, (cells, classes)
 
 
-def wide_rows(space: StateSpace, prev_row: np.ndarray, C: int,
-             decisions: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The work-ordered slice and, with ``decisions``, the flat cell index of each hit.
+def wide_rows(space: StateSpace, slots: tuple[SizeGroup, ...], prev_row: np.ndarray, C: int,
+             decisions: bool) -> tuple[np.ndarray, tuple | None]:
+    """The work-ordered slice and, with ``decisions``, its hit cells and their classes.
 
     The work array is budget-major, shape ``(C + 2, n_states + 1)``: column
     ``w`` holds work row ``w``, row ``1 + c`` budget ``c`` and row 0 is
@@ -121,62 +149,71 @@ def wide_rows(space: StateSpace, prev_row: np.ndarray, C: int,
     budget unit lower, and an abort with no budget left never wins; column
     ``n_states`` is the all-``inf`` sentinel.  Each operation on a group so
     runs over its states, which are contiguous, rather than over the few
-    budgets.
+    budgets.  ``slots`` is the slot plan (see :class:`shapsim.dp.SizeGroup`):
+    a state's slots are its occupied classes in ascending class order, then
+    padding, which reads the sentinel and adds zero, so the minima and the
+    sum are those over the state's classes in class order.  A hit's class is
+    that of the lowest slot among the tied minima of its candidates.
     """
     inf = math.inf
-    D = len(space.classes)
+    D, C1 = len(space.classes), C + 1
     work = np.empty((C + 2, space.n_states + 1), dtype=np.float64)
     work[0] = inf
     work[:, -1] = inf
     # honest-drawn branch: the whole value of the honest-only state, and the
     # start of every other state's sum
     np.add(space.mu_work, prev_row[:, None], out=work[1:, :-1])
-    # hits[row, d, c]: aborting beats accepting in that cell
-    hits = np.empty((space.n_states, D, C + 1), dtype=bool) if decisions else None
-    for m, lo, hi, nbr, k, empty, shared in space.plan:
-        near = work.take(nbr, axis=1)  # (C + 2, D, g): the pool without one class-d member
+    found, classes = [], []
+    for m, lo, hi, cls, nbr, k, empty, shared in slots:
+        J = len(nbr)
+        near = work.take(nbr, axis=1)  # (C + 2, J, g): the pool without one slot-j member
         lower, accept = near[:-1], near[1:]
-        # abort in place of a class-d draw: the best of the other classes,
-        # or of all classes when class d has a member besides the drawn one
-        abort = np.full(lower.shape, inf)
-        for d in range(1, D):  # best of the classes before d
-            np.minimum(abort[:, d - 1], lower[:, d - 1], out=abort[:, d])
-        for d in range(D - 2, -1, -1):  # and of the classes after d
-            rest = lower[:, D - 1] if d == D - 2 else np.minimum(rest, lower[:, d + 1])
-            np.minimum(abort[:, d], rest, out=abort[:, d])
+        # abort in place of a slot-j draw: the best of the other slots, or
+        # of all slots when slot j's class has a member besides the drawn one
+        abort = np.empty(lower.shape)
+        abort[:, 0] = inf
+        for j in range(1, J):  # best of the slots before j
+            np.minimum(abort[:, j - 1], lower[:, j - 1], out=abort[:, j])
+        for j in range(J - 2, -1, -1):  # and of the slots after j
+            rest = lower[:, J - 1] if j == J - 2 else np.minimum(rest, lower[:, j + 1])
+            np.minimum(abort[:, j], rest, out=abort[:, j])
         np.minimum(abort, lower, out=abort, where=shared)
         if decisions:
-            np.less(abort, accept, out=hits[lo:hi].transpose(2, 1, 0))
-        # the cheaper of accepting and aborting, weighted by the class's count
+            # hit[s, j, c], state-major: ascending cells, as the slots are in class order
+            hit = np.empty((hi - lo, J, C1), dtype=bool)
+            np.less(abort, accept, out=hit.transpose(2, 1, 0))
+            hit &= ~empty.T[:, :, None]  # a padding slot's accept is the sentinel inf
+            s, j, c = np.unravel_index(np.flatnonzero(hit), hit.shape)
+            near_c = lower[c, :, s]  # (hits, J): the candidates of each hit
+            other = ~shared[j, s]
+            near_c[np.flatnonzero(other), j[other]] = inf
+            found.append(((lo + s) * D + cls[j, s]) * C1 + c)
+            classes.append(cls[near_c.argmin(axis=1), s])
+        # the cheaper of accepting and aborting, weighted by the class's count;
+        # a padding slot's is finite and weighs 0 at c >= 1, where some other
+        # slot's value bounds its abort, but inf at c = 0, where no abort is
         contrib = np.minimum(accept, abort, out=abort)
-        np.copyto(contrib, 0.0, where=empty)
+        np.copyto(contrib[0], 0.0, where=empty)
         contrib *= k
         acc = work[1:, lo:hi]
-        for d in range(D):
-            acc = acc + contrib[:, d]
-        np.divide(acc, m, out=work[1:, lo:hi])
+        for j in range(J):
+            np.add(acc, contrib[:, j], out=acc)
+        np.divide(acc, m, out=acc)
     values = work[1:, :-1].T
     if not decisions:
         return values, None
-    # an empty class's accept is the sentinel inf, so it must not count as a
-    # hit; this also clears row 0, the honest-alone state, which no group fills
-    hits &= ~space.empty.T[:, :, None]
-    return values, np.flatnonzero(hits)
+    return values, (np.concatenate(found), np.concatenate(classes))
 
 
-def decision_record(space: StateSpace, values: np.ndarray, cells: np.ndarray, C: int) -> tuple:
-    """The decision record of the ascending hit ``cells`` of a work-ordered slice."""
+def decision_record(space: StateSpace, cells: np.ndarray, classes: np.ndarray, C: int) -> tuple:
+    """The decision record of a slice's ascending hit ``cells`` and their abort ``classes``."""
     D = len(space.classes)
     size = space.n_states * D * (C + 1)
-    row, d, c = np.unravel_index(cells, (space.n_states, D, C + 1))
-    # abort from the lowest-index class whose value one unit lower is the
-    # minimum among the classes that keep a member besides the drawn one
-    # (a hit has c >= 1: an abort with no budget left never wins)
-    sid = space.order[row][:, None]
-    counts = sid // space.strides % (space.totals + 1)
-    counts -= d[:, None] == np.arange(D)  # the drawn player is set aside
-    near = values[space.work_row[np.maximum(sid - space.strides, 0)], c[:, None] - 1]
-    lower = np.where(counts > 0, near, math.inf)
-    classes = lower.argmin(axis=1) if D else np.empty(0, dtype=np.intp)  # one player: no cell
-    return (np.append(cells, size).astype(np.min_scalar_type(size)),
-            np.append(classes, -1).astype(np.min_scalar_type(-D - 1)))
+    record = []
+    for part, sentinel, dtype in ((cells, size, np.min_scalar_type(size)),
+                                  (classes, -1, np.min_scalar_type(-D - 1))):
+        out = np.empty(len(part) + 1, dtype=dtype)
+        out[:-1] = part
+        out[-1] = sentinel
+        record.append(out)
+    return tuple(record)

@@ -66,8 +66,8 @@ class Game:
 
     ``symmetry_classes``, when declared by a constructor, partitions the
     players into interchangeable categories: permuting players inside one
-    class never changes the utility.  Declarations are verified exhaustively
-    by :func:`verify_symmetry_classes` for small ``n``, never inferred.
+    class never changes the utility.  Classes are declared, never inferred;
+    the test suite verifies the declarations of the built-in constructions.
 
     ``protocol_gamma`` optionally records the max-to-mean ratio that the
     named construction is conventionally analyzed with, which experiment
@@ -208,20 +208,6 @@ def shapley_exact(game: Game, *, force_exhaustive: bool = False) -> ShapleyRepor
     return _report_from(phi, u_max)
 
 
-def is_monotone(game: Game, *, tol: float = 1e-12) -> bool:
-    """Exhaustive monotonicity check (``n <= 12``)."""
-    if game.n > MAX_CHECK_PLAYERS:
-        raise ValueError(f"monotonicity check needs n<={MAX_CHECK_PLAYERS}; got n={game.n}")
-    table = value_table(game)
-    masks = np.arange(1 << game.n, dtype=np.int64)
-    scale = max(1.0, float(np.max(np.abs(table))))
-    for i in range(game.n):
-        without = masks[(masks >> i) & 1 == 0]
-        if np.any(table[without | (1 << i)] < table[without] - tol * scale):
-            return False
-    return True
-
-
 def is_supermodular(game: Game, *, tol: float = 1e-12) -> bool:
     """Exhaustive supermodularity check (``n <= 12``).
 
@@ -264,35 +250,6 @@ def rank_expectation(game: Game, i: int, rank: int) -> float:
         total += marginal_contribution(game, i, as_mask(combo))
         count += 1
     return total / count
-
-
-def verify_symmetry_classes(game: Game, *, tol: float = 1e-12) -> bool:
-    """Exhaustively verify the declared symmetry classes (``n <= 12``).
-
-    Players in one class are exchangeable: swapping any two of them inside
-    any subset leaves the utility unchanged.
-    """
-    if game.symmetry_classes is None:
-        return True
-    if game.n > MAX_CHECK_PLAYERS:
-        raise ValueError(f"symmetry verification needs n<={MAX_CHECK_PLAYERS}; got n={game.n}")
-    seen = sorted(p for cls in game.symmetry_classes for p in cls)
-    if seen != list(range(game.n)):
-        raise ValueError("symmetry classes must partition the player set")
-    table = value_table(game)
-    masks = np.arange(1 << game.n, dtype=np.int64)
-    scale = max(1.0, float(np.max(np.abs(table))))
-    for cls in game.symmetry_classes:
-        members = sorted(cls)
-        for a, b in zip(members, members[1:]):
-            bit_a, bit_b = 1 << a, 1 << b
-            # Only masks containing a but not b need checking; the rest are
-            # fixed points or mirror images of these.
-            sel = masks[(masks & bit_a != 0) & (masks & bit_b == 0)]
-            swapped = (sel ^ bit_a) | bit_b
-            if np.any(np.abs(table[sel] - table[swapped]) > tol * scale):
-                return False
-    return True
 
 
 def shapley_via_permutations(game: Game) -> np.ndarray:

@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from shapsim import Adversary, Game, Hypergraph, as_mask, make_synergy_game, substream
+from shapsim.games import MAX_CHECK_PLAYERS, value_table
 
 
 # --- random game generators -------------------------------------------------
@@ -79,6 +80,49 @@ def supermodular_by_definition(game: Game, tol: float = 1e-12) -> bool:
     for s in range(1 << n):
         for t in range(s, 1 << n):
             if v[s] + v[t] > v[s | t] + v[s & t] + tol * scale:
+                return False
+    return True
+
+
+def is_monotone(game: Game, *, tol: float = 1e-12) -> bool:
+    """Exhaustive monotonicity check (``n <= 12``)."""
+    if game.n > MAX_CHECK_PLAYERS:
+        raise ValueError(f"monotonicity check needs n<={MAX_CHECK_PLAYERS}; got n={game.n}")
+    table = value_table(game)
+    masks = np.arange(1 << game.n, dtype=np.int64)
+    scale = max(1.0, float(np.max(np.abs(table))))
+    for i in range(game.n):
+        without = masks[(masks >> i) & 1 == 0]
+        if np.any(table[without | (1 << i)] < table[without] - tol * scale):
+            return False
+    return True
+
+
+def verify_symmetry_classes(game: Game, *, tol: float = 1e-12) -> bool:
+    """Exhaustively verify the declared symmetry classes (``n <= 12``).
+
+    Players in one class are exchangeable: swapping any two of them inside
+    any subset leaves the utility unchanged.
+    """
+    if game.symmetry_classes is None:
+        return True
+    if game.n > MAX_CHECK_PLAYERS:
+        raise ValueError(f"symmetry verification needs n<={MAX_CHECK_PLAYERS}; got n={game.n}")
+    seen = sorted(p for cls in game.symmetry_classes for p in cls)
+    if seen != list(range(game.n)):
+        raise ValueError("symmetry classes must partition the player set")
+    table = value_table(game)
+    masks = np.arange(1 << game.n, dtype=np.int64)
+    scale = max(1.0, float(np.max(np.abs(table))))
+    for cls in game.symmetry_classes:
+        members = sorted(cls)
+        for a, b in zip(members, members[1:]):
+            bit_a, bit_b = 1 << a, 1 << b
+            # Only masks containing a but not b need checking; the rest are
+            # fixed points or mirror images of these.
+            sel = masks[(masks & bit_a != 0) & (masks & bit_b == 0)]
+            swapped = (sel ^ bit_a) | bit_b
+            if np.any(np.abs(table[sel] - table[swapped]) > tol * scale):
                 return False
     return True
 

@@ -537,12 +537,28 @@ def _record_everywhere(table: DPTable, T: int) -> np.ndarray:
     return table.abort_class(T, *_every_cell(table.space, table.C))
 
 
+def _class_count_game(n: int, classes, f, name: str) -> Game:
+    """A game whose value depends on how many members of each class a coalition holds."""
+    masks = [sum(1 << p for p in members) for members in classes]
+    return Game(n=n, utility=lambda mask: float(f(*(bin(mask & cm).count("1") for cm in masks))),
+                name=name, symmetry_classes=classes)
+
+
+# multi-member classes beside singletons, D = 4: a wide game
+FOUR = _class_count_game(8, ((0, 1), (2, 3), (4,), (5, 6, 7)),
+                         lambda h, a, b, e: (h + a) * (b + e) + 2 * a * e + (h + b) ** 2, "four")
+
+
 @pytest.mark.parametrize("game", [
     # classes (2, 5) and (3, 4) tie for the minimum
     Game(n=6, utility=make_pair_game(6).utility, name="tied",
          symmetry_classes=((0,), (1,), (2, 5), (3, 4))),
     make_lb_game(8),
-], ids=["tied", "lb8"])
+    # wide games, whose classes come from the budget-major kernel: tied
+    # singleton classes (D = 5), and FOUR (D = 4)
+    strip_classes(make_pair_game(6)),
+    FOUR,
+], ids=["tied", "lb8", "pair6-bitset", "four"])
 def test_decision_record_is_the_abort_rule_in_every_cell(game):
     R, C = 20, 2
     table = dp_build(game, 0, R, C, decisions=True)
@@ -602,13 +618,6 @@ def _tied_minima(space, sl) -> int:
     return ties
 
 
-def _class_count_game(n: int, classes, f, name: str) -> Game:
-    """A game whose value depends on how many members of each class a coalition holds."""
-    masks = [sum(1 << p for p in members) for members in classes]
-    return Game(n=n, utility=lambda mask: float(f(*(bin(mask & cm).count("1") for cm in masks))),
-                name=name, symmetry_classes=classes)
-
-
 # Games for the builder-against-reference test, with D = 1, 2, 3, 4, 5 and 14
 # classes besides the honest player, so both kernels of _build_slice run.
 BITWISE_GAMES = (
@@ -620,8 +629,7 @@ BITWISE_GAMES = (
     # classes (3, 4) and (5, 6) play the same part, so their values tie
     _class_count_game(7, ((0, 1, 2), (3, 4), (5, 6)),
                       lambda h, a, b: (h + 1) ** 2 * (a + b) + a * b + 3 * min(a, b), "three"),
-    _class_count_game(8, ((0, 1), (2, 3), (4,), (5, 6, 7)),
-                      lambda h, a, b, e: (h + a) * (b + e) + 2 * a * e + (h + b) ** 2, "four"),
+    FOUR,
     # players 2..5 are interchangeable singleton classes: neighbour values tie
     # for the minimum, and a tied class can be the drawn one with one member
     strip_classes(make_pair_game(6)),
@@ -636,6 +644,31 @@ def test_bitwise_games_cover_both_kernels():
     widths = {len(StateSpace.build(g, 0).classes) for g in BITWISE_GAMES}
     assert {1, 2, 3, FLAT_MAX_CLASSES} <= widths, widths
     assert any(width > FLAT_MAX_CLASSES for width in widths), widths
+
+
+def test_slot_plan_lists_each_pools_classes_in_class_order():
+    # a state's slots are its occupied classes in ascending class order, then
+    # padding: the order that keeps each state's sum the reference's
+    space = StateSpace.build(make_collab_game(20), 0)
+    assert len(space.classes) == 14
+    for m, lo, hi, cls, nbr, k, empty, shared in space.slot_plan():
+        sid = space.order[lo:hi]
+        counts = sid // space.strides[:, None] % (space.totals[:, None] + 1)  # (D, g)
+        held = np.count_nonzero(counts, axis=0)
+        assert np.all(1 + counts.sum(axis=0) == m)
+        assert len(cls) == held.max()  # J
+        real = np.arange(len(cls))[:, None] < held  # (J, g): slot j lists a class
+        cls = cls.astype(np.intp)
+        assert np.all(np.diff(cls, axis=0)[real[1:]] > 0)
+        held_counts = np.take_along_axis(counts, cls, axis=0)
+        assert np.all(held_counts[real] > 0)
+        assert np.array_equal(k, np.where(real, held_counts, 0))
+        assert np.array_equal(empty, ~real) and np.array_equal(shared, k >= 2)
+        # a listed class's neighbour is the pool with one member fewer; padding
+        # reads the inf sentinel column
+        assert np.all(nbr[~real] == space.n_states)
+        rows = np.broadcast_to(sid, cls.shape)[real]
+        assert np.array_equal(space.order[nbr[real]], rows - space.strides[cls[real]])
 
 
 @pytest.mark.parametrize("game", BITWISE_GAMES, ids=lambda g: g.name)

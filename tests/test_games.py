@@ -8,7 +8,6 @@ from shapsim import (
     Game,
     Hypergraph,
     as_mask,
-    is_monotone,
     is_supermodular,
     make_collab_game,
     make_lb_game,
@@ -20,16 +19,17 @@ from shapsim import (
     rank_expectation,
     shapley_exact,
     shapley_via_permutations,
-    verify_symmetry_classes,
 )
 from shapsim.games import VALUES_BLOCK, value_table
 from oracles import (
+    is_monotone,
     random_hypergraph,
     random_monotone_game,
     random_simple_graph,
     random_supermodular_game,
     shapley_by_subset_formula,
     supermodular_by_definition,
+    verify_symmetry_classes,
 )
 
 TRIANGLE = Hypergraph(n=3, edges=(
