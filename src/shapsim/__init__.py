@@ -16,7 +16,6 @@ from .adversaries import (
     PassiveAdversary,
 )
 from .builtin_games import (
-    COLLAB_GAMMA,
     collab_stand_in_hypergraph,
     make_collab_game,
     make_lb_game,

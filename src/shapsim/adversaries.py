@@ -64,9 +64,9 @@ class _UniformBuffer:
 
     __slots__ = ("rng", "buf", "pos")
 
-    def __init__(self, rng: np.random.Generator, size: int = 4096):
+    def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.buf = rng.random(size)
+        self.buf = rng.random(4096)
         self.pos = 0
 
     def take(self, k: int) -> np.ndarray:

@@ -216,7 +216,6 @@ _COLLAB_SIDE_EDGES = (
     (1.0, (9, 13)),
 )
 COLLAB_CORE_SIZE = 14
-COLLAB_GAMMA = 60.0 / 19.0
 
 
 def collab_stand_in_hypergraph(n_total: int = COLLAB_CORE_SIZE) -> Hypergraph:

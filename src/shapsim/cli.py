@@ -341,15 +341,14 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 VERIFY_MARGIN = 0.1  # fraction past the crossover that min_samples_scan re-checks
 
 
-def min_samples_scan(game: Game, honest: int, C: int, eps: float, *,
-                     r_max: int) -> tuple[int, "object"]:
+def min_samples_scan(game: Game, honest: int, C: int, eps: float, *, r_max: int) -> int:
     """Smallest sample count whose worst-case mean reward is within ``eps``.
 
     Extends the boundary pass one sample at a time and returns the first
     ``R`` with ``value[R-1][N][C] / R >= (1 - eps) * phi``; then keeps
     scanning ``VERIFY_MARGIN`` further to confirm the criterion stays
     satisfied.  Exhausting ``r_max`` without crossing raises
-    :class:`SampleCapExceeded` carrying the scanned ratios.
+    :class:`SampleCapExceeded` naming the best ratio scanned.
     """
     phi = float(shapley_exact(game).phi[honest])
     threshold = (1.0 - eps) * phi
@@ -361,64 +360,54 @@ def min_samples_scan(game: Game, honest: int, C: int, eps: float, *,
             crossover = R
             break
     if crossover is None:
-        ratios = [(R, table.rows[R - 1][C] / R) for R in range(1, r_max + 1)]
-        exc = SampleCapExceeded(
-            f"no crossover within r_max={r_max}: best ratio "
-            f"{max(r for _, r in ratios):.6g} vs threshold {threshold:.6g}"
-        )
-        exc.scanned = ratios
-        raise exc
+        best = (table.rows[:, C] / np.arange(1, r_max + 1)).max()
+        raise SampleCapExceeded(f"no crossover within r_max={r_max}: best ratio "
+                                f"{best:.6g} vs threshold {threshold:.6g}")
     verify_to = min(r_max, math.ceil(crossover * (1.0 + VERIFY_MARGIN)))
-    table.extend_to(max(verify_to, crossover))
+    table.extend_to(verify_to)
     for R in range(crossover, verify_to + 1):
         if table.rows[R - 1][C] / R < threshold:
             raise AssertionError(
                 f"worst-case ratio dipped back below threshold at R={R}; "
                 "crossover is not stable"
             )
-    return crossover, table
+    return crossover
 
 
 def cmd_min_samples(cfg: ExperimentConfig) -> int:
-    C = _count(cfg["budget"])
     sweep = cfg["sweep"]
-    param, values = "-", [math.nan]
+    param, runs = "-", [("", cfg)]  # (value, config) per row
     if sweep is not None:
-        param, eq, listed = sweep.partition("=")
-        param = param.strip()
+        param, eq, listed = (part.strip() for part in sweep.partition("="))
         if not eq:
             raise ConfigError(f"bad sweep spec {sweep!r}; expected 'param=v1,v2,...'")
         key = {"n": "n", "C": "budget", "eps": "eps"}.get(param)  # whose parse the values take
         if key is None:
             raise ConfigError(f"sweep parameter must be n, C, or eps, not {param!r}")
-        values = [_parse_value(key, v) for v in listed.split(",")]
-        if param == "C":
-            values = [_count(v) for v in values]
-    eps = cfg["eps"]
-    if eps is None:
-        if param != "eps":
+        values = [_parse_value(key, text) for text in listed.split(",")]
+        runs = [(value, ExperimentConfig({**cfg.values, key: value})) for value in values]
+
+    scans, headers = [], []  # every run is checked before any scan starts
+    for value, run in runs:
+        eps = run["eps"]
+        if eps is None:
             raise ConfigError("min-samples needs eps")
-        eps = values[0]  # swept values supply it
-    games = ([ExperimentConfig({**cfg.values, "n": n}).build_game() for n in values]
-             if param == "n" else [cfg.build_game()] * len(values))
-    game, honest = games[0]
+        C = _count(run["budget"])
+        game, honest = run.build_game()
+        report = shapley_exact(game)
+        gamma_h = report.u_max[honest] / report.phi[honest] if report.phi[honest] > 0 else 1.0
+        r_max = run["r_max"] or math.ceil(2.0 * gamma_h * max(C, 1) / eps) + 8
+        _gate_full_scale(run, r_max, DESK_SCAN_BUDGET,
+                         f"the scan at {param}={format_number(value)}" if sweep else "the scan")
+        scans.append((value, game, honest, C, eps, r_max))
+        headers.append((f"game = {game.name}", f"honest = {honest}",
+                        f"eps = {format_number(eps)}", f"C = {C}"))
 
-    rows = []
-    for value, (g, h) in zip(values, games):
-        c_run = value if param == "C" else C
-        eps_run = value if param == "eps" else eps
-        report = shapley_exact(g)
-        gamma_h = report.u_max[h] / report.phi[h] if report.phi[h] > 0 else 1.0
-        default_r_max = math.ceil(2.0 * gamma_h * max(c_run, 1) / eps_run) + 8
-        r_max = default_r_max if cfg["r_max"] is None else cfg["r_max"]
-        _gate_full_scale(cfg, r_max, DESK_SCAN_BUDGET, f"the scan at {param}={value}")
-        min_r, _ = min_samples_scan(g, h, c_run, eps_run, r_max=r_max)
-        rows.append((param, value if param != "-" else "", min_r))
-
-    text = render_csv(["parameter", "value", "min_R"], rows,
-                      comments=[f"game = {game.name}", f"honest = {honest}",
-                                f"eps = {format_number(eps)}", f"C = {C}"])
-    write_text(cfg.out_path("min_samples.csv"), text)
+    rows = [(param, value, min_samples_scan(game, honest, C, eps, r_max=r_max))
+            for value, game, honest, C, eps, r_max in scans]
+    shared = [lines[0] for lines in zip(*headers) if len(set(lines)) == 1]  # true of every row
+    write_text(cfg.out_path("min_samples.csv"),
+               render_csv(["parameter", "value", "min_R"], rows, comments=shared))
     return EXIT_OK
 
 

@@ -53,7 +53,7 @@ LOCKSTEP_CHUNK = 64  # P-sample indices that parallel_runs draws and plays as on
 
 
 class StateCapExceeded(ValueError):
-    """The compressed state space would not fit in the configured cap."""
+    """The compressed state space would exceed ``DEFAULT_STATE_CAP`` states."""
 
 
 def _pool_classes(game: Game, honest: int) -> tuple[tuple[int, ...], ...]:
@@ -147,14 +147,14 @@ class StateSpace:
     _slot_plan: tuple[SizeGroup, ...] | None = field(default=None, repr=False)
 
     @classmethod
-    def build(cls, game: Game, honest: int, *, state_cap: int = DEFAULT_STATE_CAP) -> "StateSpace":
+    def build(cls, game: Game, honest: int) -> "StateSpace":
         classes = _pool_classes(game, honest)
         totals = np.array([len(c) for c in classes], dtype=np.int64)
         n_states = int(np.prod(totals + 1))
-        if n_states > state_cap:
+        if n_states > DEFAULT_STATE_CAP:
             raise StateCapExceeded(
-                f"{n_states} states needed, cap is {state_cap}; "
-                "declare symmetry classes or raise the cap"
+                f"{n_states} states needed, cap is {DEFAULT_STATE_CAP}; "
+                "declare symmetry classes"
             )
         strides = np.ones(len(classes), dtype=np.int64)
         for d in range(len(classes) - 2, -1, -1):
@@ -392,11 +392,11 @@ class DPTable:
 
 
 def dp_build(game: Game, honest: int, R: int, C: int, *,
-             decisions: bool = False, state_cap: int = DEFAULT_STATE_CAP) -> DPTable:
+             decisions: bool = False) -> DPTable:
     """Build boundary rows for ``R`` P-samples and budgets ``0..C``, and decisions if asked."""
     if C < 0 or R < 1:
         raise ValueError("need R >= 1 and C >= 0")
-    space = StateSpace.build(game, honest, state_cap=state_cap)
+    space = StateSpace.build(game, honest)
     table = DPTable(space=space, C=C, decisions=[] if decisions else None)
     try:
         report = shapley_exact(game)

@@ -235,7 +235,7 @@ def test_c08_sample_complexity_bracket_and_trends():
     from shapsim.cli import min_samples_scan
 
     game = make_lb_game(10)
-    min_r, _ = min_samples_scan(game, 0, C=2, eps=0.05, r_max=600)
+    min_r = min_samples_scan(game, 0, C=2, eps=0.05, r_max=600)
     n_c_over_10eps = 10 * 2 / (10 * 0.05)
     gamma_c_over_eps = 10 * 2 / 0.05
     assert n_c_over_10eps == 40 and gamma_c_over_eps == 400
@@ -246,7 +246,7 @@ def test_c08_sample_complexity_bracket_and_trends():
     table = {}
     for c in grid_c:
         for e in grid_eps:
-            table[c, e], _ = min_samples_scan(game, 0, C=c, eps=e, r_max=3000)
+            table[c, e] = min_samples_scan(game, 0, C=c, eps=e, r_max=3000)
     for e in grid_eps:
         rs = [table[c, e] for c in grid_c]
         assert rs == sorted(rs), f"not monotone in budget at eps={e}: {rs}"

@@ -9,7 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shapsim.cli import EXIT_CAP, EXIT_CONFIG, EXIT_OK, _merge_config, build_parser, main
+from shapsim import cli
+from shapsim.cli import (EXIT_CAP, EXIT_CONFIG, EXIT_OK, _count, _merge_config, build_parser,
+                         main)
+from shapsim.csvio import format_number
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data" / "collab_reconstruction.hg"
@@ -181,6 +184,48 @@ def test_min_samples_exhausted_range_exit_3(tmp_path):
     assert rc == EXIT_CAP
 
 
+SWEPT_FLAG = {"n": "--n", "C": "--budget", "eps": "--eps"}
+
+
+@pytest.mark.parametrize("args", [
+    ["--hypergraph", DATA, "--honest", "0", "--padding", "6", "--eps", "0.1", "--budget", "2"],
+    ["--game", "lb", "--n", "10", "--eps", "0.05", "--sweep", "C=1,2,4"],
+    ["--game", "lb", "--n", "10", "--budget", "2", "--sweep", "eps=0.1,0.05,0.025"],
+    ["--game", "lb", "--eps", "0.05", "--budget", "2", "--sweep", "n=8,12,16"],
+], ids=["no-sweep", "sweep-C", "sweep-eps", "sweep-n"])
+def test_min_samples_header_states_what_every_row_shares(tmp_path, args):
+    # the demo 05 runs: a row's setting is the run's flags with the row's
+    # swept value given as the plain flag; the header states a setting
+    # exactly when every row has the same one
+    out = tmp_path / "m.csv"
+    assert run(["min-samples", *args, "--out", out]) == EXIT_OK
+    lines = read(out).splitlines()
+    header = dict(l[2:].split(" = ") for l in lines if l.startswith("# ") and " = " in l)
+    settings = []
+    for param, value, _ in [l.split(",") for l in lines if not l.startswith("#")][1:]:
+        flag = [SWEPT_FLAG[param], value] if param != "-" else []
+        cfg = _merge_config(build_parser().parse_args(["min-samples", *map(str, args), *flag]))
+        game, honest = cfg.build_game()
+        settings.append({"game": game.name, "honest": str(honest),
+                         "eps": format_number(cfg["eps"]), "C": str(_count(cfg["budget"]))})
+    shared = {key: settings[0][key] for key in settings[0]
+              if all(row[key] == settings[0][key] for row in settings)}
+    assert header == shared
+
+
+def test_min_samples_checks_every_run_before_scanning(tmp_path, capsys, monkeypatch):
+    # the third value's scan needs more rows than the desk budget allows, so
+    # the run exits 2 before the first value is scanned
+    scanned = []
+    monkeypatch.setattr(cli, "min_samples_scan", lambda *args, **kw: scanned.append(args))
+    out = tmp_path / "m.csv"
+    assert run(["min-samples", "--game", "lb", "--n", "10", "--eps", "0.01",
+                "--sweep", "C=1,2,400", "--out", out]) == EXIT_CONFIG
+    assert "the scan at C=400" in capsys.readouterr().err
+    assert scanned == []
+    assert not out.exists()
+
+
 # --- cdf ------------------------------------------------------------------------------------
 
 def test_cdf_passive_mass_near_zero(tmp_path):
@@ -240,8 +285,7 @@ def test_min_samples_synergy_flat_in_n(tmp_path):
         core = Hypergraph(n=3, edges=((frozenset({0, 1, 2}), 3.0),)).padded(n)
         classes = ((0,), (1,), (2,), tuple(range(3, n)))
         game = make_synergy_game(core, symmetry_classes=classes)
-        min_r, _ = min_samples_scan(game, 0, C=1, eps=0.1, r_max=300)
-        results.append(min_r)
+        results.append(min_samples_scan(game, 0, C=1, eps=0.1, r_max=300))
     assert max(results) <= 1.15 * min(results), results
 
 
@@ -252,7 +296,7 @@ def test_min_samples_third_constant_at_reduced_scale():
     from shapsim import make_lb_game
 
     n, C, eps = 20, 2, 0.05
-    min_r, _ = min_samples_scan(make_lb_game(n), 0, C=C, eps=eps, r_max=2000)
+    min_r = min_samples_scan(make_lb_game(n), 0, C=C, eps=eps, r_max=2000)
     target = (1 / 3) * C * n / eps
     assert abs(min_r - target) <= 0.25 * target, (min_r, target)
 

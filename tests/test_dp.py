@@ -127,10 +127,13 @@ def test_compressed_equals_bitset_states():
 
 
 def test_state_cap_reports_required_size():
-    g = strip_classes(make_pair_game(16))
+    # 21 singleton classes besides the honest player: 2^21 states, over the
+    # 2,000,000 cap, counted before any state is laid out
+    h = Hypergraph(n=22, edges=((frozenset({0, 1}), 1.0),))
+    g = make_synergy_game(h, symmetry_classes=tuple((p,) for p in range(22)))
     with pytest.raises(StateCapExceeded) as exc:
-        dp_build(g, 0, R=1, C=0, state_cap=1000)
-    assert "32768" in str(exc.value)
+        dp_build(g, 0, R=1, C=0)
+    assert "2097152" in str(exc.value)
 
 
 def test_needs_classes_beyond_bitset_range():
