@@ -1,9 +1,9 @@
 """The budget-optimal adversary, computed by dynamic programming.
 
 Builds the worst-case value table for sequential elimination, plays the
-induced strategy in simulation, and shows the two-pass storage scheme that
-keeps one boundary row and one sparse abort-decision record per
-remaining-sample count.
+induced strategy in the protocol simulation, and replays it in the lockstep
+engine from a table that keeps one boundary row and one sparse
+abort-decision record per remaining-sample count.
 """
 
 import numpy as np
@@ -23,8 +23,8 @@ from shapsim import (
 game = make_pair_game(3)
 table = dp_build(game, 0, R=1, C=2)
 print("pair game, n=3, single sample:")
-print(f"  worst-case honest value with budget 0: {table.boundary[0, 0]:.6f}")
-print(f"  with budget >= 1: {table.boundary[0, 1]:.6f}  (drops 1 -> 2/3)")
+print(f"  worst-case honest value with budget 0: {table.rows[0, 0]:.6f}")
+print(f"  with budget >= 1: {table.rows[0, 1]:.6f}  (drops 1 -> 2/3)")
 
 # Monte Carlo with the strategy wired into the real protocol.
 vals = []
@@ -42,18 +42,18 @@ game = make_lb_game(8)
 R, C = 40, 3
 table = dp_build(game, 0, R, C)
 print(f"\ncore-half game n=8, R={R}, C={C}:")
-print(f"  boundary row at T={R - 1}: {np.round(table.boundary[-1], 3)}")
+print(f"  boundary row at T={R - 1}: {np.round(table.rows[-1], 3)}")
 print(f"  zero-budget column is (T+1)*phi; full-budget per-sample value "
       f"{table.worst_value() / R:.4f}")
 
-# Two-pass scheme: store R*(C+1) reals and the abort decisions per sample
-# index, then drive all repetitions through one sample index at a time.
+# The table keeps R*(C+1) reals and one abort-decision record per sample
+# index; the lockstep engine plays all repetitions together from the records.
 lean = dp_build(game, 0, R, C, decisions=True)
 stats = parallel_runs(game, 0, R, C, M=400, seed=10, table=lean)
 print(f"\ntwo-pass replay, M=400: mean {stats.mean:.4f} +- {stats.stderr:.4f} "
       f"(table value {lean.worst_value() / R:.4f})")
 distinct = len({id(record) for record in lean.decisions})
-print(f"  stored table shape: {lean.boundary.shape}  (plus {distinct} distinct abort records)")
+print(f"  stored table shape: {lean.rows.shape}  (plus {distinct} distinct abort records)")
 
 # Fast path for big repetition counts.
 stats = parallel_runs(game, 0, R, C, M=5000, seed=11,

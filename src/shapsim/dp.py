@@ -26,26 +26,23 @@ an adversary (``decisions=True``) also stores each ``T``'s optimal policy,
 a sparse record of the cells that abort and of the class each aborts.
 Both simulation engines play that record and compare no values.
 
-A row is built one size group of states at a time by the kernels in
-:mod:`shapsim.dp_kernels`, which also emit the record: each aborting cell
-with its class, found from the values they gathered for the row.  Games
-with few classes take a flat kernel that gathers every class per state;
-wider ones a budget-major kernel over a slot plan, in which each state
-lists only the classes its pool holds, in class order, so that empty
-classes cost nothing and each state's sum adds its terms in the same order.
+A row is built one size group of states at a time by the kernel that
+:func:`shapsim.dp_kernels.row_kernel` picks for the game, which also emits
+the record: each aborting cell with its class, found from the values it
+gathered for the row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .adversaries import Adversary, Budget
 from .games import Game, mask_dtype, shapley_exact
-from .dp_kernels import FlatPlan, build_flat_plan, decision_record, flat_rows, wide_rows
+from .dp_kernels import row_kernel
 from .streams import substream
 
 DEFAULT_STATE_CAP = 2_000_000
@@ -76,42 +73,6 @@ def state_count(game: Game, honest: int) -> int:
     return math.prod(len(c) + 1 for c in _pool_classes(game, honest))
 
 
-# Games with at most this many classes take the flat row kernel.  It gathers
-# D + 1 values per (drawn class, state, budget) cell, so its plan grows as D
-# squared: at D = 14 (collab20, C = 2) the plan takes about 300 MB and a row
-# five to six times as long as with the budget-major kernel.
-FLAT_MAX_CLASSES = 3
-
-
-class SizeGroup(NamedTuple):
-    """Gather plan of the ``g`` pool states with ``m`` players, work rows ``lo:hi``.
-
-    Each array has shape ``(J, g)``, indexed by slot ``j``, then state: slot
-    ``j`` of the group's ``s``-th state stands for class ``cls[j, s]``.
-    ``nbr`` is the work row of the pool with one member of that class
-    removed, or ``n_states`` when the class is empty; ``k`` is the class's
-    remaining count and ``empty`` / ``shared`` are the masks ``k == 0`` /
-    ``k >= 2``.  In the class plan (:attr:`StateSpace.plan`) slot ``j`` is
-    class ``j`` for every state, ``J = D`` and ``cls`` is ``None``; the flat
-    kernel's :class:`FlatPlan` is derived from it.  In the slot plan
-    (:meth:`StateSpace.slot_plan`), which the budget-major kernel gathers
-    with, slot ``j`` is a state's ``j``-th occupied class in ascending class
-    order and ``J`` is the most occupied classes among the group's states; a
-    state with fewer has padding slots, empty classes, which read the
-    ``inf`` sentinel and weigh 0.  The kernel maps an aborting cell's slots
-    back to classes with ``cls``.
-    """
-
-    m: int
-    lo: int
-    hi: int
-    cls: np.ndarray | None
-    nbr: np.ndarray
-    k: np.ndarray
-    empty: np.ndarray
-    shared: np.ndarray
-
-
 @dataclass(eq=False)
 class StateSpace:
     """Mixed-radix index over per-class remaining counts (honest excluded).
@@ -119,15 +80,9 @@ class StateSpace:
     A row's values are kept in work order: the states sorted by pool size,
     state ``order[w]`` at work row ``w`` (``work_row`` is the inverse), so
     the honest-alone state comes first, the full pool last, and each size
-    group is a contiguous run of work rows.  ``plan`` holds each size
-    group's gathers over every class (:class:`SizeGroup`).  Games with at
-    most ``FLAT_MAX_CLASSES`` classes build their rows with the flat
-    kernel, whose plan for a budget cap ``C`` is made once per space and
-    ``C`` by :meth:`flat_plan`; wider games with the budget-major kernel,
-    over the slot plan that :meth:`slot_plan` makes on first use, in which
-    each state lists only the classes its pool holds.
-    ``player_strides[p]`` is what player ``p`` adds to a pool's state index
-    (0 for the honest player).
+    group is a contiguous run of work rows: the pools of ``m`` players
+    fill work rows ``starts[m - 1]:starts[m]``.  ``player_strides[p]`` is
+    what player ``p`` adds to a pool's state index (0 for the honest player).
     """
 
     game: Game
@@ -142,9 +97,7 @@ class StateSpace:
     work_row: np.ndarray
     mu_work: np.ndarray
     order: np.ndarray
-    plan: tuple[SizeGroup, ...]
-    _flat_plans: dict = field(default_factory=dict, repr=False)
-    _slot_plan: tuple[SizeGroup, ...] | None = field(default=None, repr=False)
+    starts: list
 
     @classmethod
     def build(cls, game: Game, honest: int) -> "StateSpace":
@@ -187,23 +140,11 @@ class StateSpace:
         work_row = np.empty(n_states, dtype=np.min_scalar_type(n_states))
         work_row[order] = np.arange(n_states)
 
-        count_type = np.min_scalar_type(int(totals.max(initial=0)))
-        col_strides, col_radix = strides[:, None], totals[:, None] + 1
-        plan = []
-        for m in range(2, game.n + 1):
-            lo, hi = starts[m - 1], starts[m]
-            group = order[lo:hi]
-            if len(group) == 0:
-                continue
-            k = (group // col_strides % col_radix).astype(count_type)
-            nbr = np.where(k >= 1, work_row[np.maximum(group - col_strides, 0)],
-                           n_states).astype(work_row.dtype)
-            plan.append(SizeGroup(m, lo, hi, None, nbr, k, k == 0, k >= 2))
         player_strides = [0 if d < 0 else int(strides[d]) for d in class_of.tolist()]
         return cls(game=game, honest=honest, classes=classes, totals=totals,
                    strides=strides, n_states=n_states, class_of=class_of,
                    player_strides=player_strides, mu_star=mu_star, work_row=work_row,
-                   mu_work=mu_star[order], order=order, plan=tuple(plan))
+                   mu_work=mu_star[order], order=order, starts=starts)
 
     @property
     def full_state(self) -> int:
@@ -211,47 +152,6 @@ class StateSpace:
 
     def state_of(self, pool: Sequence[int]) -> int:
         return sum(map(self.player_strides.__getitem__, pool))  # the honest player's is 0
-
-    def flat_plan(self, C: int) -> FlatPlan:
-        """The flat kernel's plan for budgets ``0..C``, made on first use."""
-        if C not in self._flat_plans:
-            self._flat_plans[C] = build_flat_plan(self, C)
-        return self._flat_plans[C]
-
-    def slot_plan(self) -> tuple[SizeGroup, ...]:
-        """The budget-major kernel's plan over each state's occupied classes, made on first use."""
-        if self._slot_plan is None:
-            groups = []
-            for m, lo, hi, _, nbr, k, empty, _ in self.plan:
-                # a state's occupied classes in class order, then its empty ones
-                cls = np.argsort(empty, axis=0, kind="stable")[:int((~empty).sum(axis=0).max())]
-                k = np.take_along_axis(k, cls, axis=0)
-                groups.append(SizeGroup(m, lo, hi, cls.astype(np.min_scalar_type(len(nbr))),
-                                        np.take_along_axis(nbr, cls, axis=0), k, k == 0, k >= 2))
-            self._slot_plan = tuple(groups)
-        return self._slot_plan
-
-
-def _build_slice(space: StateSpace, prev_row: np.ndarray, C: int, *,
-                 decisions: bool = False) -> tuple[np.ndarray, tuple | None]:
-    """All pool states at one ``T``, from the previous full-pool boundary row.
-
-    Returns the slice in work order, shape ``(n_states, C + 1)`` (row ``w``
-    is state ``space.order[w]``, the full pool is the last row), and, with
-    ``decisions``, its decision record (see :class:`DPTable`).  States of
-    equal pool size are independent given smaller sizes, so each size group
-    is filled with batched gathers.  Games with at most
-    ``FLAT_MAX_CLASSES`` classes take the flat kernel, wider ones the
-    budget-major kernel (both in :mod:`shapsim.dp_kernels`).  Every value
-    equals the per-state reference builder's in the test oracles bit for
-    bit: each abort value is a minimum over the same classes, and each
-    state's sum adds the same terms in the same order.
-    """
-    if len(space.classes) <= FLAT_MAX_CLASSES:
-        values, hits = flat_rows(space, space.flat_plan(C), prev_row, C, decisions)
-    else:
-        values, hits = wide_rows(space, space.slot_plan(), prev_row, C, decisions)
-    return values, None if hits is None else decision_record(space, *hits, C)
 
 
 def _recorded(record: tuple, key):
@@ -265,11 +165,12 @@ def _recorded(record: tuple, key):
 class DPTable:
     """Boundary rows ``value[T][N][c]``, plus per-``T`` abort decisions if asked for.
 
-    ``rows[T, c]`` covers ``T = 0 .. R-1`` (``boundary`` is the same
-    array): a read-only view of one float64 buffer that grows by doubling,
-    so at most ``2 * R * (C + 1)`` reals however large the game;
-    ``slice_at(T)`` rebuilds an inner slice.  ``decisions`` is ``None``
-    for a values-only table, else ``decisions[T]`` is ``T``'s record
+    ``rows[T, c]`` covers ``T = 0 .. R-1``: a read-only view of one
+    float64 buffer that grows by doubling, so at most ``2 * R * (C + 1)``
+    reals however large the game; ``slice_at(T)`` rebuilds an inner slice
+    with the row kernel that ``extend_to`` made at the table's first row
+    (:func:`shapsim.dp_kernels.row_kernel`).  ``decisions`` is ``None`` for
+    a values-only table, else ``decisions[T]`` is ``T``'s record
     ``(cells, classes)``: ascending, in the smallest unsigned dtype that
     fits, the flat index into shape ``(n_states, D, C + 1)`` of each (work
     row of the pool state, drawn class, budget) cell where aborting
@@ -285,6 +186,7 @@ class DPTable:
     _umax_star: float | None = None
     _R: int = field(default=0, init=False)
     _buffer: np.ndarray = field(init=False, repr=False)
+    _kernel: Callable | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self._buffer = np.empty((0, self.C + 1))
@@ -299,7 +201,11 @@ class DPTable:
         view.flags.writeable = False
         return view
 
-    boundary = rows
+    def _row(self, T: int, decisions: bool = False) -> tuple[np.ndarray, tuple | None]:
+        """The work-ordered slice at ``T`` from row ``T - 1``, and with ``decisions`` its record."""
+        if self._kernel is None:
+            self._kernel = row_kernel(self.space, self.C)
+        return self._kernel(self._buffer[T - 1] if T else np.zeros(self.C + 1), decisions)
 
     def _check_row(self, T: int, row: np.ndarray) -> None:
         if self._phi_star is None:
@@ -329,9 +235,7 @@ class DPTable:
             self._buffer = grown
         while self._R < R:
             T = self._R
-            prev = self._buffer[T - 1] if T else np.zeros(self.C + 1)
-            values, record = _build_slice(self.space, prev, self.C,
-                                          decisions=self.decisions is not None)
+            values, record = self._row(T, self.decisions is not None)
             row = self._buffer[T]
             row[:] = values[-1]  # the full pool
             self._check_row(T, row)
@@ -346,8 +250,7 @@ class DPTable:
     def slice_at(self, T: int) -> np.ndarray:
         if not 0 <= T < self.R:
             raise ValueError(f"sample index {T} outside built range 0..{self.R - 1}")
-        prev = self._buffer[T - 1] if T > 0 else np.zeros(self.C + 1)
-        return _build_slice(self.space, prev, self.C)[0][self.space.work_row]
+        return self._row(T)[0][self.space.work_row]
 
     def abort_class(self, T, sid, d, c):
         """The class to abort from at sample index ``T``, or -1 to accept.

@@ -1,27 +1,111 @@
 """Row kernels of the optimal-adversary table: every pool state at one ``T``.
 
-Both kernels fill a slice in work order (see :class:`shapsim.dp.StateSpace`)
-from the previous full-pool boundary row, one size group after another.
-With decisions they also return, in ascending order, the flat cell index
-of each cell where aborting strictly beats accepting, and the class each
-such cell aborts from: the lowest class index among the tied minima of the
-abort candidates, the rule of :meth:`shapsim.dp.DPTable.abort_class`.
-:func:`flat_rows` serves games with few classes from a per-``C`` gather
-plan on a state-major buffer; :func:`wide_rows` serves the rest on a
-budget-major work array, over the slot plan, in which each state lists only
-the classes its pool holds.  :func:`decision_record` adds the sentinels.
-``shapsim.dp._build_slice`` chooses the kernel.
+:func:`row_kernel` picks a game's kernel and builds its plan once.  Games
+with at most ``FLAT_MAX_CLASSES`` classes take :func:`flat_rows`, a
+state-major kernel over a per-``C`` gather plan; wider ones
+:func:`wide_rows`, a budget-major kernel over the slot plan, in which each
+state lists only the classes its pool holds.  With decisions a kernel also
+emits each cell where aborting strictly beats accepting, with the class it
+aborts from: the lowest class index among the tied minima of the abort
+candidates, the rule of :meth:`shapsim.dp.DPTable.abort_class`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 import numpy as np
 
 if TYPE_CHECKING:
-    from .dp import SizeGroup, StateSpace
+    from .dp import StateSpace
+
+# Games with at most this many classes take the flat row kernel.  It gathers
+# D + 1 values per (drawn class, state, budget) cell, so its plan grows as D
+# squared: at D = 14 (collab20, C = 2) the plan takes about 300 MB and a row
+# five to six times as long as with the budget-major kernel.
+FLAT_MAX_CLASSES = 3
+
+
+class SizeGroup(NamedTuple):
+    """Gather plan of the ``g`` pool states with ``m`` players, work rows ``lo:hi``.
+
+    Each array has shape ``(J, g)``, indexed by slot ``j``, then state: slot
+    ``j`` of the group's ``s``-th state stands for class ``cls[j, s]``.
+    ``nbr`` is the work row of the pool with one member of that class
+    removed, or ``n_states`` when the class is empty; ``k`` is the class's
+    remaining count and ``empty`` / ``shared`` are the masks ``k == 0`` /
+    ``k >= 2``.  In the class plan (:func:`_class_plan`) slot ``j`` is class
+    ``j`` for every state, ``J = D`` and ``cls`` is ``None``.  In the slot
+    plan (:func:`slot_plan`) slot ``j`` is a state's ``j``-th occupied class
+    in ascending class order and ``J`` is the most occupied classes among
+    the group's states; a state with fewer has padding slots, empty
+    classes, which read the ``inf`` sentinel and weigh 0.
+    """
+
+    m: int
+    lo: int
+    hi: int
+    cls: np.ndarray | None
+    nbr: np.ndarray
+    k: np.ndarray
+    empty: np.ndarray
+    shared: np.ndarray
+
+
+def _class_plan(space: StateSpace) -> Iterator[SizeGroup]:
+    """Each non-empty size group's gathers over every class, smallest pools first.
+
+    The honest-alone state, work row 0, is in no group.
+    """
+    totals, n_states = space.totals, space.n_states
+    count_type = np.min_scalar_type(int(totals.max(initial=0)))
+    col_strides, col_radix = space.strides[:, None], totals[:, None] + 1
+    for m in range(2, space.game.n + 1):
+        lo, hi = space.starts[m - 1], space.starts[m]
+        if lo == hi:
+            continue
+        group = space.order[lo:hi]
+        k = (group // col_strides % col_radix).astype(count_type)
+        nbr = np.where(k >= 1, space.work_row[np.maximum(group - col_strides, 0)],
+                       n_states).astype(space.work_row.dtype)
+        yield SizeGroup(m, lo, hi, None, nbr, k, k == 0, k >= 2)
+
+
+def slot_plan(space: StateSpace) -> tuple[SizeGroup, ...]:
+    """The budget-major kernel's plan: each state's occupied classes, in class order."""
+    groups = []
+    for m, lo, hi, _, nbr, k, empty, _ in _class_plan(space):
+        # a state's occupied classes in class order, then its empty ones
+        cls = np.argsort(empty, axis=0, kind="stable")[:int((~empty).sum(axis=0).max())]
+        k = np.take_along_axis(k, cls, axis=0)
+        groups.append(SizeGroup(m, lo, hi, cls.astype(np.min_scalar_type(len(nbr))),
+                                np.take_along_axis(nbr, cls, axis=0), k, k == 0, k >= 2))
+    return tuple(groups)
+
+
+def row_kernel(space: StateSpace, C: int) -> Callable:
+    """The row function of ``space`` for budgets ``0..C``, over a plan built here once.
+
+    ``row(prev_row, decisions=False)`` returns the slice at one ``T`` in
+    work order, shape ``(n_states, C + 1)`` (row ``w`` is state
+    ``space.order[w]``, the full pool last), from the previous full-pool
+    boundary row, and with ``decisions`` its decision record (see
+    :class:`shapsim.dp.DPTable`), else ``None``.  Every value equals the
+    per-state reference builder's in the test oracles bit for bit: each
+    abort value is a minimum over the same classes, and each state's sum
+    adds the same terms in the same order.
+    """
+    if len(space.classes) <= FLAT_MAX_CLASSES:
+        kernel, plan = flat_rows, build_flat_plan(space, C)
+    else:
+        kernel, plan = wide_rows, slot_plan(space)
+
+    def row(prev_row: np.ndarray, decisions: bool = False) -> tuple[np.ndarray, tuple | None]:
+        values, hits = kernel(space, plan, prev_row, C, decisions)
+        return values, None if hits is None else decision_record(space, *hits, C)
+
+    return row
 
 
 class FlatPlan(NamedTuple):
@@ -67,7 +151,7 @@ def build_flat_plan(space: StateSpace, C: int) -> FlatPlan:
     own_row = (np.arange(D), np.arange(D))
     # the honest-alone state, work row 0, is in no group and has no cells
     groups, keys, cands, h0 = [], [], [np.full((D, D), inf_slot - 1)], 0
-    for m, lo, hi, _, nbr, k, empty, shared in space.plan:
+    for m, lo, hi, _, nbr, k, empty, shared in _class_plan(space):
         # plus c >= 1: class j's slot at budget c - 1 (an inf slot if empty)
         base = np.where(empty, inf_slot - 1, nbr.astype(np.intp) * C1 - 1)
         cand = np.repeat(base[:, None], D, axis=1)  # cand[j, d, s]: candidate j, class d drawn
@@ -149,11 +233,10 @@ def wide_rows(space: StateSpace, slots: tuple[SizeGroup, ...], prev_row: np.ndar
     budget unit lower, and an abort with no budget left never wins; column
     ``n_states`` is the all-``inf`` sentinel.  Each operation on a group so
     runs over its states, which are contiguous, rather than over the few
-    budgets.  ``slots`` is the slot plan (see :class:`shapsim.dp.SizeGroup`):
-    a state's slots are its occupied classes in ascending class order, then
-    padding, which reads the sentinel and adds zero, so the minima and the
-    sum are those over the state's classes in class order.  A hit's class is
-    that of the lowest slot among the tied minima of its candidates.
+    budgets.  Over the slot plan (:func:`slot_plan`) padding reads the
+    sentinel and adds zero, so the minima and the sum are those over the
+    state's classes in class order.  A hit's class is that of the lowest
+    slot among the tied minima of its candidates.
     """
     inf = math.inf
     D, C1 = len(space.classes), C + 1

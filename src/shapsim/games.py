@@ -176,15 +176,14 @@ def _report_from(phi: np.ndarray, u_max: np.ndarray) -> ShapleyReport:
     return ShapleyReport(phi=phi, u_max=u_max, gamma_per_player=gpp, gamma=float(np.max(gpp)))
 
 
-def shapley_exact(game: Game, *, force_exhaustive: bool = False) -> ShapleyReport:
+def shapley_exact(game: Game) -> ShapleyReport:
     """Exact Shapley vector, per-player maxima, and max-to-mean ratios.
 
     Uses the subset form (sum over the ``2**(n-1)`` coalitions excluding each
     player, weighted by inverse binomials).  If the game declares closed
-    forms they are returned directly unless ``force_exhaustive`` is set.
-    Rejects ``n > 20`` without closed forms.
+    forms they are returned directly.  Rejects ``n > 20`` without closed forms.
     """
-    if game.closed_forms is not None and not force_exhaustive:
+    if game.closed_forms is not None:
         cf = game.closed_forms
         return _report_from(np.asarray(cf.phi, dtype=np.float64),
                             np.asarray(cf.u_max, dtype=np.float64))

@@ -7,13 +7,15 @@ optimized code paths.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
 
-from shapsim import Adversary, Game, Hypergraph, as_mask, make_synergy_game, substream
+from shapsim import (Adversary, Game, Hypergraph, ShapleyReport, as_mask, make_synergy_game,
+                     shapley_exact, substream)
 from shapsim.games import MAX_CHECK_PLAYERS, value_table
 
 
@@ -127,6 +129,11 @@ def verify_symmetry_classes(game: Game, *, tol: float = 1e-12) -> bool:
     return True
 
 
+def shapley_exhaustive(game: Game) -> ShapleyReport:
+    """:func:`shapsim.shapley_exact` over every coalition, ignoring declared closed forms."""
+    return shapley_exact(dataclasses.replace(game, closed_forms=None))
+
+
 def shapley_by_subset_formula(game: Game) -> np.ndarray:
     """Plain-Python subset-form evaluation (no vectorization)."""
     n = game.n
@@ -223,8 +230,9 @@ def _counts_of(space, sid: int) -> np.ndarray:
 
 
 def _build_slice_reference(space, prev_row: np.ndarray, C: int) -> np.ndarray:
-    """Per-state builder in state order; the plain-loop reference for
-    ``shapsim.dp._build_slice``, whose slice is in work order."""
+    """Per-state builder in state order; the plain-loop reference for the
+    row function of ``shapsim.dp_kernels.row_kernel``, whose slice is in
+    work order."""
     strides = space.strides
     out = np.empty((space.n_states, C + 1), dtype=np.float64)
     inf = math.inf

@@ -43,6 +43,7 @@ from oracles import (
     random_monotone_game,
     random_simple_graph,
     random_supermodular_game,
+    shapley_exhaustive,
     worst_case_value,
 )
 
@@ -80,7 +81,7 @@ def test_c02_gamma_laws():
         assert shapley_exact(game).gamma <= n + 1e-9
     for n in (3, 5, 7):
         bound = n * math.comb(n - 1, (n - 1) // 2)
-        got = shapley_exact(make_max_gamma_game(n), force_exhaustive=True).gamma
+        got = shapley_exhaustive(make_max_gamma_game(n)).gamma
         assert got == pytest.approx(bound, rel=1e-12)
     _pass(2, "simple graphs at 2 exactly; supermodular <= n; pivot game meets the cap")
 
@@ -200,9 +201,9 @@ def test_c06_dp_closed_forms():
     phi, umax = 1.0, game.extras["alpha"]
     for T in range(R):
         expect = (T + 1) * phi
-        assert table.boundary[T, 0] == pytest.approx(expect, rel=1e-6)
+        assert table.rows[T, 0] == pytest.approx(expect, rel=1e-6)
         floor = expect - np.arange(C + 1) * umax
-        assert np.all(table.boundary[T] >= floor - 1e-6 * max(1.0, expect))
+        assert np.all(table.rows[T] >= floor - 1e-6 * max(1.0, expect))
     _pass(6, "zero-budget column equals (T+1)*phi; damage floor holds on all entries")
 
 
@@ -299,7 +300,7 @@ def test_c11_two_pass_storage_equivalence():
     game = make_lb_game(4)
     R, C, M = 3, 2, 1
     table = dp_build(game, 0, R, C, decisions=True)
-    assert table.boundary.shape == (R, C + 1)
+    assert table.rows.shape == (R, C + 1)
     assert len(table.decisions) == R
     aborts = 0
     for seed in range(100):

@@ -671,16 +671,16 @@ CDF_DP = ["cdf", "--game", "lb", "--n", "6", "--protocol", "seq", "--adversary",
 
 
 def _count_slice_builds(monkeypatch) -> list:
-    import shapsim.dp
+    from shapsim.dp import DPTable
 
     calls = []
-    real = shapsim.dp._build_slice
+    real = DPTable._row
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(shapsim.dp, "_build_slice", counting)
+    monkeypatch.setattr(DPTable, "_row", counting)
     return calls
 
 

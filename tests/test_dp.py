@@ -43,13 +43,13 @@ def strip_classes(game: Game) -> Game:
 def test_pair3_optimal_value_exact():
     table = dp_build(make_pair_game(3), 0, R=1, C=2)
     assert table.worst_value() == pytest.approx(2 / 3, abs=1e-12)
-    assert table.boundary[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert table.rows[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pair3_two_samples_one_budget_hand_value():
     # one abort spent on whichever sample offers more damage: 13/9
     table = dp_build(make_pair_game(3), 0, R=2, C=1)
-    assert table.boundary[1, 1] == pytest.approx(13 / 9, abs=1e-12)
+    assert table.rows[1, 1] == pytest.approx(13 / 9, abs=1e-12)
 
 
 def test_pair_game_single_sample_attack_value_is_two_over_n():
@@ -86,7 +86,7 @@ def test_zero_budget_column_is_phi_per_sample():
         table = dp_build(game, honest, R=20, C=3)
         phi = float(shapley_exact(game).phi[honest])
         for T in range(20):
-            assert table.boundary[T, 0] == pytest.approx((T + 1) * phi, rel=1e-9)
+            assert table.rows[T, 0] == pytest.approx((T + 1) * phi, rel=1e-9)
 
 
 def test_boundary_monotone_in_budget_and_floor():
@@ -94,7 +94,7 @@ def test_boundary_monotone_in_budget_and_floor():
     table = dp_build(g, 0, R=50, C=5)
     phi = 1.0
     umax = g.extras["alpha"]
-    b = table.boundary
+    b = table.rows
     assert np.all(np.diff(b, axis=1) <= 1e-9)
     for T in range(50):
         floor = (T + 1) * phi - np.arange(6) * umax
@@ -121,8 +121,8 @@ def test_abort_drawn_variant_changes_nothing():
 
 def test_compressed_equals_bitset_states():
     for g in (make_pair_game(6), make_lb_game(8), make_max_gamma_game(5)):
-        compressed = dp_build(g, 0, R=4, C=2).boundary
-        bitset = dp_build(strip_classes(g), 0, R=4, C=2).boundary
+        compressed = dp_build(g, 0, R=4, C=2).rows
+        bitset = dp_build(strip_classes(g), 0, R=4, C=2).rows
         assert np.allclose(compressed, bitset, rtol=0, atol=1e-12)
 
 
@@ -158,10 +158,10 @@ def test_state_of_is_the_class_stride_sum():
 def test_boundary_memory_is_r_by_budget():
     g = make_lb_game(6)
     table = dp_build(g, 0, R=17, C=3)
-    assert table.boundary.shape == (17, 4)
+    assert table.rows.shape == (17, 4)
     assert table.decisions is None  # a values-only table keeps R * (C + 1) reals
     played = dp_build(g, 0, R=17, C=3, decisions=True)
-    assert np.array_equal(played.boundary, table.boundary)
+    assert np.array_equal(played.rows, table.rows)
     assert len(played.decisions) == 17
     # consecutive equal records are one object, and the policy settles
     for earlier, later in zip(played.decisions, played.decisions[1:]):
@@ -189,8 +189,7 @@ def test_row_storage_is_one_array_of_r_by_budget():
     assert held <= 2 * R * (C + 1) * 8 + 4096, held
     rows = table.rows
     assert rows.shape == (R, C + 1) and not rows.flags.writeable
-    assert not table.boundary.flags.writeable
-    assert np.shares_memory(rows, table.boundary)  # no copy
+    assert np.shares_memory(rows, table.rows)  # a view of one buffer, no copy
 
 
 def test_check_row_rejects_each_broken_boundary(monkeypatch):
@@ -208,8 +207,9 @@ def test_check_row_rejects_each_broken_boundary(monkeypatch):
     table._phi_star = phi
 
     def returning(row):
-        def build(space, prev_row, C, *, decisions=False):
-            sl = np.zeros((space.n_states, C + 1))  # in work order: the full pool last
+        def build(table, T, decisions=False):
+            space = table.space
+            sl = np.zeros((space.n_states, table.C + 1))  # in work order: the full pool last
             sl[space.work_row[space.full_state]] = row
             return sl, None
         return build
@@ -219,12 +219,12 @@ def test_check_row_rejects_each_broken_boundary(monkeypatch):
         "below the budget-damage floor": [expect, expect - umax, expect - 2 * umax - 1e-3],
     }
     for message, row in broken.items():
-        monkeypatch.setattr("shapsim.dp._build_slice", returning(np.array(row)))
+        monkeypatch.setattr(DPTable, "_row", returning(np.array(row)))
         with pytest.raises(AssertionError, match=message):
             table.extend_to(2)
         assert table.R == 1
     # a row on the floor at every budget passes
-    monkeypatch.setattr("shapsim.dp._build_slice", returning(expect - umax * np.arange(C + 1)))
+    monkeypatch.setattr(DPTable, "_row", returning(expect - umax * np.arange(C + 1)))
     on_floor.extend_to(2)
     assert on_floor.R == 2
     # the same checks let the true row through
@@ -266,12 +266,12 @@ def test_slice_rebuild_equals_stored():
 def test_extend_to_continues_in_place():
     g = make_pair_game(4)
     table = dp_build(g, 0, R=3, C=1)
-    first = table.boundary.copy()
+    first = table.rows.copy()
     table.extend_to(8)
     assert table.R == 8
-    assert np.array_equal(table.boundary[:3], first)
+    assert np.array_equal(table.rows[:3], first)
     reference = dp_build(g, 0, R=8, C=1)
-    assert np.allclose(table.boundary, reference.boundary, rtol=0, atol=0)
+    assert np.allclose(table.rows, reference.rows, rtol=0, atol=0)
 
 
 # --- sequential adversary -----------------------------------------------------------
@@ -373,7 +373,7 @@ def test_longer_table_replays_without_reading_values(monkeypatch):
     R, C = 3, 2
     tight = dp_build(g, 0, R, C, decisions=True)
     long = dp_build(g, 0, 2 * R, C, decisions=True)
-    assert long.boundary.shape == (2 * R, C + 1)
+    assert long.rows.shape == (2 * R, C + 1)
     for T in range(R):
         assert all(map(np.array_equal, tight.decisions[T], long.decisions[T]))
 
@@ -622,7 +622,7 @@ def _tied_minima(space, sl) -> int:
 
 
 # Games for the builder-against-reference test, with D = 1, 2, 3, 4, 5 and 14
-# classes besides the honest player, so both kernels of _build_slice run.
+# classes besides the honest player, so both row kernels run.
 BITWISE_GAMES = (
     make_pair_game(5), make_lb_game(8), make_max_gamma_game(5),
     make_lb_game(100),  # 2,550 states: the published-scale shape
@@ -641,7 +641,7 @@ BITWISE_GAMES = (
 
 
 def test_bitwise_games_cover_both_kernels():
-    from shapsim.dp import FLAT_MAX_CLASSES
+    from shapsim.dp_kernels import FLAT_MAX_CLASSES
 
     # the widest game of each kernel, and one wider
     widths = {len(StateSpace.build(g, 0).classes) for g in BITWISE_GAMES}
@@ -650,11 +650,13 @@ def test_bitwise_games_cover_both_kernels():
 
 
 def test_slot_plan_lists_each_pools_classes_in_class_order():
+    from shapsim.dp_kernels import slot_plan
+
     # a state's slots are its occupied classes in ascending class order, then
     # padding: the order that keeps each state's sum the reference's
     space = StateSpace.build(make_collab_game(20), 0)
     assert len(space.classes) == 14
-    for m, lo, hi, cls, nbr, k, empty, shared in space.slot_plan():
+    for m, lo, hi, cls, nbr, k, empty, shared in slot_plan(space):
         sid = space.order[lo:hi]
         counts = sid // space.strides[:, None] % (space.totals[:, None] + 1)  # (D, g)
         held = np.count_nonzero(counts, axis=0)
@@ -674,24 +676,51 @@ def test_slot_plan_lists_each_pools_classes_in_class_order():
         assert np.array_equal(space.order[nbr[real]], rows - space.strides[cls[real]])
 
 
+@pytest.mark.parametrize("game, plan", [(make_lb_game(8), "build_flat_plan"),
+                                        (FOUR, "slot_plan")], ids=["flat", "wide"])
+def test_each_table_builds_its_row_plan_once(game, plan, monkeypatch):
+    from shapsim import dp_kernels
+
+    built = []
+
+    def counting(name):
+        real = getattr(dp_kernels, name)
+
+        def build(*args):
+            built.append(name)
+            return real(*args)
+        return build
+
+    for name in ("build_flat_plan", "slot_plan"):
+        monkeypatch.setattr(dp_kernels, name, counting(name))
+    StateSpace.build(game, 0)
+    parallel_runs(game, 0, R=5, C=2, M=3, seed=1)  # passive: no rows
+    assert built == []
+    table = dp_build(game, 0, R=5, C=2)
+    table.extend_to(12)
+    table.slice_at(3)
+    assert built == [plan]
+
+
 @pytest.mark.parametrize("game", BITWISE_GAMES, ids=lambda g: g.name)
 def test_vectorized_builder_matches_reference_bitwise(game):
     from oracles import _build_slice_reference
-    from shapsim.dp import _build_slice
+    from shapsim.dp_kernels import row_kernel
 
     space = StateSpace.build(game, 0)
     full = space.n_states <= 2550  # every cell's decision; else a fixed sample of cells
     for C in (0, 1, 3):
+        row = row_kernel(space, C)
         # a row rising in budget: when values fall in budget, as every
         # boundary row does, aborting in place of a draw from the best class
         # never beats accepting, so a wrong abort value there would not show
         prev = np.array([0.0, 3.0, 1.0, 4.0])[:C + 1]
         for _ in range(3 if space.n_states < 1000 else 1):  # chain a few sample indices
-            work, record = _build_slice(space, prev, C, decisions=True)
+            work, record = row(prev, decisions=True)
             assert work.shape == (space.n_states, C + 1)
             a = work[space.work_row]
             assert np.array_equal(a, _build_slice_reference(space, prev, C)), (game.name, C)
-            values_only = _build_slice(space, prev, C)
+            values_only = row(prev)
             assert values_only[1] is None and np.array_equal(values_only[0], work)
             played = DPTable(space=space, C=C, decisions=[record])
             if full:
@@ -759,5 +788,5 @@ def test_building_the_collab20_state_space_makes_no_scalar_oracle_calls():
 def test_collab_game_compressed_dp_builds():
     g = make_collab_game(20)
     table = dp_build(g, 0, R=3, C=1)
-    assert table.boundary.shape == (3, 2)
-    assert table.boundary[0, 0] == pytest.approx(38 / 15, rel=1e-9)
+    assert table.rows.shape == (3, 2)
+    assert table.rows[0, 0] == pytest.approx(38 / 15, rel=1e-9)

@@ -28,6 +28,7 @@ from oracles import (
     random_simple_graph,
     random_supermodular_game,
     shapley_by_subset_formula,
+    shapley_exhaustive,
     supermodular_by_definition,
     verify_symmetry_classes,
 )
@@ -88,14 +89,14 @@ def test_shapley_single_player():
 
 def test_shapley_pair_game_any_n():
     for n in (2, 3, 5):
-        report = shapley_exact(make_pair_game(n), force_exhaustive=True)
+        report = shapley_exhaustive(make_pair_game(n))
         assert report.phi[0] == pytest.approx(1.0, rel=1e-12)
         assert report.phi[1] == pytest.approx(1.0, rel=1e-12)
         assert np.all(report.phi[2:] == 0.0)
 
 
 def test_shapley_triangle_brute_force():
-    report = shapley_exact(triangle_game(), force_exhaustive=True)
+    report = shapley_exhaustive(triangle_game())
     assert report.phi == pytest.approx([1.0, 1.0, 1.0], rel=1e-12)
 
 
@@ -134,13 +135,13 @@ def test_gamma_simple_graph_is_two():
     for _ in range(4):
         g = make_synergy_game(random_simple_graph(rng, 5))
         assert shapley_exact(g).gamma == pytest.approx(2.0, rel=1e-12)
-        assert shapley_exact(g, force_exhaustive=True).gamma == pytest.approx(2.0, rel=1e-9)
+        assert shapley_exhaustive(g).gamma == pytest.approx(2.0, rel=1e-9)
 
 
 def test_gamma_pair_game_is_two():
     # U_max of a special player is 2 and its Shapley value is 1; everyone
     # else has the 0/0 = 1 convention, so the overall ratio is 2.
-    report = shapley_exact(make_pair_game(3), force_exhaustive=True)
+    report = shapley_exhaustive(make_pair_game(3))
     assert report.gamma == pytest.approx(2.0, rel=1e-12)
     assert report.gamma_per_player[2] == 1.0
 
@@ -155,7 +156,7 @@ def test_gamma_zero_zero_convention():
 def test_gamma_max_gamma_game_attains_monotone_bound():
     for n in (3, 5, 7):
         bound = n * math.comb(n - 1, (n - 1) // 2)
-        assert shapley_exact(make_max_gamma_game(n), force_exhaustive=True).gamma == pytest.approx(bound, rel=1e-12)
+        assert shapley_exhaustive(make_max_gamma_game(n)).gamma == pytest.approx(bound, rel=1e-12)
 
 
 def test_gamma_monotone_bound_random_games():
@@ -177,7 +178,7 @@ def test_gamma_supermodular_bound_random_games():
 
 def test_lb_game_exposes_both_gamma_readings():
     g = make_lb_game(10)
-    report = shapley_exact(g, force_exhaustive=True)
+    report = shapley_exhaustive(g)
     # Exhaustive ratio: outsiders dominate with 4n(n-1)/(5n-2).
     assert report.gamma == pytest.approx(4 * 10 * 9 / 48, rel=1e-9)
     # The honest player's own ratio is alpha.
@@ -271,7 +272,7 @@ def test_lb_game_phi_n4():
     g = make_lb_game(4)
     alpha = 24 / 10
     assert g.extras["alpha"] == pytest.approx(alpha, rel=1e-12)
-    report = shapley_exact(g, force_exhaustive=True)
+    report = shapley_exhaustive(g)
     assert report.phi[0] == pytest.approx(0.25 * alpha + 0.25 * (2 / 3) * alpha, rel=1e-12)
     assert report.phi[0] == pytest.approx(1.0, rel=1e-12)
 
@@ -301,7 +302,7 @@ def test_pair_game_rejects_same_players():
 
 def test_synergy_single_hyperedge():
     h = Hypergraph(n=4, edges=((frozenset({0, 1, 2}), 3.0),))
-    report = shapley_exact(make_synergy_game(h), force_exhaustive=True)
+    report = shapley_exhaustive(make_synergy_game(h))
     assert report.phi[0] == pytest.approx(1.0, rel=1e-12)
     assert report.phi[3] == 0.0
 
@@ -319,7 +320,7 @@ def test_closed_forms_match_brute_force():
              make_synergy_game(random_simple_graph(rng, 6)), make_collab_game_small()]
     for g in games:
         closed = shapley_exact(g)
-        brute = shapley_exact(g, force_exhaustive=True)
+        brute = shapley_exhaustive(g)
         assert closed.phi == pytest.approx(brute.phi, rel=1e-9, abs=1e-12)
         assert closed.u_max == pytest.approx(brute.u_max, rel=1e-9, abs=1e-12)
         assert closed.gamma == pytest.approx(brute.gamma, rel=1e-9)
@@ -355,7 +356,7 @@ def test_collab_stand_in_statistics():
 
 
 def test_collab_gamma_exhaustive():
-    report = shapley_exact(make_collab_game(14), force_exhaustive=True)
+    report = shapley_exhaustive(make_collab_game(14))
     assert report.gamma == pytest.approx(60 / 19, rel=1e-9)
 
 
@@ -374,7 +375,7 @@ def test_symmetry_violation_detected():
 
 def test_symmetric_players_get_equal_phi():
     for g in (make_pair_game(5), make_max_gamma_game(6), make_lb_game(6)):
-        report = shapley_exact(g, force_exhaustive=True)
+        report = shapley_exhaustive(g)
         for cls in g.symmetry_classes:
             vals = [report.phi[p] for p in cls]
             assert max(vals) - min(vals) < 1e-12
