@@ -341,18 +341,21 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 VERIFY_MARGIN = 0.1  # fraction past the crossover that min_samples_scan re-checks
 
 
-def min_samples_scan(game: Game, honest: int, C: int, eps: float, *, r_max: int) -> int:
+def min_samples_scan(game: Game, honest: int, C: int, eps: float, *, r_max: int,
+                     table: DPTable | None = None) -> int:
     """Smallest sample count whose worst-case mean reward is within ``eps``.
 
     Extends the boundary pass one sample at a time and returns the first
     ``R`` with ``value[R-1][N][C] / R >= (1 - eps) * phi``; then keeps
     scanning ``VERIFY_MARGIN`` further to confirm the criterion stays
     satisfied.  Exhausting ``r_max`` without crossing raises
-    :class:`SampleCapExceeded` naming the best ratio scanned.
+    :class:`SampleCapExceeded` naming the best ratio scanned.  A ``table``
+    of ``game`` and ``honest`` with a budget of at least ``C`` is extended
+    and scanned in column ``C``, which is the same at every larger budget.
     """
     phi = float(shapley_exact(game).phi[honest])
     threshold = (1.0 - eps) * phi
-    table = dp_build(game, honest, 1, C)
+    table = dp_build(game, honest, 1, C) if table is None else table
     crossover = None
     for R in range(1, r_max + 1):
         table.extend_to(R)
@@ -360,7 +363,7 @@ def min_samples_scan(game: Game, honest: int, C: int, eps: float, *, r_max: int)
             crossover = R
             break
     if crossover is None:
-        best = (table.rows[:, C] / np.arange(1, r_max + 1)).max()
+        best = (table.rows[:r_max, C] / np.arange(1, r_max + 1)).max()
         raise SampleCapExceeded(f"no crossover within r_max={r_max}: best ratio "
                                 f"{best:.6g} vs threshold {threshold:.6g}")
     verify_to = min(r_max, math.ceil(crossover * (1.0 + VERIFY_MARGIN)))
@@ -403,7 +406,11 @@ def cmd_min_samples(cfg: ExperimentConfig) -> int:
         headers.append((f"game = {game.name}", f"honest = {honest}",
                         f"eps = {format_number(eps)}", f"C = {C}"))
 
-    rows = [(param, value, min_samples_scan(game, honest, C, eps, r_max=r_max))
+    table = None
+    if param != "n":  # every row has one game: scan them all over one table at the largest C
+        _, game, honest, *_ = scans[0]
+        table = dp_build(game, honest, 1, max(C for _, _, _, C, _, _ in scans))
+    rows = [(param, value, min_samples_scan(game, honest, C, eps, r_max=r_max, table=table))
             for value, game, honest, C, eps, r_max in scans]
     shared = [lines[0] for lines in zip(*headers) if len(set(lines)) == 1]  # true of every row
     write_text(cfg.out_path("min_samples.csv"),

@@ -30,6 +30,22 @@ A row is built one size group of states at a time by the kernel that
 :func:`shapsim.dp_kernels.row_kernel` picks for the game, which also emits
 the record: each aborting cell with its class, found from the values it
 gathered for the row.
+
+The kernels abort to the best neighbour: they compare accepting with
+``best[c] = min_j value[T][S-j][c-1]`` over every class ``j`` that ``S``
+holds, the drawn class included, which is exact because every value is
+non-increasing in ``c``, bit for bit.  Row ``T = 0`` starts from zeros, and
+each later value is built from the previous boundary row by ``min``,
+additions, multiplications by counts ``k >= 0`` and a division by
+``|S| > 0``, each monotone under IEEE rounding; so, pool size by pool size,
+a slice falls in ``c`` when the row it starts from does.  Then
+``accept_d[c] = value[T][S-d][c] <= value[T][S-d][c-1]``, so where the
+drawn class alone attains ``best`` (and is no abort candidate, having no
+other member) it cannot beat accepting.  Hence, in every cell,
+``min(accept_d, abort_d) == min(accept_d, best)``, the cell is a hit
+exactly when ``best < accept_d``, and a hit's abort class is the lowest
+class attaining ``best``, whichever class ``d`` was drawn.  The row
+function refuses a previous row that rises in budget.
 """
 
 from __future__ import annotations

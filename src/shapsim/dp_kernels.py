@@ -4,10 +4,11 @@
 with at most ``FLAT_MAX_CLASSES`` classes take :func:`flat_rows`, a
 state-major kernel over a per-``C`` gather plan; wider ones
 :func:`wide_rows`, a budget-major kernel over the slot plan, in which each
-state lists only the classes its pool holds.  With decisions a kernel also
-emits each cell where aborting strictly beats accepting, with the class it
-aborts from: the lowest class index among the tied minima of the abort
-candidates, the rule of :meth:`shapsim.dp.DPTable.abort_class`.
+state lists only the classes its pool holds.  Both abort to the best
+neighbour one budget unit lower, the rule stated and proved in
+:mod:`shapsim.dp`.  With decisions a kernel also emits each cell where
+aborting strictly beats accepting, with the class it aborts from: the
+lowest class index attaining that neighbour.
 """
 
 from __future__ import annotations
@@ -30,17 +31,13 @@ FLAT_MAX_CLASSES = 3
 class SizeGroup(NamedTuple):
     """Gather plan of the ``g`` pool states with ``m`` players, work rows ``lo:hi``.
 
-    Each array has shape ``(J, g)``, indexed by slot ``j``, then state: slot
-    ``j`` of the group's ``s``-th state stands for class ``cls[j, s]``.
-    ``nbr`` is the work row of the pool with one member of that class
-    removed, or ``n_states`` when the class is empty; ``k`` is the class's
-    remaining count and ``empty`` / ``shared`` are the masks ``k == 0`` /
-    ``k >= 2``.  In the class plan (:func:`_class_plan`) slot ``j`` is class
-    ``j`` for every state, ``J = D`` and ``cls`` is ``None``.  In the slot
-    plan (:func:`slot_plan`) slot ``j`` is a state's ``j``-th occupied class
-    in ascending class order and ``J`` is the most occupied classes among
-    the group's states; a state with fewer has padding slots, empty
-    classes, which read the ``inf`` sentinel and weigh 0.
+    Each array has shape ``(J, g)``: slot ``j`` of the group's ``s``-th state
+    stands for class ``cls[j, s]``, ``nbr`` is the work row of the pool with
+    one member of that class removed (``n_states`` when the class is empty),
+    ``k`` the class's remaining count and ``empty`` the mask ``k == 0``.  In
+    the class plan (:func:`_class_plan`) slot ``j`` is class ``j`` and
+    ``cls`` is ``None``; in the slot plan (:func:`slot_plan`) the slots are a
+    state's occupied classes in class order, then empty padding.
     """
 
     m: int
@@ -50,7 +47,6 @@ class SizeGroup(NamedTuple):
     nbr: np.ndarray
     k: np.ndarray
     empty: np.ndarray
-    shared: np.ndarray
 
 
 def _class_plan(space: StateSpace) -> Iterator[SizeGroup]:
@@ -69,18 +65,18 @@ def _class_plan(space: StateSpace) -> Iterator[SizeGroup]:
         k = (group // col_strides % col_radix).astype(count_type)
         nbr = np.where(k >= 1, space.work_row[np.maximum(group - col_strides, 0)],
                        n_states).astype(space.work_row.dtype)
-        yield SizeGroup(m, lo, hi, None, nbr, k, k == 0, k >= 2)
+        yield SizeGroup(m, lo, hi, None, nbr, k, k == 0)
 
 
 def slot_plan(space: StateSpace) -> tuple[SizeGroup, ...]:
     """The budget-major kernel's plan: each state's occupied classes, in class order."""
     groups = []
-    for m, lo, hi, _, nbr, k, empty, _ in _class_plan(space):
+    for m, lo, hi, _, nbr, k, empty in _class_plan(space):
         # a state's occupied classes in class order, then its empty ones
         cls = np.argsort(empty, axis=0, kind="stable")[:int((~empty).sum(axis=0).max())]
         k = np.take_along_axis(k, cls, axis=0)
         groups.append(SizeGroup(m, lo, hi, cls.astype(np.min_scalar_type(len(nbr))),
-                                np.take_along_axis(nbr, cls, axis=0), k, k == 0, k >= 2))
+                                np.take_along_axis(nbr, cls, axis=0), k, k == 0))
     return tuple(groups)
 
 
@@ -93,8 +89,10 @@ def row_kernel(space: StateSpace, C: int) -> Callable:
     boundary row, and with ``decisions`` its decision record (see
     :class:`shapsim.dp.DPTable`), else ``None``.  Every value equals the
     per-state reference builder's in the test oracles bit for bit: each
-    abort value is a minimum over the same classes, and each state's sum
-    adds the same terms in the same order.
+    cell's minimum is the reference's by the best-neighbour rule, and each
+    state's sum adds the same terms in the same order.  The rule needs
+    ``prev_row`` to fall in budget, so a row that rises raises
+    ``ValueError``.
     """
     if len(space.classes) <= FLAT_MAX_CLASSES:
         kernel, plan = flat_rows, build_flat_plan(space, C)
@@ -102,6 +100,9 @@ def row_kernel(space: StateSpace, C: int) -> Callable:
         kernel, plan = wide_rows, slot_plan(space)
 
     def row(prev_row: np.ndarray, decisions: bool = False) -> tuple[np.ndarray, tuple | None]:
+        budgets = prev_row.tolist()
+        if budgets != sorted(budgets, reverse=True):  # the abort rule needs a falling row
+            raise ValueError("prev_row rises in budget")
         values, hits = kernel(space, plan, prev_row, C, decisions)
         return values, None if hits is None else decision_record(space, *hits, C)
 
@@ -116,25 +117,16 @@ class FlatPlan(NamedTuple):
     slots follow.  A size group's cells are its (drawn class ``d``, state,
     budget ``c``) triples, class-major, so each class's cells are one
     contiguous run in the order of the group's own slots.  ``groups`` holds
-    ``(m, take, weight, own, hit)`` per group.  ``take``, shape
-    ``(D + 1, cells)``, gathers one value per cell in each row:
-
-    * rows ``0..D-1``: the abort candidates in class order, class ``j``'s
-      value one budget unit lower, ``inf`` where that class is empty; the
-      drawn class's own row is ``inf`` unless the class keeps a member
-      besides the drawn one (``k >= 2``);
-    * row ``D``: the value with the drawn class-``d`` member removed
-      (accepting).
-
-    A value one unit lower at ``c = 0`` is ``inf``, and every row of a cell
-    whose drawn class is empty reads the zero slot, so that cell adds
-    nothing and never beats accepting.  ``weight`` is the drawn class's
-    count per cell, ``own`` the slice of the group's slots and ``hit`` that
-    of its cells in a row's hit array; ``key`` maps each hit position to its
-    flat cell index in a decision record (see :class:`shapsim.dp.DPTable`),
-    and ``cand[j, w * D + d] + c`` is the slot that row ``j`` of ``take``
-    reads for the cell of work row ``w``, drawn class ``d`` and budget
-    ``c >= 1``.
+    ``(m, take, weight, own, hit)`` per group.  Row ``j < D`` of ``take``,
+    shape ``(D + 1, cells)``, reads class ``j``'s neighbour one budget unit
+    lower (``inf`` at ``c = 0`` or where the class is empty), and row ``D``
+    the drawn class's neighbour (accepting); a cell whose drawn class is
+    empty reads the zero slot in every row.  ``weight`` is the drawn
+    class's count per cell, ``own`` the slice of the group's slots and
+    ``hit`` that of its cells in a row's hit array; ``key`` maps each hit
+    position to its flat cell index in a decision record (see
+    :class:`shapsim.dp.DPTable`), and ``cand[j, w] + c`` is the slot of
+    class ``j``'s neighbour of work row ``w`` at budget ``c - 1``.
     """
 
     groups: tuple
@@ -148,16 +140,14 @@ def build_flat_plan(space: StateSpace, C: int) -> FlatPlan:
     zero_slot = space.n_states * C1
     inf_slot = zero_slot + 1
     budget = np.arange(C1)
-    own_row = (np.arange(D), np.arange(D))
     # the honest-alone state, work row 0, is in no group and has no cells
-    groups, keys, cands, h0 = [], [], [np.full((D, D), inf_slot - 1)], 0
-    for m, lo, hi, _, nbr, k, empty, shared in _class_plan(space):
+    groups, keys, cands, h0 = [], [], [np.full((D, 1), inf_slot - 1)], 0
+    for m, lo, hi, _, nbr, k, empty in _class_plan(space):
         # plus c >= 1: class j's slot at budget c - 1 (an inf slot if empty)
-        base = np.where(empty, inf_slot - 1, nbr.astype(np.intp) * C1 - 1)
-        cand = np.repeat(base[:, None], D, axis=1)  # cand[j, d, s]: candidate j, class d drawn
-        cand[own_row] = np.where(shared, base, inf_slot - 1)
-        rows = np.where(budget >= 1, cand[..., None] + budget, inf_slot)
-        accept = base[..., None] + 1 + budget
+        cand = np.where(empty, inf_slot - 1, nbr.astype(np.intp) * C1 - 1)
+        lower = np.where(budget >= 1, cand[..., None] + budget, inf_slot)  # (D, g, C + 1)
+        accept = cand[..., None] + 1 + budget
+        rows = np.broadcast_to(lower[:, None], (D,) + accept.shape)  # the same for each drawn class
         take = np.where(empty[:, :, None], zero_slot,
                         np.concatenate([rows, accept[None]])).reshape(D + 1, -1)
         weight = np.repeat(k[:, :, None].astype(np.float64), C1, axis=2).ravel()
@@ -165,7 +155,7 @@ def build_flat_plan(space: StateSpace, C: int) -> FlatPlan:
         groups.append((float(m), take, weight, slice(lo * C1, hi * C1), slice(h0, h1)))
         keys.append(((np.arange(lo, hi)[:, None] * D + np.arange(D)[:, None, None]) * C1
                      + budget).ravel())
-        cands.append(cand.transpose(0, 2, 1).reshape(D, -1))
+        cands.append(cand)
         h0 = h1
     return FlatPlan(tuple(groups), np.concatenate(keys) if keys else np.empty(0, np.intp),
                     np.concatenate(cands, axis=1))
@@ -181,8 +171,8 @@ def flat_rows(space: StateSpace, plan: FlatPlan, prev_row: np.ndarray, C: int,
     rows is the cheaper of aborting and accepting, and it is weighted by the
     class's count and added to the group's own slots one class after
     another.  The hits are put in cell order by a scatter into a mask over
-    all cells, and each hit's class is the first of its candidates, read
-    again from the buffer, to reach their minimum.
+    all cells, and each hit's class is the first of its state's neighbours,
+    read again from the buffer, to reach their minimum.
     """
     n_slots = space.n_states * (C + 1)
     buf = np.empty(n_slots + C + 2, dtype=np.float64)
@@ -211,12 +201,12 @@ def flat_rows(space: StateSpace, plan: FlatPlan, prev_row: np.ndarray, C: int,
     in_order = np.zeros(space.n_states * D * (C + 1), dtype=bool)
     in_order[plan.key[hits]] = True
     cells = np.flatnonzero(in_order)
-    classes = np.zeros(len(cells), dtype=np.intp)  # with one class, every hit aborts from it
-    if D > 1:
-        pair, c = np.divmod(cells, C + 1)
-        near = buf[plan.cand[:, pair] + c]  # (D, hits): each hit's candidates in class order
+    classes = np.zeros(len(cells), dtype=np.intp)
+    if D > 1:  # with one class, no abort beats accepting
+        pair, c = np.divmod(cells, C + 1)  # pair: work row * D + drawn class
+        near = buf[plan.cand[:, pair // D] + c]  # (D, hits): each hit's neighbours in class order
         best = near[0]
-        for j in range(1, D):  # the lowest class among the tied minima
+        for j in range(1, D):  # the lowest class attaining the best neighbour
             below = near[j] < best
             classes[below] = j
             best = np.where(below, near[j], best)
@@ -227,62 +217,43 @@ def wide_rows(space: StateSpace, slots: tuple[SizeGroup, ...], prev_row: np.ndar
              decisions: bool) -> tuple[np.ndarray, tuple | None]:
     """The work-ordered slice and, with ``decisions``, its hit cells and their classes.
 
-    The work array is budget-major, shape ``(C + 2, n_states + 1)``: column
-    ``w`` holds work row ``w``, row ``1 + c`` budget ``c`` and row 0 is
-    ``inf``, so rows ``:-1`` of a gathered neighbour are its values one
-    budget unit lower, and an abort with no budget left never wins; column
-    ``n_states`` is the all-``inf`` sentinel.  Each operation on a group so
-    runs over its states, which are contiguous, rather than over the few
-    budgets.  Over the slot plan (:func:`slot_plan`) padding reads the
-    sentinel and adds zero, so the minima and the sum are those over the
-    state's classes in class order.  A hit's class is that of the lowest
-    slot among the tied minima of its candidates.
+    The work array is budget-major, shape ``(C + 1, n_states + 1)``: column
+    ``w`` holds work row ``w`` at each budget and column ``n_states`` is the
+    all-``inf`` sentinel, so each operation on a group runs over its states,
+    which are contiguous, rather than over the few budgets.  Over the slot
+    plan (:func:`slot_plan`) padding reads the sentinel and adds zero, so the
+    minimum and the sum are those over the state's classes in class order.
+    At ``c >= 1`` every slot's abort is the best neighbour one budget unit
+    lower (the rule in :mod:`shapsim.dp`); at ``c = 0`` every slot accepts.
     """
-    inf = math.inf
     D, C1 = len(space.classes), C + 1
-    work = np.empty((C + 2, space.n_states + 1), dtype=np.float64)
-    work[0] = inf
-    work[:, -1] = inf
+    work = np.empty((C1, space.n_states + 1), dtype=np.float64)
+    work[:, -1] = math.inf
     # honest-drawn branch: the whole value of the honest-only state, and the
     # start of every other state's sum
-    np.add(space.mu_work, prev_row[:, None], out=work[1:, :-1])
+    np.add(space.mu_work, prev_row[:, None], out=work[:, :-1])
     found, classes = [], []
-    for m, lo, hi, cls, nbr, k, empty, shared in slots:
-        J = len(nbr)
-        near = work.take(nbr, axis=1)  # (C + 2, J, g): the pool without one slot-j member
-        lower, accept = near[:-1], near[1:]
-        # abort in place of a slot-j draw: the best of the other slots, or
-        # of all slots when slot j's class has a member besides the drawn one
-        abort = np.empty(lower.shape)
-        abort[:, 0] = inf
-        for j in range(1, J):  # best of the slots before j
-            np.minimum(abort[:, j - 1], lower[:, j - 1], out=abort[:, j])
-        for j in range(J - 2, -1, -1):  # and of the slots after j
-            rest = lower[:, J - 1] if j == J - 2 else np.minimum(rest, lower[:, j + 1])
-            np.minimum(abort[:, j], rest, out=abort[:, j])
-        np.minimum(abort, lower, out=abort, where=shared)
+    for m, lo, hi, cls, nbr, k, empty in slots:
+        near = work.take(nbr, axis=1)  # (C + 1, J, g): the pool without one slot-j member
+        best = np.minimum.reduce(near[:-1], axis=1)  # (C, g): the abort at budgets 1..C
         if decisions:
-            # hit[s, j, c], state-major: ascending cells, as the slots are in class order
-            hit = np.empty((hi - lo, J, C1), dtype=bool)
-            np.less(abort, accept, out=hit.transpose(2, 1, 0))
+            # hit[s, j, c - 1], state-major: ascending cells, as the slots are in class order
+            hit = np.empty((hi - lo, len(nbr), C), dtype=bool)
+            np.less(best[:, None], near[1:], out=hit.transpose(2, 1, 0))
             hit &= ~empty.T[:, :, None]  # a padding slot's accept is the sentinel inf
             s, j, c = np.unravel_index(np.flatnonzero(hit), hit.shape)
-            near_c = lower[c, :, s]  # (hits, J): the candidates of each hit
-            other = ~shared[j, s]
-            near_c[np.flatnonzero(other), j[other]] = inf
-            found.append(((lo + s) * D + cls[j, s]) * C1 + c)
-            classes.append(cls[near_c.argmin(axis=1), s])
+            found.append(((lo + s) * D + cls[j, s]) * C1 + c + 1)
+            classes.append(cls[near[c, :, s].argmin(axis=1), s])
         # the cheaper of accepting and aborting, weighted by the class's count;
-        # a padding slot's is finite and weighs 0 at c >= 1, where some other
-        # slot's value bounds its abort, but inf at c = 0, where no abort is
-        contrib = np.minimum(accept, abort, out=abort)
-        np.copyto(contrib[0], 0.0, where=empty)
-        contrib *= k
-        acc = work[1:, lo:hi]
-        for j in range(J):
-            np.add(acc, contrib[:, j], out=acc)
+        # a padding slot's is finite at c >= 1 and weighs 0, but inf at c = 0
+        np.minimum(near[1:], best[:, None], out=near[1:])
+        np.copyto(near[0], 0.0, where=empty)
+        near *= k
+        acc = work[:, lo:hi]
+        for part in near.transpose(1, 0, 2):  # slot by slot, as the reference adds
+            np.add(acc, part, out=acc)
         np.divide(acc, m, out=acc)
-    values = work[1:, :-1].T
+    values = work[:, :-1].T
     if not decisions:
         return values, None
     return values, (np.concatenate(found), np.concatenate(classes))

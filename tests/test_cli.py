@@ -690,6 +690,22 @@ def test_cdf_dp_builds_each_slice_once(tmp_path, monkeypatch):
     assert len(calls) == 12  # R rows; the lockstep runs read decision records only
 
 
+@pytest.mark.parametrize("fixed, sweep, alone", [
+    (["--eps", "0.05"], "C=1,2,4", ["--budget", "4"]),  # the README command
+    (["--budget", "2"], "eps=0.1,0.05,0.025", ["--eps", "0.025"]),
+], ids=["C", "eps"])
+def test_min_samples_sweep_builds_one_table(tmp_path, monkeypatch, fixed, sweep, alone):
+    # a sweep over one game scans every row over one table at the largest
+    # budget, so it builds no more rows than its longest scan alone
+    calls = _count_slice_builds(monkeypatch)
+    base = ["min-samples", "--game", "lb", "--n", "10", *fixed]
+    assert run(base + ["--sweep", sweep, "--out", tmp_path / "sweep.csv"]) == EXIT_OK
+    swept = len(calls)
+    calls.clear()
+    assert run(base + alone + ["--out", tmp_path / "alone.csv"]) == EXIT_OK
+    assert 0 < swept <= len(calls), (swept, len(calls))
+
+
 def test_decision_records_write_the_value_rule_bytes(tmp_path, monkeypatch):
     # both engines play DPTable.abort_class; swapping in the plain-loop rule
     # on value slices rebuilt from the boundary rows changes no output byte

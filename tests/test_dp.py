@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -656,7 +657,7 @@ def test_slot_plan_lists_each_pools_classes_in_class_order():
     # padding: the order that keeps each state's sum the reference's
     space = StateSpace.build(make_collab_game(20), 0)
     assert len(space.classes) == 14
-    for m, lo, hi, cls, nbr, k, empty, shared in slot_plan(space):
+    for m, lo, hi, cls, nbr, k, empty in slot_plan(space):
         sid = space.order[lo:hi]
         counts = sid // space.strides[:, None] % (space.totals[:, None] + 1)  # (D, g)
         held = np.count_nonzero(counts, axis=0)
@@ -668,7 +669,7 @@ def test_slot_plan_lists_each_pools_classes_in_class_order():
         held_counts = np.take_along_axis(counts, cls, axis=0)
         assert np.all(held_counts[real] > 0)
         assert np.array_equal(k, np.where(real, held_counts, 0))
-        assert np.array_equal(empty, ~real) and np.array_equal(shared, k >= 2)
+        assert np.array_equal(empty, ~real)
         # a listed class's neighbour is the pool with one member fewer; padding
         # reads the inf sentinel column
         assert np.all(nbr[~real] == space.n_states)
@@ -709,13 +710,15 @@ def test_vectorized_builder_matches_reference_bitwise(game):
 
     space = StateSpace.build(game, 0)
     full = space.n_states <= 2550  # every cell's decision; else a fixed sample of cells
+    chained = 3 if space.n_states < 1000 else 1
     for C in (0, 1, 3):
         row = row_kernel(space, C)
-        # a row rising in budget: when values fall in budget, as every
-        # boundary row does, aborting in place of a draw from the best class
-        # never beats accepting, so a wrong abort value there would not show
-        prev = np.array([0.0, 3.0, 1.0, 4.0])[:C + 1]
-        for _ in range(3 if space.n_states < 1000 else 1):  # chain a few sample indices
+        # boundary rows chained from T = 0, as a table feeds them, then at
+        # C = 3 a hand-made row that falls in budget with ties
+        prev = np.zeros(C + 1)
+        for step in range(chained + (C == 3)):
+            if step == chained:
+                prev = np.array([2.0, 2.0, 0.5, 0.5])
             work, record = row(prev, decisions=True)
             assert work.shape == (space.n_states, C + 1)
             a = work[space.work_row]
@@ -731,10 +734,95 @@ def test_vectorized_builder_matches_reference_bitwise(game):
                               for top in (space.n_states, len(space.classes), C + 1))
             got = played.abort_class(0, *cells)
             assert np.array_equal(got, _abort_rule_at(space, a, *cells)), (game.name, C)
-            assert C == 0 or np.any(got >= 0)
+            # with one class an abort leaves the pool an accept leaves, one unit poorer
+            assert np.any(got >= 0) == (C >= 1 and len(space.classes) > 1), (game.name, C)
             prev = a[space.full_state]
     if game.name in ("three", "pair(n=6)-bitset"):
         assert _tied_minima(space, a) > 0
+
+
+def _chained_rows(space, C: int, R: int):
+    """Each ``(work, record)`` of ``T = 0..R-1``, each row fed the last one's full pool."""
+    from shapsim.dp_kernels import row_kernel
+
+    row, prev = row_kernel(space, C), np.zeros(C + 1)
+    for _ in range(R):
+        work, record = row(prev, decisions=True)
+        yield work, record
+        prev = work[-1]
+
+
+@pytest.mark.parametrize("game", BITWISE_GAMES, ids=lambda g: g.name)
+def test_every_chained_slice_falls_in_budget_bit_for_bit(game):
+    # the precondition of the best-neighbour abort rule (see shapsim.dp)
+    space = StateSpace.build(game, 0)
+    for work, _ in _chained_rows(space, 3, 4 if space.n_states < 1000 else 2):
+        assert np.all(work[:, 1:] <= work[:, :-1]), game.name
+
+
+@pytest.mark.parametrize("game", BITWISE_GAMES, ids=lambda g: g.name)
+def test_row_refuses_a_prev_row_that_rises_in_budget(game):
+    from shapsim.dp_kernels import row_kernel
+
+    row = row_kernel(StateSpace.build(game, 0), 2)
+    for rising in ([0.0, 3.0, 1.0], [1.0, 1.0, np.nextafter(1.0, 2.0)]):  # by one ulp, too
+        with pytest.raises(ValueError):
+            row(np.array(rising))
+        with pytest.raises(ValueError):
+            row(np.array(rising), decisions=True)
+    row(np.array([1.0, 1.0, 0.0]), decisions=True)  # a flat step is no rise
+
+
+@pytest.mark.parametrize("game", BITWISE_GAMES, ids=lambda g: g.name)
+def test_hits_of_one_state_and_budget_abort_from_one_class(game):
+    # a hit's abort class is the lowest class attaining the best neighbour,
+    # whichever class was drawn
+    space = StateSpace.build(game, 0)
+    C, shared = 3, 0
+    for _, (cells, classes) in _chained_rows(space, C, 4 if space.n_states < 1000 else 2):
+        w, _, c = np.unravel_index(cells[:-1], (space.n_states, len(space.classes), C + 1))
+        first, cell = np.unique(w * (C + 1) + c, return_index=True, return_inverse=True)[1:]
+        hit_classes = classes[:-1]
+        assert np.array_equal(hit_classes, hit_classes[first][cell]), game.name
+        shared += len(cell) - len(first)  # hits beyond the first of their (state, budget)
+    if game.name in ("three", "four", "synergy(n=20,m=14)"):  # else no two hits share one
+        assert shared > 0
+
+
+# frozen sha256 digests of a table's boundary rows and of all its decision
+# records, dtypes included: a change to any value or record byte fails here
+TABLE_DIGESTS = [
+    (make_lb_game(8), 40, 2,
+     "e7e90ad0515982c7a7b2285a298578d7e149b2aeb3afeac0b291f617b1fa5b05",
+     "646c933c8b92d77587478b875cbead74f74ffdfcd57f65072fc5efe0216ee55f"),
+    (make_lb_game(100), 40, 4,
+     "f9b79a0bb555feaff2c980548c1bf256ce7cff8181d179ff499face899128e7d",
+     "a846d7038ffaaa655915f05864098d76f1a52531f1b0cb216e2188dfcfff0901"),
+    (make_lb_game(100), 6, 200,
+     "e524ac70c03954d75d8e511e45b48dbad1b413ad33a3b96a0f277266deb102b0",
+     "c791bcc08f8985024e935b07605861bff30830a5811c718f4980cf056daf8965"),
+    (make_collab_game(20), 6, 2,
+     "17a8d54e6040f675582464f03dab669925102469180bf4e629892719a402479a",
+     "1902713ffad97a848f8dd3e24728155c874494815357687abff6749234690277"),
+    (make_pair_game(5), 40, 0,
+     "0197d89ad18a25ffe21d413669aff4a09ae5c389f075c838d1ea64ef04168593",
+     "08c8deb8626b988e902c72dc711e5d3038d8d773ff47c362e1cec080a3db58b2"),
+]
+
+
+@pytest.mark.parametrize("game, R, C, rows_sha, records_sha", TABLE_DIGESTS,
+                         ids=["lb8-C2", "lb100-C4", "lb100-C200", "collab20-C2", "pair5-C0"])
+def test_tables_match_their_golden_digests(game, R, C, rows_sha, records_sha):
+    table = dp_build(game, 0, R, C, decisions=True)
+    rows = table.rows
+    assert hashlib.sha256(rows.dtype.str.encode() + rows.tobytes()).hexdigest() == rows_sha
+    records = hashlib.sha256()
+    for record in table.decisions:
+        for part in record:
+            records.update(part.dtype.str.encode())
+            records.update(part.tobytes())
+    assert records.hexdigest() == records_sha
+    assert dp_build(game, 0, R, C).rows.tobytes() == rows.tobytes()  # values only
 
 
 def _scalar_mu_star(space: StateSpace) -> np.ndarray:
