@@ -9,6 +9,17 @@ neighbour one budget unit lower, the rule stated and proved in
 :mod:`shapsim.dp`.  With decisions a kernel also emits each cell where
 aborting strictly beats accepting, with the class it aborts from: the
 lowest class index attaining that neighbour.
+
+Scratch memory belongs to the plan: the wide plan (:class:`WidePlan`)
+holds one gather buffer and one hit buffer, sized for its largest size
+group and overwritten group by group by every row, so a row maps no fresh
+pages for its gathers.  The slice and the record a row returns are always
+freshly allocated, and a later row never overwrites them.  Each gather
+writes into the buffer with ``mode="clip"``: with ``out=``, ``"raise"``
+first gathers into a temporary and copies it over, and ``"clip"`` never
+clips, because :func:`build_wide_plan` refuses a neighbour outside the
+work array.  The flat kernel allocates per row: reusing its buffers made
+narrow tables with decisions slower.
 """
 
 from __future__ import annotations
@@ -92,12 +103,14 @@ def row_kernel(space: StateSpace, C: int) -> Callable:
     cell's minimum is the reference's by the best-neighbour rule, and each
     state's sum adds the same terms in the same order.  The rule needs
     ``prev_row`` to fall in budget, so a row that rises raises
-    ``ValueError``.
+    ``ValueError``.  The slice and the record are fresh arrays that no later
+    row touches; any scratch belongs to the plan and is reused by every
+    row, so one row function must not build two rows at once.
     """
     if len(space.classes) <= FLAT_MAX_CLASSES:
         kernel, plan = flat_rows, build_flat_plan(space, C)
     else:
-        kernel, plan = wide_rows, slot_plan(space)
+        kernel, plan = wide_rows, build_wide_plan(space, C)
 
     def row(prev_row: np.ndarray, decisions: bool = False) -> tuple[np.ndarray, tuple | None]:
         budgets = prev_row.tolist()
@@ -213,7 +226,33 @@ def flat_rows(space: StateSpace, plan: FlatPlan, prev_row: np.ndarray, C: int,
     return values, (cells, classes)
 
 
-def wide_rows(space: StateSpace, slots: tuple[SizeGroup, ...], prev_row: np.ndarray, C: int,
+class WidePlan(NamedTuple):
+    """The budget-major kernel's slot plan and the scratch its rows reuse.
+
+    ``groups`` is :func:`slot_plan`'s.  ``gather`` is float64 room for the
+    largest group's ``(C + 1, J, g)`` gather and ``hits`` bool room for its
+    ``(g, J, C)`` hit mask; every row overwrites both, group by group.
+    """
+
+    groups: tuple[SizeGroup, ...]
+    gather: np.ndarray
+    hits: np.ndarray
+
+
+def build_wide_plan(space: StateSpace, C: int) -> WidePlan:
+    """The :class:`WidePlan` of ``space`` for budgets ``0..C``.
+
+    Raises ``ValueError`` if a neighbour lies outside the work array's
+    ``n_states + 1`` columns, the check that lets each row gather unchecked.
+    """
+    groups = slot_plan(space)
+    if any(np.any((nbr < 0) | (nbr > space.n_states)) for *_, nbr, _, _ in groups):
+        raise ValueError("a slot's neighbour lies outside the work array")
+    cells = max((nbr.size for *_, nbr, _, _ in groups), default=0)
+    return WidePlan(groups, np.empty((C + 1) * cells), np.empty(C * cells, dtype=bool))
+
+
+def wide_rows(space: StateSpace, plan: WidePlan, prev_row: np.ndarray, C: int,
              decisions: bool) -> tuple[np.ndarray, tuple | None]:
     """The work-ordered slice and, with ``decisions``, its hit cells and their classes.
 
@@ -233,14 +272,17 @@ def wide_rows(space: StateSpace, slots: tuple[SizeGroup, ...], prev_row: np.ndar
     # start of every other state's sum
     np.add(space.mu_work, prev_row[:, None], out=work[:, :-1])
     found, classes = [], []
-    for m, lo, hi, cls, nbr, k, empty in slots:
-        near = work.take(nbr, axis=1)  # (C + 1, J, g): the pool without one slot-j member
+    for m, lo, hi, cls, nbr, k, empty in plan.groups:
+        # (C + 1, J, g), in the plan's scratch: the pool without one slot-j
+        # member; the plan build checked every index, so "clip" never clips
+        near = plan.gather[:C1 * nbr.size].reshape((C1,) + nbr.shape)
+        work.take(nbr, axis=1, out=near, mode="clip")
         best = np.minimum.reduce(near[:-1], axis=1)  # (C, g): the abort at budgets 1..C
         if decisions:
             # hit[s, j, c - 1], state-major: ascending cells, as the slots are in class order
-            hit = np.empty((hi - lo, len(nbr), C), dtype=bool)
-            np.less(best[:, None], near[1:], out=hit.transpose(2, 1, 0))
-            hit &= ~empty.T[:, :, None]  # a padding slot's accept is the sentinel inf
+            hit = plan.hits[:nbr.size * C].reshape((hi - lo, len(nbr), C))
+            hit[...] = False  # a padding slot's accept is the sentinel inf: never a hit
+            np.less(best[:, None], near[1:], out=hit.transpose(2, 1, 0), where=~empty)
             s, j, c = np.unravel_index(np.flatnonzero(hit), hit.shape)
             found.append(((lo + s) * D + cls[j, s]) * C1 + c + 1)
             classes.append(cls[near[c, :, s].argmin(axis=1), s])

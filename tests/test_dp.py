@@ -703,6 +703,60 @@ def test_each_table_builds_its_row_plan_once(game, plan, monkeypatch):
     assert built == [plan]
 
 
+def test_wide_plan_refuses_a_neighbour_outside_the_work_array(monkeypatch):
+    # rows gather with mode="clip", which would read the sentinel column for
+    # an index past it, so the plan build refuses one
+    from shapsim import dp_kernels
+
+    space = StateSpace.build(FOUR, 0)
+    groups = list(dp_kernels.slot_plan(space))
+    m, lo, hi, cls, nbr, k, empty = groups[-1]
+    nbr = nbr.astype(np.intp)
+    nbr[0, 0] = space.n_states + 1
+    groups[-1] = dp_kernels.SizeGroup(m, lo, hi, cls, nbr, k, empty)
+    monkeypatch.setattr(dp_kernels, "slot_plan", lambda space: tuple(groups))
+    with pytest.raises(ValueError, match="outside the work array"):
+        dp_kernels.row_kernel(space, 2)
+
+
+@pytest.mark.parametrize("decisions", [False, True], ids=["values", "decisions"])
+@pytest.mark.parametrize("game", [make_lb_game(8), FOUR], ids=["flat", "wide"])
+def test_a_rows_output_is_never_overwritten_by_later_rows(game, decisions):
+    # a kernel may reuse its scratch from row to row, but not what it returns
+    from shapsim.dp_kernels import row_kernel
+
+    def as_bytes(values, record):
+        return [values.tobytes()] + [part.tobytes() for part in record or ()]
+
+    row = row_kernel(StateSpace.build(game, 0), 2)
+    values, record = row(np.zeros(3), decisions)
+    first = as_bytes(values, record)
+    prev = values[-1]
+    for _ in range(2):
+        later = row(prev, decisions)
+        assert as_bytes(*later)[0] != first[0]  # rows that differ, so an overwrite shows
+        prev = later[0][-1]
+    assert as_bytes(values, record) == first
+
+
+def test_a_wide_row_gathers_into_its_plans_scratch():
+    # a row after the first allocates its slice and small per-group arrays,
+    # but no gather: the largest group's alone would break the bound
+    from shapsim.dp_kernels import row_kernel, slot_plan
+
+    space, C = StateSpace.build(make_collab_game(20), 0), 2
+    gather = max((C + 1) * nbr.size * 8 for *_, nbr, _, _ in slot_plan(space))
+    row = row_kernel(space, C)
+    prev = row(np.zeros(C + 1))[0][-1]
+    tracemalloc.start()
+    try:
+        values, _ = row(prev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - values.nbytes < gather, (peak, values.nbytes, gather)
+
+
 @pytest.mark.parametrize("game", BITWISE_GAMES, ids=lambda g: g.name)
 def test_vectorized_builder_matches_reference_bitwise(game):
     from oracles import _build_slice_reference
