@@ -24,7 +24,9 @@ uncompressed bit-set fallback for ``n <= 20``.  A table stores the
 full-pool boundary column ``value[T][N][c]`` per ``T``; a table built for
 an adversary (``decisions=True``) also stores each ``T``'s optimal policy,
 a sparse record of the cells that abort and of the class each aborts.
-Both simulation engines play that record and compare no values.
+Both simulation engines play those records through one rule,
+:meth:`DPTable.abort_rule`, a sorted lookup that merges the records of a
+range of sample indices, and compare no values.
 
 A row is built one size group of states at a time by the kernel that
 :func:`shapsim.dp_kernels.row_kernel` picks for the game, which also emits
@@ -169,12 +171,12 @@ class StateSpace:
     def state_of(self, pool: Sequence[int]) -> int:
         return sum(map(self.player_strides.__getitem__, pool))  # the honest player's is 0
 
-
-def _recorded(record: tuple, key):
-    """The class a decision record aborts from at each flat cell ``key``, else -1."""
-    cells, classes = record
-    i = cells.searchsorted(key)  # the sentinel keeps i in range
-    return (classes[i] + 1) * (cells[i] == key) - 1  # -1 where the cell is not recorded
+    def state_ids(self, counts: np.ndarray) -> np.ndarray:
+        """The state index, in ``int64``, of each column of per-class counts."""
+        sid = np.zeros(counts.shape[1], dtype=np.int64)
+        for stride, cnt in zip(self.strides, counts):  # an int64 stride widens the counts
+            sid += stride * cnt
+        return sid
 
 
 @dataclass(eq=False)
@@ -268,33 +270,48 @@ class DPTable:
             raise ValueError(f"sample index {T} outside built range 0..{self.R - 1}")
         return self._row(T)[0][self.space.work_row]
 
-    def abort_class(self, T, sid, d, c):
-        """The class to abort from at sample index ``T``, or -1 to accept.
+    def abort_rule(self, lo: int, hi: int) -> Callable:
+        """The abort rule at sample indices ``lo .. hi - 1``, as one sorted lookup.
 
-        The cell is pool state ``sid`` with a class-``d`` player drawn and
-        ``0 <= c <= C`` units left; arrays of these (``T`` included) look up
-        one cell each.  Each distinct record object is searched once, for all
-        the cells whose ``T`` it covers, gathered by one sort.
+        Returns ``rule(T, sid, d, c)``: the class to abort from, or -1 to
+        accept, when pool state ``sid`` has a class-``d`` player drawn with
+        ``0 <= c <= C`` units left at sample index ``T``; arrays of these
+        look up one cell each, with one ``searchsorted``.  The lookup merges
+        the range's distinct records: the ``g``-th run of equal records
+        adds ``g * n_states * D * (C + 1)`` to its cells, so the cells stay
+        ascending across runs.  It holds at most twice the bytes of those
+        records (its cells may need the next wider dtype), and a range with
+        one distinct record reads that record in place.
         """
         space = self.space
-        key = (space.work_row[sid].astype(np.int64) * len(space.classes) + d) * (self.C + 1) + c
-        if np.ndim(T) == 0:
-            return _recorded(self.decisions[T], key)
-        lo = int(T.min())
-        span = self.decisions[lo:int(T.max()) + 1]
-        # equal consecutive records are one object: number each run of them
-        first = [0] + [t for t in range(1, len(span)) if span[t] is not span[t - 1]]
-        group = np.zeros(len(span), dtype=np.min_scalar_type(len(first)))
-        group[first[1:]] = 1
-        group = np.cumsum(group, dtype=group.dtype)[T - lo]
-        order = np.argsort(group, kind="stable")  # a radix sort: each run's cells contiguous
-        sizes = np.bincount(group, minlength=len(first))
-        out = np.empty(key.shape, dtype=np.int64)
-        for t, end, size in zip(first, np.cumsum(sizes).tolist(), sizes.tolist()):
-            if size:
-                rows = order[end - size:end]
-                out[rows] = _recorded(span[t], key[rows])
-        return out
+        D = len(space.classes)
+        width = space.n_states * D * (self.C + 1)  # a record's sentinel
+        span = self.decisions[lo:hi]
+        runs = [t for t in range(len(span)) if t == 0 or span[t] is not span[t - 1]]
+        start = np.zeros(len(span), dtype=np.int64)
+        start[runs[1:]] = width
+        start = np.cumsum(start)  # the key offset of each sample index's run
+        if len(runs) == 1:
+            cells, classes = span[0]
+        else:
+            sizes = [len(span[t][0]) - 1 for t in runs]  # without the sentinels
+            cells = np.empty(sum(sizes) + 1, dtype=np.min_scalar_type(len(runs) * width))
+            classes = np.empty(len(cells), dtype=span[0][1].dtype)
+            at = 0
+            for g, (t, size) in enumerate(zip(runs, sizes)):
+                cells[at:at + size] = span[t][0][:-1]
+                cells[at:at + size] += g * width
+                classes[at:at + size] = span[t][1][:-1]
+                at += size
+            cells[-1], classes[-1] = len(runs) * width, -1
+        work_row = space.work_row
+
+        def rule(T, sid, d, c):
+            key = (work_row[sid].astype(np.int64) * D + d) * (self.C + 1) + c
+            key = (key + start[np.subtract(T, lo)]).astype(cells.dtype)  # so no copy of the cells
+            i = cells.searchsorted(key)  # the sentinel keeps i in range
+            return np.where(cells[i] == key, classes[i], -1)
+        return rule
 
     def worst_value(self, R: int | None = None, c: int | None = None) -> float:
         """Full-run value ``value[R-1][N][c]`` (defaults: all built samples, full budget).
@@ -330,8 +347,9 @@ class DPAdversary(Adversary):
     """Plays the table's optimal abort policy in sequential elimination.
 
     At each opened elimination round with a non-honest player drawn, looks
-    the cell up with :meth:`DPTable.abort_class`, as :func:`parallel_runs`
-    does, and has the named class's smallest-id pool member other than the
+    the cell up in the :meth:`DPTable.abort_rule` of the sample index, which
+    reads the sample's record in place, as :func:`parallel_runs` looks up one
+    per chunk, and has the named class's smallest-id pool member other than the
     drawn player abort.  Behaves passively once the budget is exhausted or
     beyond the planning horizon.  Not defined for the full-permutation protocol.
     """
@@ -346,6 +364,7 @@ class DPAdversary(Adversary):
         self.table = table
         self.horizon = table.R
         self._T = -1
+        self._rule = None
 
     def reset(self, **kwargs) -> None:
         super().reset(**kwargs)
@@ -357,6 +376,7 @@ class DPAdversary(Adversary):
     def begin_sample(self, index: int) -> None:
         super().begin_sample(index)
         self._T = self.horizon - 1 - index  # negative beyond the horizon
+        self._rule = None
 
     def commit_permutations(self, view, susceptible, m):
         raise ValueError("the optimal table adversary only plays sequential elimination")
@@ -371,7 +391,9 @@ class DPAdversary(Adversary):
         pool = view.active_set
         c = int(max(0, min(self.budget.limit - self.budget.used, self.table.C)))  # limit may be inf
         space = self.table.space
-        d = int(self.table.abort_class(self._T, space.state_of(pool), space.class_of[drawn], c))
+        if self._rule is None:  # one lookup per sample index, built at its first ask
+            self._rule = self.table.abort_rule(self._T, self._T + 1)
+        d = int(self._rule(self._T, space.state_of(pool), space.class_of[drawn], c))
         victim = next(j for j in pool if space.class_of[j] == d and j != drawn) if d >= 0 else None
         return self._abort(commitments, victim)
 
@@ -395,44 +417,43 @@ class ParallelRunStats:
         return float(np.std(self.x_honest, ddof=1) / math.sqrt(len(self.x_honest)))
 
 
-def _play_rows(space: StateSpace, floats: np.ndarray, live: np.ndarray,
-               table: DPTable | None = None, T=None, budget=None) -> np.ndarray:
-    """Play the elimination rounds of the (run, sample) rows in the mask ``live``.
+def _play_rows(space: StateSpace, places: np.ndarray, rule: Callable | None = None,
+               T=None, budget=None) -> np.ndarray:
+    """Play the elimination rounds of the (run, sample) rows, one column of ``places`` each.
 
-    Row ``i`` reads its round-``r`` float at ``floats[i, r]``.  Returns each
-    row's pool state when the honest player was drawn (the full pool for a
-    row not played).  With a ``table``, row ``i`` plays sample index ``T[i]``
-    and spends its own ``budget[i]`` across its rounds; rows without budget
-    look nothing up.
+    ``places[r, i]`` is row ``i``'s drawn place in round ``r``, over the pool
+    ordered honest first then by class.  Returns each row's pool state when
+    the honest player was drawn.  With a ``rule`` (:meth:`DPTable.abort_rule`)
+    row ``i`` plays sample index ``T[i]`` and spends its own ``budget[i]``
+    across its rounds.  Each round asks the rule once, about the rows still
+    playing that have budget left.
     """
-    rows, n = floats.shape
+    n, rows = places.shape
     D = len(space.classes)
-    # row i's count of class d is counts[d, i]; a played row's stop changing
+    # row i's count of class d is counts[d, i]; a row's counts stop changing
     # once the honest player is drawn
-    counts = np.repeat(space.totals[:, None].astype(np.min_scalar_type(n)), rows, axis=1)
-    for r in range(n):
-        v = floats[:, r] * (n - r)  # floor(v) is the drawn member's place, honest first
-        live = live & (v >= 1)  # below 1 the honest player is drawn
+    counts = np.repeat(space.totals[:, None].astype(places.dtype), rows, axis=1)
+    live = np.ones(rows, dtype=bool)
+    for place in places:
+        live &= place != 0  # place 0 is the honest player
         if not live.any():
             break
-        # the drawn class: how many prefix sums of the class counts are below floor(v)
+        # the drawn class: how many prefix sums of the class counts are <= place
         d = np.zeros(rows, dtype=np.min_scalar_type(D))
         reach = 1
         for cnt in counts[:-1]:
             reach = reach + cnt
-            d += v >= reach
-        if table is not None:
+            d += place >= reach
+        if rule is not None:
             ask = np.flatnonzero(live & (budget > 0))
             if len(ask):
-                d_abort = table.abort_class(T[ask], space.strides @ counts[:, ask], d[ask],
-                                            budget[ask])
-                hit = d_abort >= 0
-                ask = ask[hit]
-                d[ask] = d_abort[hit]
+                d_abort = rule(T[ask], space.state_ids(counts)[ask], d[ask], budget[ask])
+                ask = ask[d_abort >= 0]
+                d[ask] = d_abort[d_abort >= 0]
                 budget[ask] -= 1
         for j, cnt in enumerate(counts):  # one class-d member leaves
             cnt -= live & (d == j)
-    return space.strides @ counts
+    return space.state_ids(counts)
 
 
 def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
@@ -452,16 +473,22 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
     then by class.  A single uniform stands in for the opened commitment
     sum, which has the same law.  Positional indexing keeps runs aligned no
     matter when the honest player leaves a sample; rounds after that cannot
-    change the honest allocation, so they are skipped.
+    change the honest allocation, so they are skipped.  A chunk's floats
+    become these integer places once, round-major in the smallest dtype
+    that holds ``n``, so each round reads one contiguous row; the places
+    compare with integer class bounds exactly as the floats would.
 
     With a ``table`` (built with ``decisions=True``) the adversary plays its
-    optimal abort policy, looking the cells of all rows with budget left up
-    at once with :meth:`DPTable.abort_class`, as :class:`DPAdversary` does;
-    without one every run is passive.  A run's samples are coupled only
-    through its remaining budget, which changes at most ``C`` times, so a
-    chunk is played speculatively at each run's budget at the chunk start.
-    Each run keeps its samples up to and including its first that aborts
-    and replays the later ones at the lowered budget, until no run has
+    optimal abort policy through one :meth:`DPTable.abort_rule` lookup per
+    chunk, over the chunk's sample indices, as :class:`DPAdversary` takes
+    one per sample; without a table every run is passive.  A chunk's rows
+    are sample-major, so the rows a round asks about at one sample index
+    are adjacent and search one part of the lookup.  A run's samples are
+    coupled only through its remaining budget, which changes at most ``C``
+    times, so a chunk is played speculatively at each run's budget at the
+    chunk start; runs without budget play it passively.  Each run keeps its
+    samples up to and including its first that aborts, and a replay plays
+    only the later ones, gathered, at the lowered budget, until no run has
     samples pending; the result is the sample-by-sample play's, bit for bit.
     """
     n = game.n
@@ -474,33 +501,51 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
     x_acc = np.zeros(M)
     c_rem = np.full(M, C, dtype=np.min_scalar_type(C))
     block = np.empty(M * LOCKSTEP_CHUNK * n)
+    grid = np.empty((n, LOCKSTEP_CHUNK, M), dtype=np.min_scalar_type(n))
+    pool_sizes = np.tile(np.arange(n, 0, -1, dtype=np.float64), LOCKSTEP_CHUNK)  # n - r at t * n + r
     sample = np.arange(LOCKSTEP_CHUNK)
     for t in range(0, R, LOCKSTEP_CHUNK):
         k = min(LOCKSTEP_CHUNK, R - t)
         draws = block[:M * k * n].reshape(M, k * n)
         for m, gen in enumerate(gens):
             gen.random(out=draws[m])
-        floats = draws.reshape(M * k, n)
+        np.multiply(draws, pool_sizes[:k * n], out=draws)
+        # the places floor(u * (n - r)), round-major, column s * M + m for run
+        # m's sample s, so a round's rows at one sample index are adjacent: a
+        # cast truncates, and u >= 0
+        cast = draws.astype(grid.dtype).reshape(M, k, n)
+        for s in range(k):  # per sample: one 3-D transposing copy measured slower
+            grid[:, s] = cast[:, s].T
+        places = grid[:, :k].reshape(n, k * M)
         if table is None or not c_rem.any():  # no budget left, no abort
-            sid = _play_rows(space, floats, np.ones(M * k, dtype=bool))
+            sid = _play_rows(space, places)
         else:
-            sid = np.empty(M * k, dtype=np.int64)
-            T = np.tile(R - 1 - t - sample[:k], M)
-            first = np.zeros(M, dtype=np.int64)  # each run's first sample still to play
-            while (first < k).any():
-                pending = sample[:k] >= first[:, None]
-                start = np.repeat(c_rem, k)
+            rule = table.abort_rule(R - t - k, R - t)
+            T = np.repeat(R - 1 - t - sample[:k], M)
+            sid = np.empty(k * M, dtype=np.int64)
+            idle = np.tile(c_rem == 0, k)  # the rows of runs without budget play passively
+            if idle.any():
+                sid[idle] = _play_rows(space, places[:, idle])
+                rows = np.flatnonzero(~idle)
+            else:
+                rows = slice(None)  # the first pass plays every row in place
+            while True:
+                start = np.tile(c_rem, k)[rows]
                 budget = start.copy()
-                np.copyto(sid, _play_rows(space, floats, pending.ravel(), table, T, budget),
-                          where=pending.ravel())
-                spent = (start - budget).reshape(M, k)
-                hit = pending & (spent > 0)
-                runs = np.flatnonzero(hit.any(axis=1))
-                j = hit[runs].argmax(axis=1)  # the run's first aborting sample is final
-                c_rem[runs] -= spent[runs, j]
-                first[:] = k
-                first[runs] = j + 1
-        mu = space.mu_star[sid].reshape(M, k)
-        for col in mu.T:  # in sample order, so each run's sum is the sample-by-sample one
-            x_acc += col
+                sid[rows] = _play_rows(space, places[:, rows], rule, T[rows], budget)
+                spent = np.zeros(k * M, dtype=budget.dtype)
+                spent[rows] = start - budget
+                spent = spent.reshape(k, M)
+                runs = np.flatnonzero(spent.any(axis=0))
+                j = (spent[:, runs] > 0).argmax(axis=0)  # a run's first abort is final
+                c_rem[runs] -= spent[j, runs]
+                later = np.zeros((k, M), dtype=bool)
+                later[:, runs] = sample[:k, None] > j
+                rows = np.flatnonzero(later)  # the runs' samples after their first abort
+                if not len(rows):
+                    break
+            del rule  # so the next chunk's lookup is not built beside this one
+        # in sample order, so each run's sum is the sample-by-sample one
+        for mu in space.mu_star[sid].reshape(k, M):
+            x_acc += mu
     return ParallelRunStats(x_honest=x_acc / R, violations=(C - c_rem).astype(np.int64), R=R)

@@ -268,7 +268,7 @@ def _build_slice_reference(space, prev_row: np.ndarray, C: int) -> np.ndarray:
 def abort_class(space, sl: np.ndarray, sid: int, counts, d_drawn: int, c: int) -> int:
     """The class the optimal adversary aborts from in one round, or -1 to accept.
 
-    The plain-loop reference for ``shapsim.dp.DPTable.abort_class``, the one
+    The plain-loop reference for ``shapsim.dp.DPTable.abort_rule``, the one
     rule both the callback engine (``DPAdversary``) and the lockstep engine
     (``parallel_runs``) play, read from a value slice: with ``c >= 1``
     units left, a class qualifies when it keeps a member after the drawn

@@ -707,31 +707,35 @@ def test_min_samples_sweep_builds_one_table(tmp_path, monkeypatch, fixed, sweep,
 
 
 def test_decision_records_write_the_value_rule_bytes(tmp_path, monkeypatch):
-    # both engines play DPTable.abort_class; swapping in the plain-loop rule
+    # both engines play DPTable.abort_rule; swapping in the plain-loop rule
     # on value slices rebuilt from the boundary rows changes no output byte
     from oracles import _counts_of, abort_class
     from shapsim.dp import DPTable
 
     looked_up = []
 
-    def value_rule(table, T, sid, d, c):
+    def value_rule(table, lo, hi):
         space, slices = table.space, {}
-        cells = np.broadcast_arrays(T, sid, d, c)
-        out = []
-        for tt, s, dd, cc in zip(*(a.ravel().tolist() for a in cells)):
-            if tt not in slices:
-                slices[tt] = table.slice_at(tt)
-                looked_up.append(tt)
-            counts = _counts_of(space, s)
-            out.append(abort_class(space, slices[tt], s, counts, dd, cc) if counts[dd] else -1)
-        return np.array(out).reshape(cells[0].shape)
+
+        def rule(T, sid, d, c):
+            cells = np.broadcast_arrays(T, sid, d, c)
+            out = []
+            for tt, s, dd, cc in zip(*(a.ravel().tolist() for a in cells)):
+                assert lo <= tt < hi and cc <= table.C
+                if tt not in slices:
+                    slices[tt] = table.slice_at(tt)
+                    looked_up.append(tt)
+                counts = _counts_of(space, s)
+                out.append(abort_class(space, slices[tt], s, counts, dd, cc) if counts[dd] else -1)
+            return np.array(out).reshape(cells[0].shape)
+        return rule
 
     simulate = ["simulate", "--game", "lb", "--n", "6", "--protocol", "seq",
                 "--adversary", "dp", "--budget", "2", "--R", "30", "--seed", "9"]
     for args in (CDF_DP, simulate):
         assert run(args + ["--out", tmp_path / "record.csv"]) == EXIT_OK
         with monkeypatch.context() as m:
-            m.setattr(DPTable, "abort_class", value_rule)
+            m.setattr(DPTable, "abort_rule", value_rule)
             looked_up.clear()
             assert run(args + ["--out", tmp_path / "values.csv"]) == EXIT_OK
             assert looked_up

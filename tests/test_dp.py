@@ -27,6 +27,7 @@ from shapsim import (
     shapley_exact,
     substream,
 )
+import shapsim.dp as dp
 from shapsim.dp import LOCKSTEP_CHUNK, StateSpace
 from oracles import _counts_of, abort_class, lockstep_reference, worst_case_value
 
@@ -416,25 +417,62 @@ def test_parallel_m1_matches_reference_loop():
         assert stats.violations[0] == violations
 
 
-@pytest.mark.parametrize("g", [make_pair_game(6), strip_classes(make_pair_game(6))],
-                         ids=["classes", "singletons"])
-def test_parallel_matches_reference_across_chunk_boundaries(g):
+@pytest.mark.parametrize("g, R, C, table_R, table_C, held", [
+    (make_pair_game(6), 150, 3, 150, 3, False),
+    (strip_classes(make_pair_game(6)), 150, 3, 150, 3, False),
+    (make_pair_game(6), 150, 3, 190, 5, False),
+    (make_lb_game(20), 200, 6, 200, 6, True),
+], ids=["classes", "singletons", "longer-wider-table", "lb20-held-budget"])
+def test_parallel_matches_reference_across_chunk_boundaries(g, R, C, table_R, table_C, held,
+                                                            monkeypatch):
     # more than two chunks, with aborts past the first chunk and samples that
     # hold two aborts: the speculative replay must give every run the
-    # sample-by-sample play bit for bit, with two classes and with five
-    R, C, M, seed = 150, 3, 40, 7
+    # sample-by-sample play bit for bit, with two classes and with five; on
+    # a table built for more samples and a larger budget than the run, each
+    # chunk's lookup covers only the run's own sample indices and is asked
+    # only within the run's budget; and every replay plays only the pending
+    # rows of its chunk, gathered (where runs hold budget across three
+    # chunks, a few of them)
+    M, seed = 40, 7
     assert R > 2 * LOCKSTEP_CHUNK
-    table = dp_build(g, 0, R, C, decisions=True)
+    table = dp_build(g, 0, table_R, table_C, decisions=True)
+    passes, lookups = [], []
+    play, lookup = dp._play_rows, DPTable.abort_rule
+
+    def counting(space, places, rule=None, *args):
+        if rule is not None:  # a pass with the rule: the chunk's first, or a replay
+            passes.append((len(lookups), places.shape[1]))
+        return play(space, places, rule, *args)
+
+    def recording(table, lo, hi):
+        lookups.append(hi - lo)
+        rule = lookup(table, lo, hi)
+
+        def asked(T, sid, d, c):
+            assert np.all((lo <= T) & (T < hi) & (c <= C))
+            return rule(T, sid, d, c)
+        return asked
+
+    monkeypatch.setattr(dp, "_play_rows", counting)
+    monkeypatch.setattr(DPTable, "abort_rule", recording)
     stats = parallel_runs(g, 0, R, C, M, seed, table=table)
-    late = double = 0
+    assert lookups and max(lookups) <= LOCKSTEP_CHUNK
+    replays = [(rows, M * lookups[chunk - 1]) for i, (chunk, rows) in enumerate(passes)
+               if i and passes[i - 1][0] == chunk]
+    assert replays and all(rows < batch for rows, batch in replays), replays
+    late = double = spread = 0
     for m in range(M):
         x, violations, aborted = lockstep_reference(table, R, C, seed, run=m)
         assert stats.x_honest[m] == x, m
         assert stats.violations[m] == violations, m
         late += any(t >= LOCKSTEP_CHUNK for t in aborted)
         double += any(aborted.count(t) >= 2 for t in set(aborted))
+        spread += len({t // LOCKSTEP_CHUNK for t in aborted}) >= 3
     assert late > 0
     assert double > 0
+    if held:
+        assert spread > 0
+        assert min(rows / batch for rows, batch in replays) < 0.05
 
 
 @pytest.mark.parametrize("game, D", [(make_lb_game(20), 2), (strip_classes(make_pair_game(6)), 5)],
@@ -450,19 +488,40 @@ def test_parallel_passive_is_exact(game, D):
         assert passive.x_honest[m] == lockstep_reference(table, R, 0, seed, run=m)[0], m
 
 
-def test_parallel_working_set_does_not_grow_with_R():
-    # the engine holds one chunk of rows at a time
-    g = make_lb_game(8)
-    table = dp_build(g, 0, 512, 2, decisions=True)
+@pytest.mark.parametrize("g, C, M, distinct", [(make_lb_game(8), 2, 200, False),
+                                                (make_lb_game(20), 200, 20, True)],
+                         ids=["lb8-C2", "lb20-C200"])
+def test_parallel_working_set_does_not_grow_with_R(g, C, M, distinct, monkeypatch):
+    # the engine holds one chunk of rows and one abort lookup at a time, and
+    # a lookup holds at most twice the bytes of the records it merges (its
+    # cells may take the next wider dtype).  At lb20, C=200 every T has its
+    # own record, and the play holds no more than its largest lookup beside
+    # a passive play's working set
+    table = dp_build(g, 0, 512, C, decisions=True)
+    assert (len({id(record) for record in table.decisions}) == 512) == distinct
+    held, lookup = [], DPTable.abort_rule
+
+    def measured(table, lo, hi):
+        merged = {id(record): record for record in table.decisions[lo:hi]}.values()
+        before = tracemalloc.get_traced_memory()[0]
+        rule = lookup(table, lo, hi)
+        held.append((tracemalloc.get_traced_memory()[0] - before,
+                     2 * sum(cells.nbytes + classes.nbytes for cells, classes in merged)))
+        return rule
+
+    monkeypatch.setattr(DPTable, "abort_rule", measured)
     peaks = []
-    for R in (128, 512):
+    for R, played in ((128, table), (512, table), (512, None)):
         tracemalloc.start()
         try:
-            parallel_runs(g, 0, R, 2, M=200, seed=3, table=table)
+            parallel_runs(g, 0, R, C if played else 0, M=M, seed=3, table=played)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] * 1.05, peaks
+    assert held and all(size <= bound + 4096 for size, bound in held), held
+    if distinct:
+        assert peaks[1] <= max(bound for _, bound in held) + peaks[2], (peaks, held)
 
 
 def test_row_working_set_does_not_grow_with_T():
@@ -537,8 +596,8 @@ def _abort_rule_everywhere(space, sl: np.ndarray, C: int) -> np.ndarray:
 
 
 def _record_everywhere(table: DPTable, T: int) -> np.ndarray:
-    """``table.abort_class`` at every cell, in one vectorised lookup."""
-    return table.abort_class(T, *_every_cell(table.space, table.C))
+    """``table.abort_rule`` at every cell of ``T``, in one vectorised lookup."""
+    return table.abort_rule(T, T + 1)(T, *_every_cell(table.space, table.C))
 
 
 def _class_count_game(n: int, classes, f, name: str) -> Game:
@@ -786,7 +845,7 @@ def test_vectorized_builder_matches_reference_bitwise(game):
                 rng = np.random.default_rng(13)
                 cells = tuple(rng.integers(0, top, 3000)
                               for top in (space.n_states, len(space.classes), C + 1))
-            got = played.abort_class(0, *cells)
+            got = played.abort_rule(0, 1)(0, *cells)
             assert np.array_equal(got, _abort_rule_at(space, a, *cells)), (game.name, C)
             # with one class an abort leaves the pool an accept leaves, one unit poorer
             assert np.any(got >= 0) == (C >= 1 and len(space.classes) > 1), (game.name, C)
@@ -932,3 +991,45 @@ def test_collab_game_compressed_dp_builds():
     table = dp_build(g, 0, R=3, C=1)
     assert table.rows.shape == (3, 2)
     assert table.rows[0, 0] == pytest.approx(38 / 15, rel=1e-9)
+
+
+def test_abort_rule_reads_every_recorded_cell_of_a_wide_table():
+    # collab20 (57,344 states, 14 classes): a cell's key passes the range of
+    # the work-row dtype, and scalar cells, as DPAdversary asks them, must
+    # read the same keys as arrays of cells
+    table = dp_build(make_collab_game(20), 0, R=2, C=1, decisions=True)
+    space, D = table.space, len(table.space.classes)
+    rule = table.abort_rule(0, 2)
+    for T in range(2):
+        cells, classes = table.decisions[T]
+        wd, c = np.divmod(cells[:-1].astype(np.int64), table.C + 1)
+        work, d = np.divmod(wd, D)
+        sid = space.order[work]
+        assert len(sid) and work.max() * D > np.iinfo(space.work_row.dtype).max
+        assert np.array_equal(rule(np.full(len(sid), T), sid, d, c), classes[:-1])
+        picks = list(range(0, len(sid), max(1, len(sid) // 50)))
+        assert ([int(rule(T, int(sid[i]), int(d[i]), int(c[i]))) for i in picks]
+                == classes[picks].tolist())
+
+
+def test_parallel_plays_a_wide_table_in_full_chunks():
+    # collab20 at C=2: one int8 per (T, state, drawn class, budget) cell
+    # over the run's 30 sample indices would take 72 MB; the merged records
+    # take a small share of that, and the play matches the sample-by-sample
+    # play bit for bit
+    g, R, C, M, seed = make_collab_game(20), 30, 2, 2, 4
+    table = dp_build(g, 0, R, C, decisions=True)
+    space = table.space
+    assert R * space.n_states * len(space.classes) * (C + 1) > 64 << 20
+    tracemalloc.start()
+    try:
+        stats = parallel_runs(g, 0, R, C, M, seed, table=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
+    assert stats.violations.any()
+    for m in range(M):
+        x, violations, _ = lockstep_reference(table, R, C, seed, run=m)
+        assert stats.x_honest[m] == x, m
+        assert stats.violations[m] == violations, m
