@@ -126,7 +126,7 @@ class Adversary:
         else spend one unit and return a copy that maps ``victim`` to ``None``."""
         if victim is None or not self.budget.allows():
             return commitments
-        self.budget.spend()
+        self.budget.used += 1  # allows() just passed: spend() would check it again
         opened = commitments.copy()
         opened[victim] = None
         return opened

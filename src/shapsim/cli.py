@@ -80,6 +80,21 @@ def _count(value: float, field: str = "budget") -> int:
     return int(value)
 
 
+# The strategy class behind each --adversary choice.  A strategy plays the
+# protocols whose open hook it overrides; one that overrides none never
+# aborts, so it plays every protocol.
+_STRATEGIES = {"passive": PassiveAdversary, "cyclic": CyclicShiftAdversary,
+               "eager": EagerAbortAdversary, "block": BlockAttackAdversary, "dp": DPAdversary}
+_OPEN_HOOKS = {"naive": "open_permutations", "seq": "open_draws"}
+
+
+def _plays(strategy: type[Adversary]) -> list[str]:
+    """The protocols that ``strategy`` plays, by the open hooks it defines."""
+    own = [protocol for protocol, hook in _OPEN_HOOKS.items()
+           if getattr(strategy, hook) is not getattr(Adversary, hook)]
+    return own or list(_OPEN_HOOKS)
+
+
 # Every config key, with its typed default and the options of its flag
 # ``--key`` ("-" for "_").  A subcommand registers only the flags it reads
 # (see build_parser), so argparse rejects any other with exit code 2; a
@@ -92,8 +107,8 @@ _KEYS = {
     "hypergraph": (None, {}),
     "honest": (None, {"type": int}),
     "padding": (0, {"type": int}),
-    "protocol": ("seq", {"choices": ["naive", "seq"]}),
-    "adversary": ("passive", {"choices": ["passive", "cyclic", "eager", "block", "dp"]}),
+    "protocol": ("seq", {"choices": list(_OPEN_HOOKS)}),
+    "adversary": ("passive", {"choices": list(_STRATEGIES)}),
     "budget_kind": ("known", {"choices": ["known", "rate"]}),
     "budget": (0.0, {"type": float}),
     "eps": (None, {"type": _fraction}),
@@ -160,6 +175,15 @@ class ExperimentConfig:
     """Validated settings for one driver invocation: every key of ``_KEYS``, typed."""
 
     values: dict[str, object]
+
+    def __post_init__(self) -> None:
+        # refused before any adversary or table is made: a strategy without
+        # the protocol's hooks would play it passively
+        kind, protocol = self["adversary"], self["protocol"]
+        plays = _plays(_STRATEGIES[kind])
+        if protocol not in plays:
+            raise ConfigError(f"adversary {kind!r} plays only the {' and '.join(plays)} "
+                              f"protocol, not {protocol!r}")
 
     def __getitem__(self, key: str):
         return self.values[key]

@@ -61,7 +61,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import index as _index, itemgetter
 from types import MappingProxyType
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,14 +80,13 @@ class PhaseView:
     honest_revealed: object
 
 
-@dataclass(frozen=True)
-class PSampleOutcome:
+class PSampleOutcome(NamedTuple):
     """One generated P-sample.
 
     ``order[r]`` is the player at rank ``r + 1`` over the active set (rank 1
     least preferable).  ``dev`` collects players detected violating during
     the sample; ``violations_used`` counts budget units consumed (one per
-    detected player).
+    detected player).  A named tuple, so immutable and cheap to build.
     """
 
     order: tuple[int, ...]
@@ -242,28 +241,30 @@ def naive_perm(
     record = MappingProxyType(checked)
     opened = adversary.open_permutations(PhaseView(active, honest_perm), susceptible, record, m)
     unfaithful = _unfaithful(opened, record, checked, checked.values(), _as_perm, slots)
-    if unfaithful or len(checked) < len(susceptible):
+    if len(checked) < len(susceptible):
         dev = frozenset(susceptible).difference(checked).union(unfaithful)
-    else:
-        dev = _NO_DEV
+    else:  # every row passed its check: only openings can violate
+        dev = frozenset(unfaithful) if unfaithful else _NO_DEV
 
     if m == 1:  # itemgetter of a single index returns a bare item, not a tuple
-        return PSampleOutcome(order=active, dev=dev)
+        return PSampleOutcome(active, dev)
     # Compose in ascending id order, earliest applied first: player
     # active[x] starts at slot x and ends at slot g[x], its rank minus one.
-    g = range(m)
+    # The first permutation applied is g itself; no identity is composed.
+    g = None
     pending = honest_perm  # applied at the honest id's turn
     for p, perm in checked.items():  # ascending id, as susceptible is
         if pending is not None and p > honest:
-            g, pending = itemgetter(*g)(pending), None
+            g = pending if g is None else itemgetter(*g)(pending)
+            pending = None
         if p not in dev:
-            g = itemgetter(*g)(perm)
+            g = perm if g is None else itemgetter(*g)(perm)
     if pending is not None:
-        g = itemgetter(*g)(pending)
+        g = pending if g is None else itemgetter(*g)(pending)
     order = [0] * m
     for x, p in enumerate(active):
         order[g[x]] = p
-    return PSampleOutcome(order=tuple(order), dev=dev)
+    return PSampleOutcome(tuple(order), dev)
 
 
 def rand_elim(
@@ -361,4 +362,4 @@ def seq_perm(
             del pool[bisect_left(pool, p)]
         order.extend(out)
         r += 1
-    return PSampleOutcome(order=tuple(order), dev=frozenset(dev_total))
+    return PSampleOutcome(tuple(order), frozenset(dev_total))

@@ -139,11 +139,11 @@ def _check_runnable(game: Game, honest: int, punish: str, protocol: str) -> None
         raise ValueError("allocation runs need a non-negative monotone game")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Bank:
     """Running totals of one allocation run."""
 
-    z: np.ndarray  # every player's summed marginal contributions
+    z: list[float]  # every player's summed marginal contributions
     per_sample: list = field(default_factory=list)
     samples: int = 0
     violations: int = 0
@@ -166,7 +166,8 @@ def _p_samples(game: Game, protocol: str, adversary: Adversary, *, honest: int, 
                     game=game, planned_samples=planned_samples)
     u_max_star = float(shapley_exact(game).u_max[honest])
     v = game.utility
-    bank = _Bank(z=np.zeros(game.n))
+    v_empty = v(0)
+    bank = _Bank(z=[0.0] * game.n)
     z = bank.z
     bank_sample = bank.per_sample.append
     players = tuple(range(game.n))
@@ -179,14 +180,15 @@ def _p_samples(game: Game, protocol: str, adversary: Adversary, *, honest: int, 
         outcome: PSampleOutcome = sample_fn(active, honest, adversary, honest_rng)
         order = tuple(pinned) + outcome.order if pinned else outcome.order
         mask = 0
-        prev = v(0)
+        prev = v_empty
         x_honest_j = 0.0
         for p in order:
-            cur = v(mask | (1 << p))
-            z[p] += cur - prev
-            if p == honest:
-                x_honest_j = cur - prev
             mask |= 1 << p
+            cur = v(mask)
+            gain = cur - prev
+            z[p] += gain
+            if p == honest:
+                x_honest_j = gain
             prev = cur
         dev = outcome.dev
         used = len(dev)  # one violation per detected player
@@ -225,11 +227,13 @@ def run_allocation(
     :class:`SampleCapExceeded` with a diagnostic.
     """
     cap = hard_cap if hard_cap is not None else stopping.default_cap()
+    # a run banks at least one P-sample before the rule is consulted, and no
+    # rule is satisfied before its R samples
+    first = max(stopping.R, 1)
     for bank in _p_samples(game, protocol, adversary, honest=honest, seed=seed,
                            stream_labels=stream_labels, planned_samples=stopping.planned_R,
                            punish=punish):
-        # a run banks at least one P-sample before the rule is consulted
-        if bank.samples and stopping.satisfied(bank.samples, bank.violating_samples):
+        if bank.samples >= first and stopping.satisfied(bank.samples, bank.violating_samples):
             break
         if bank.samples >= cap:
             raise SampleCapExceeded(
@@ -239,9 +243,9 @@ def run_allocation(
             )
 
     eps_hat = stopping.eps if stopping.kind != "fixed" else math.nan
-    return RunRecord(x=bank.z / bank.samples, epsilon_hat=eps_hat, per_sample=bank.per_sample,
-                     samples_used=bank.samples, violations=bank.violations, seed=seed,
-                     honest=honest)
+    return RunRecord(x=np.array(bank.z) / bank.samples, epsilon_hat=eps_hat,
+                     per_sample=bank.per_sample, samples_used=bank.samples,
+                     violations=bank.violations, seed=seed, honest=honest)
 
 
 def run_adaptive(
@@ -279,7 +283,7 @@ def run_adaptive(
             if R >= 8.0 * gamma / eps_next**2 * math.log(2.0 ** (k + 1) / delta):
                 if bank.violations / R > eps_next / (2.0 * gamma):
                     break
-                x = bank.z / R
+                x = np.array(bank.z) / R
                 k += 1
         if 2.0 ** -k <= eps:
             break

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -372,6 +373,73 @@ def test_adaptive_simulate_honours_protocol(tmp_path):
 def test_adaptive_simulate_rejects_unused_flags(tmp_path, flag):
     assert run(ADAPTIVE + flag + ["--out", tmp_path / "a.csv"]) == EXIT_CONFIG
     assert not (tmp_path / "a.csv").exists()
+
+
+PAIRING = ["--game", "lb", "--n", "8", "--honest", "7", "--budget", "2", "--eps", "0.5"]
+PAIRING_SIZES = {"simulate": ["--R", "5"], "cdf": ["--R", "5", "--M", "2"]}
+
+
+@pytest.mark.parametrize("command", ["simulate", "cdf"])
+@pytest.mark.parametrize("protocol, adversary", [
+    ("seq", "cyclic"), ("naive", "eager"), ("naive", "block"), ("naive", "dp"),
+])
+def test_an_adversary_without_the_protocols_hooks_exits_2(tmp_path, capsys, monkeypatch,
+                                                          command, protocol, adversary):
+    # such a strategy would play the protocol passively (or, for dp, fail at
+    # the first commit), so the pairing is refused before any table or run
+    def not_run(*args, **kwargs):
+        raise AssertionError("a table or a run started")
+
+    for name in ("dp_build", "run_allocation", "run_adaptive", "run_many", "parallel_runs"):
+        monkeypatch.setattr(cli, name, not_run)
+    out = tmp_path / "o.csv"
+    args = [command, *PAIRING, *PAIRING_SIZES[command], "--out", out]
+    assert run(args + ["--protocol", protocol, "--adversary", adversary]) == EXIT_CONFIG
+    assert f"adversary {adversary!r} plays only" in capsys.readouterr().err
+    cfg = _config(tmp_path, {"protocol": protocol, "adversary": adversary})
+    assert run(args + ["--config", cfg]) == EXIT_CONFIG
+    assert f"not {protocol!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("protocol, adversary", [
+    ("naive", "passive"), ("seq", "passive"), ("naive", "cyclic"), ("seq", "eager"),
+    ("seq", "block"), ("seq", "dp"),
+])
+def test_each_adversary_plays_the_protocols_whose_open_hook_it_defines(tmp_path, protocol,
+                                                                       adversary):
+    out = tmp_path / "o.csv"
+    assert run(["simulate", *PAIRING, *PAIRING_SIZES["simulate"], "--protocol", protocol,
+                "--adversary", adversary, "--out", out]) == EXIT_OK
+    assert out.exists()
+
+
+# sha256 of simulate CSVs that run the callback engine's banking loop, pinned
+# so that a faster loop is seen to write the same bytes
+PAIR4_CYCLIC = ["--game", "pair", "--n", "4", "--i-star", "3", "--j-star", "2",
+                "--protocol", "naive", "--adversary", "cyclic"]
+
+
+@pytest.mark.parametrize("args, digest", [
+    (PAIR4_CYCLIC + ["--budget", "150", "--R", "400", "--seed", "7"],
+     "f6dddc7907e62c49f580da96c98167392861f49a557a3a3452a98b5cc7b1dbba"),
+    (PAIR4_CYCLIC + ["--budget", "150", "--R", "400", "--seed", "7", "--punish", "perpetual"],
+     "8a1ee2a435ddd473a9b141185c7f7ec6d7fac4854ce1e62bbe2e67629681ce6e"),
+    (["--game", "lb", "--n", "8", "--protocol", "naive", "--adversary", "passive",
+      "--R", "300", "--seed", "5"],
+     "b391fdf4d20070ab7383b15fe84f5af18db855658b2fe82963ba2a74943b70f3"),
+    (["--game", "lb", "--n", "8", "--protocol", "seq", "--adversary", "eager",
+      "--budget-kind", "rate", "--budget", "0.1", "--R", "300", "--seed", "6"],
+     "7a242d4fda4a778b30a3bc3663ec6abed69a1bd06dbb922d3e9551ea893bc49f"),
+    (PAIR4_CYCLIC + ["--stopping", "adaptive", "--eps", "0.25", "--delta", "0.1",
+                     "--budget", "20", "--seed", "8"],
+     "973cd90bfe14e898d55100243633098d49982f1e26ff9effcd5e8f896937f5d2"),
+], ids=["pair4-naive-cyclic", "pair4-naive-cyclic-perpetual", "lb8-naive-passive",
+        "lb8-seq-eager-rate", "pair4-naive-cyclic-adaptive"])
+def test_simulate_bytes_match_pinned_digests(tmp_path, args, digest):
+    out = tmp_path / "s.csv"
+    assert run(["simulate", *args, "--out", out]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("command", [

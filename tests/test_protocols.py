@@ -60,6 +60,24 @@ def test_outcome_counts_one_violation_per_detected_player():
     assert PSampleOutcome(order=(2, 0, 1), dev=frozenset({0, 2})).violations_used == 2
 
 
+def test_outcome_is_immutable_and_built_either_way():
+    from shapsim.protocols import PSampleOutcome
+
+    dev = frozenset({0, 2})
+    by_keyword = PSampleOutcome(order=(2, 0, 1), dev=dev)
+    by_position = PSampleOutcome((2, 0, 1), dev)
+    assert by_keyword == by_position
+    assert by_position.order == (2, 0, 1) and by_position.dev is dev
+    for name in ("order", "dev", "violations_used", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(by_position, name, None)
+    assert by_position.violations_used == len(dev)
+    assert getattr(by_position, "violations_used", 0) == 2  # how the benchmark's tracer reads it
+    assert [by_position.rank_of(p) for p in (2, 0, 1)] == [1, 2, 3]
+    with pytest.raises(ValueError):
+        by_position.rank_of(7)
+
+
 def test_naive_passive_uniform_small():
     adv, rng = passive(3, 2, seed=2)
     counts = Counter()
