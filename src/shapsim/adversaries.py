@@ -83,17 +83,13 @@ class Adversary:
 
     Subclasses override the open hooks to abort selectively.  A commit hook
     returns one integer ``ndarray`` aligned with ``susceptible``: shape
-    ``(s,)`` of draws in ``[0, k)``, or shape ``(s, m)`` whose rows are
-    bijections of ``0..m-1``.  Any other return makes every susceptible
-    player a detected violator; in a well-shaped array, a bad entry or row
-    makes only its own player violate.  An open hook receives a read-only
-    mapping from each kept susceptible player to its committed value
-    (Python ints for draws, in ``susceptible`` order; tuples for
-    permutation rows) and returns what :meth:`_abort` makes of it: the one
-    place where a strategy aborts, so a strategy that does not abort
-    returns the mapping itself, and one that aborts returns a plain dict
-    from its ``copy()``.  The protocol judges every opening against its own
-    copy of the commitments, never against the mapping it handed out.
+    ``(s,)`` of draws in ``[0, k)``, or ``(s, m)`` of permutation rows.  An
+    open hook receives a read-only mapping from each kept susceptible player
+    to its committed value (Python ints for draws, tuples for permutation
+    rows) and returns what :meth:`_abort` makes of it, the one place where a
+    strategy aborts: the mapping itself, or a dict copy with the victim
+    mapped to ``None``.  The binding rule in :mod:`shapsim.protocols` judges
+    every return.
     One adversary instance is exclusively owned by one run at a time;
     :meth:`reset` rebinds it to a new run.
     """

@@ -73,6 +73,13 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _ratio(text: str) -> float:
+    value = float(text)
+    if not 1 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number of at least 1, got {text!r}")
+    return value
+
+
 def _count(value: float, field: str = "budget") -> int:
     """A budget read as a violation count, which must be a non-negative integer."""
     if not (value >= 0 and value.is_integer()):
@@ -113,7 +120,7 @@ _KEYS = {
     "budget": (0.0, {"type": float}),
     "eps": (None, {"type": _fraction}),
     "delta": (None, {"type": _fraction}),
-    "gamma": (None, {"type": float}),
+    "gamma": (None, {"type": _ratio}),
     "stopping": (None, {"choices": ["fixed", "known", "unknown", "adaptive"]}),
     "R": (None, {"type": int}),
     "M": (1, {"type": _positive}),
@@ -123,7 +130,7 @@ _KEYS = {
     "block_greedy": (False, {"action": "store_true"}),
     "sweep": (None, {"help": "param=v1,v2,... with param in n, C, eps"}),
     "r_max": (None, {"type": _positive}),
-    "max_samples": (None, {"type": int}),
+    "max_samples": (None, {"type": _positive}),
     "jobs": (1, {"type": _positive}),
     "full_scale": (False, {"action": "store_true"}),
     "out": (None, {"help": "output CSV path ('-' for stdout)"}),
@@ -277,6 +284,8 @@ class ExperimentConfig:
             if self["R"] is None:
                 raise ConfigError("fixed stopping needs R")
             return StoppingRule.fixed(self["R"])
+        if self["R"] is not None:
+            raise ConfigError(f"field R: stopping {kind!r} sets its own sample count")
         eps, delta = self["eps"], self["delta"]
         if eps is None or delta is None:
             raise ConfigError(f"stopping {kind!r} needs eps and delta")
@@ -348,6 +357,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             raise ConfigError("adaptive stopping supports only count_only punishment")
         if cfg["max_samples"] is not None:
             raise ConfigError("adaptive stopping takes no max_samples cap")
+        if cfg["R"] is not None:
+            raise ConfigError("field R: stopping 'adaptive' sets its own sample count")
         adversary = cfg.adversary_factory(game, honest, None)()
         record = run_adaptive(game, adversary, eps, delta, cfg.gamma_for(game, honest),
                               honest=honest, seed=cfg["seed"], protocol=cfg["protocol"])

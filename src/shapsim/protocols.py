@@ -37,11 +37,14 @@ the adversary callback API rather than as simulated cryptography:
   :class:`_Record` over the protocol's tuples of players and draws.
   Openings are judged against the protocol's own values, never against the
   object handed out, so nothing the hook does, to that object or to the
-  array it committed, can change what was committed.  :func:`_unfaithful`
-  is the one open rule of both protocols: an opening is the committed value
-  (returning the mapping itself opens everyone faithfully) or ``None``
-  (abort), and anything else is a detected violation like an abort; nothing
-  an adversary returns raises.
+  array it committed, can change what was committed.  One rule,
+  :func:`_detected`, gives both protocols their detected set: a susceptible
+  player violates when it kept no commitment or its opening is not its
+  committed value.  An opening is the committed value when it is that
+  object or equal to it (:func:`_opens_to`), and returning the mapping
+  itself opens everyone faithfully; ``None`` is an abort, and anything else
+  is a detected violation like an abort.  Nothing an adversary returns
+  raises.
 * rushing - open-phase callbacks receive the honest player's opened value
   before the adversary decides which susceptible players abort.
 
@@ -107,27 +110,6 @@ class ProtocolInfeasible(ValueError):
     """An adversary strategy cannot run against this configuration."""
 
 
-def _as_perm(value, slots: list[int]) -> tuple[int, ...] | None:
-    """``value`` as a tuple permuting ``slots`` (``0..m-1``), else ``None``."""
-    try:
-        arr = np.asarray(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if arr.shape != (len(slots),) or arr.dtype.kind not in "iu":
-        return None
-    perm = tuple(arr.tolist())
-    return perm if sorted(perm) == slots else None
-
-
-def _as_draw(value, k: int) -> int | None:
-    """``value`` as an integer draw in ``[0, k)``, else ``None``."""
-    try:
-        draw = _index(value)
-    except TypeError:
-        return None
-    return draw if 0 <= draw < k else None
-
-
 class _Record(Mapping):
     """A read-only mapping over parallel tuples of players and their values.
 
@@ -163,26 +145,40 @@ class _Record(Mapping):
         return dict(zip(self._players, self._values))
 
 
-def _unfaithful(opened, record: Mapping, players, values, parse, arg) -> Sequence[int]:
-    """The players whose opening in ``opened`` is not their committed value.
+def _opens_to(value, committed) -> bool:
+    """Whether ``value`` equals ``committed``: an integer equal to a draw (an
+    ``int``), or an integer-dtype row of shape ``(m,)`` equal to a permutation."""
+    if type(committed) is int:
+        try:
+            return _index(value) == committed
+        except TypeError:
+            return False
+    try:
+        row = np.asarray(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return (row.shape == (len(committed),) and row.dtype.kind in "iu"
+            and tuple(row.tolist()) == committed)
+
+
+def _detected(opened, record: Mapping, susceptible, players, values) -> frozenset[int]:
+    """The detected set of one round, by the binding rule of the module docstring.
 
     ``players`` and ``values`` are the protocol's own parallel sequences of
     kept players and committed values, and ``record`` is the read-only
-    mapping over them that the open hook received.  Returning ``record``
-    itself opens everyone faithfully; a return that is not a dict opens
-    nobody.  Otherwise an opening is faithful when it is the committed value
-    or ``parse(value, arg)`` equals it; ``None`` (an abort) is never parsed.
+    mapping over them that the open hook received.
     """
     if opened is record:
-        return ()
-    if not isinstance(opened, dict):
-        return list(players)
-    dev = []
-    for p, committed in zip(players, values):
-        value = opened.get(p)
-        if value is not committed and (value is None or parse(value, arg) != committed):
-            dev.append(p)
-    return dev
+        dev = ()
+    elif not isinstance(opened, dict):
+        dev = players
+    else:
+        dev = [p for p, committed in zip(players, values)
+               if (value := opened.get(p)) is not committed
+               and (value is None or not _opens_to(value, committed))]
+    if len(players) < len(susceptible):
+        return frozenset(susceptible).difference(players).union(dev)
+    return frozenset(dev) if dev else _NO_DEV
 
 
 def _is_commit_array(value, shape: tuple[int, ...]) -> bool:
@@ -240,14 +236,8 @@ def naive_perm(
 
     record = MappingProxyType(checked)
     opened = adversary.open_permutations(PhaseView(active, honest_perm), susceptible, record, m)
-    unfaithful = _unfaithful(opened, record, checked, checked.values(), _as_perm, slots)
-    if len(checked) < len(susceptible):
-        dev = frozenset(susceptible).difference(checked).union(unfaithful)
-    else:  # every row passed its check: only openings can violate
-        dev = frozenset(unfaithful) if unfaithful else _NO_DEV
+    dev = _detected(opened, record, susceptible, checked, checked.values())
 
-    if m == 1:  # itemgetter of a single index returns a bare item, not a tuple
-        return PSampleOutcome(active, dev)
     # Compose in ascending id order, earliest applied first: player
     # active[x] starts at slot x and ends at slot g[x], its rank minus one.
     # The first permutation applied is g itself; no identity is composed.
@@ -293,30 +283,25 @@ def rand_elim(
     k = len(pool)
     if k == 0:
         raise ValueError("cannot eliminate from an empty pool")
-    if honest is not None:
-        if honest_draw is None:
-            honest_draw = int(honest_rng.integers(k))
-    else:
+    if honest is None:
         honest_draw = None
+    elif honest_draw is None:
+        honest_draw = int(honest_rng.integers(k))
     susceptible = _without(pool, honest)
 
     commitments = adversary.commit_draws(PhaseView(pool, None), susceptible, k)
-    players, dev = susceptible, _NO_DEV
     if _is_commit_array(commitments, (len(susceptible),)):
-        draws = tuple(commitments.tolist())  # protocol-held values
+        players, draws = susceptible, tuple(commitments.tolist())  # protocol-held values
         if draws and (min(draws) < 0 or max(draws) >= k):  # checked in bulk: rarely true
             players = tuple(p for p, draw in zip(susceptible, draws) if 0 <= draw < k)
             draws = tuple(draw for draw in draws if 0 <= draw < k)
-            dev = set(susceptible).difference(players)
     else:
-        players, draws, dev = (), (), set(susceptible)
+        players, draws = (), ()
 
     record = _Record(players, draws)
     opened = adversary.open_draws(PhaseView(pool, honest_draw), susceptible, record, k)
-
-    unfaithful = _unfaithful(opened, record, players, draws, _as_draw, k)
-    if dev or unfaithful:
-        dev = frozenset(dev).union(unfaithful)
+    dev = _detected(opened, record, susceptible, players, draws)
+    if dev:
         return min(dev), dev
     return pool[((honest_draw or 0) + sum(draws)) % k], _NO_DEV
 

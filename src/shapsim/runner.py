@@ -35,10 +35,13 @@ class SampleCapExceeded(RuntimeError):
     """The stopping rule was not satisfied within the configured hard cap."""
 
 
-def _check_accuracy(eps: float, delta: float) -> None:
+def _check_accuracy(eps: float, delta: float, gamma: float) -> None:
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ValueError(f"eps and delta must lie strictly between 0 and 1, "
                          f"got eps={eps!r}, delta={delta!r}")
+    # each phi_i averages marginal contributions of at most u_max_i
+    if not 1 <= gamma < math.inf:
+        raise ValueError(f"gamma (u_max/phi) must be finite and at least 1, got {gamma!r}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ class StoppingRule:
 
     @classmethod
     def known_budget(cls, eps: float, delta: float, C: int, gamma: float) -> "StoppingRule":
-        _check_accuracy(eps, delta)
+        _check_accuracy(eps, delta, gamma)
         a = 8.0 * gamma / eps**2 * math.log(1.0 / delta)
         b = 2.0 * C * gamma / eps
         return cls(kind="known_budget", eps=eps, delta=delta, C=C, gamma=gamma,
@@ -82,7 +85,7 @@ class StoppingRule:
 
     @classmethod
     def unknown_budget(cls, eps: float, delta: float, gamma: float) -> "StoppingRule":
-        _check_accuracy(eps, delta)
+        _check_accuracy(eps, delta, gamma)
         r0 = 8.0 * gamma / eps**2 * (math.log(16.0 * gamma / eps**2) + math.log(1.0 / delta))
         return cls(kind="unknown_budget", eps=eps, delta=delta, gamma=gamma,
                    R=math.ceil(r0), formula_values=(r0,))
@@ -271,7 +274,7 @@ def run_adaptive(
     adversary with violation rate ``f`` the reported level never exceeds
     ``max(eps, 4*f*gamma)``.
     """
-    _check_accuracy(eps, delta)
+    _check_accuracy(eps, delta, gamma)
     x = np.zeros(game.n)
     k = 0
     for bank in _p_samples(game, protocol, adversary, honest=honest, seed=seed,

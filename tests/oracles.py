@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -339,17 +340,73 @@ def compose_order(active, perms: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
     return tuple(order)
 
 
+def as_perm(value, slots: list[int]) -> tuple[int, ...] | None:
+    """``value`` as a tuple permuting ``slots`` (``0..m-1``), else ``None``."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if arr.shape != (len(slots),) or arr.dtype.kind not in "iu":
+        return None
+    perm = tuple(arr.tolist())
+    return perm if sorted(perm) == slots else None
+
+
+def as_draw(value, k: int) -> int | None:
+    """``value`` as an integer draw in ``[0, k)``, else ``None``."""
+    try:
+        draw = operator.index(value)
+    except TypeError:
+        return None
+    return draw if 0 <= draw < k else None
+
+
 class CommitWitness(Adversary):
-    """Mixin that keeps what the last full-permutation round showed and got:
-    the commit hook's return and the honest opening."""
+    """Mixin that keeps what the last round showed and got: the commit hook's
+    return, the honest opening, and the open hook's record and return."""
 
     def commit_permutations(self, view, susceptible, m):
+        self.parse, self.width = (lambda v: as_perm(v, list(range(m)))), (m,)
         self.committed = super().commit_permutations(view, susceptible, m)
         return self.committed
 
     def open_permutations(self, view, susceptible, commitments, m):
-        self.honest_row = view.honest_revealed
-        return super().open_permutations(view, susceptible, commitments, m)
+        self.honest_row, self.record = view.honest_revealed, commitments
+        self.opened = super().open_permutations(view, susceptible, commitments, m)
+        return self.opened
+
+    def commit_draws(self, view, susceptible, k):
+        self.parse, self.width = (lambda v: as_draw(v, k)), ()
+        self.committed = super().commit_draws(view, susceptible, k)
+        return self.committed
+
+    def open_draws(self, view, susceptible, commitments, k):
+        self.record = commitments
+        self.opened = super().open_draws(view, susceptible, commitments, k)
+        return self.opened
+
+    def detected(self, susceptible) -> frozenset[int]:
+        """The players of ``susceptible`` (ascending) that the last round must
+        detect, worked out from the binding rule's statement.
+
+        A player violates when the commit return is no integer ``ndarray``
+        with one entry (a draw) or row (a permutation) per player, when its
+        own entry does not parse (:func:`as_draw`, :func:`as_perm`), or when
+        its opening does not parse to that value.  Returning the record the
+        open hook got opens every kept player; a return that is no dict opens
+        nobody.
+        """
+        c = self.committed
+        kept = {}
+        if (type(c) is np.ndarray and c.dtype.kind in "iu"
+                and c.shape == (len(susceptible), *self.width)):
+            kept = {p: self.parse(entry) for p, entry in zip(susceptible, c)}
+            kept = {p: value for p, value in kept.items() if value is not None}
+        dev = {p for p in susceptible if p not in kept}
+        if self.opened is not self.record:
+            opened = self.opened if isinstance(self.opened, dict) else {}
+            dev.update(p for p, value in kept.items() if self.parse(opened.get(p)) != value)
+        return frozenset(dev)
 
     def faithful_order(self, active, honest, dev) -> tuple[int, ...]:
         """:func:`compose_order` over the rows of the players outside ``dev``

@@ -689,6 +689,45 @@ def test_eps_and_delta_outside_the_open_unit_interval_exit_2(tmp_path, capsys, a
     assert not out.exists()
 
 
+LB8 = ["--game", "lb", "--n", "8", "--protocol", "seq", "--adversary", "passive"]
+
+
+def _rule(stopping: str) -> list[str]:
+    return ["--stopping", stopping, "--eps", "0.2", "--delta", "0.1"]
+
+
+_NO_EFFECT = [
+    *[("known", "gamma", bad) for bad in ("0", "-2", "inf", "nan", "0.5")],
+    ("unknown", "gamma", "0"),
+    ("known", "R", "7"),
+    ("unknown", "R", "7"),
+]
+
+
+@pytest.mark.parametrize("command, args, key, bad", [
+    *[pytest.param(command, _rule(rule), key, bad, id=f"{command}-{rule}-{key}-{bad}")
+      for command in ("simulate", "cdf") for rule, key, bad in _NO_EFFECT],
+    pytest.param("simulate", _rule("adaptive"), "R", "7", id="simulate-adaptive-R-7"),
+    pytest.param("simulate", ["--R", "5"], "max_samples", "0", id="max-samples-0"),
+    pytest.param("simulate", ["--R", "5"], "max_samples", "-3", id="max-samples--3"),
+])
+def test_run_values_that_cannot_take_effect_exit_2(tmp_path, capsys, command, args, key, bad):
+    out = tmp_path / "o.csv"
+
+    def exit_code(argv):
+        try:
+            return run([command, *LB8, *args, *argv, "--out", out])
+        except SystemExit as exc:  # argparse refuses the flag
+            return exc.code
+
+    assert exit_code([_flag(key), bad]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"field {key}" in err or f"argument {_flag(key)}" in err
+    assert exit_code(["--config", _config(tmp_path, {key: bad})]) == EXIT_CONFIG
+    assert f"field {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cdf_names_the_stopping_rules_it_takes(tmp_path, capsys):
     assert run(["cdf", *BASE["cdf"], "--stopping", "adaptive", "--eps", "0.5", "--delta", "0.5",
                 "--out", tmp_path / "o.csv"]) == EXIT_CONFIG

@@ -18,8 +18,10 @@ from shapsim import (
     seq_perm,
     substream,
 )
+from shapsim.protocols import _opens_to
 from oracles import (BindingBreaker, CommitWitness, JunkAdversary, Malformer, RecordingAdversary,
-                     ScriptedAdversary, malformed_commits, malformed_draws, malformed_perms)
+                     ScriptedAdversary, as_draw, as_perm, malformed_commits, malformed_draws,
+                     malformed_perms, opening_junk)
 
 
 def passive(n, honest, seed=1):
@@ -679,6 +681,35 @@ _JUNK = st.one_of(
 )
 
 
+# ``_opens_to`` against parse-then-compare: an opening parsed as a draw in
+# [0, k) or a permutation of 0..m-1 must equal the committed value
+_COMMITTED = [((0, 1, 2, 3), lambda v: as_perm(v, [0, 1, 2, 3])),
+              ((2, 0, 3, 1), lambda v: as_perm(v, [0, 1, 2, 3])),
+              *[(draw, lambda v: as_draw(v, 4)) for draw in range(4)]]
+
+
+def _agrees_with_parse_then_compare(value):
+    for committed, parse in _COMMITTED:
+        assert _opens_to(value, committed) == (parse(value) == committed), (value, committed)
+
+
+@given(_JUNK)
+def test_opens_to_agrees_with_parse_then_compare_on_junk(value):
+    _agrees_with_parse_then_compare(value)
+
+
+_OPENINGS = [*opening_junk(4), *malformed_perms(4), *malformed_draws(4),
+             # equal copies of committed values, which open them
+             [2, 0, 3, 1], np.int32(3), np.array([2, 0, 3, 1], np.int8),
+             np.array([2, 0, 3, 1], np.uint64), True]
+
+
+@pytest.mark.parametrize("value", _OPENINGS,
+                         ids=[f"{type(v).__name__}-{i}" for i, v in enumerate(_OPENINGS)])
+def test_opens_to_agrees_with_parse_then_compare(value):
+    _agrees_with_parse_then_compare(value)
+
+
 class HostileAdversary(Adversary):
     """Every callback returns what ``data`` draws.
 
@@ -762,7 +793,7 @@ def test_hostile_adversary_output_is_a_permutation_with_accounted_violations(
         in_pool = data.draw(st.booleans())  # else a fully susceptible pool
         eliminated, dev = rand_elim(active, honest if in_pool else None, adv, rng)
         assert eliminated in active
-        assert dev <= (susceptible if in_pool else frozenset(active))
+        assert dev == adv.detected(sorted(susceptible) if in_pool else active)
         assert not dev or eliminated == min(dev)
         return
     out = (naive_perm if protocol == "naive" else seq_perm)(active, honest, adv, rng)
@@ -770,6 +801,7 @@ def test_hostile_adversary_output_is_a_permutation_with_accounted_violations(
     assert out.violations_used == len(out.dev)
     assert out.dev <= susceptible
     if protocol == "naive":
+        assert out.dev == adv.detected(sorted(susceptible))
         # the order is the reference composition of the faithful rows and the honest row
         assert out.order == adv.faithful_order(active, honest, out.dev)
         if kind == "scripted":

@@ -85,6 +85,19 @@ def test_eps_and_delta_outside_the_open_unit_interval_raise(rule, eps, delta):
         calls[rule]()
 
 
+@pytest.mark.parametrize("gamma", [0.0, -2.0, 0.5, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("rule", ["known_budget", "unknown_budget", "adaptive"])
+def test_gamma_that_is_not_a_finite_ratio_of_at_least_1_raises(rule, gamma):
+    calls = {
+        "known_budget": lambda: StoppingRule.known_budget(0.2, 0.1, 1, gamma),
+        "unknown_budget": lambda: StoppingRule.unknown_budget(0.2, 0.1, gamma),
+        "adaptive": lambda: run_adaptive(single_edge_game(), PassiveAdversary(), 0.2, 0.1,
+                                         gamma, honest=0, seed=0),
+    }
+    with pytest.raises(ValueError, match="finite and at least 1"):
+        calls[rule]()
+
+
 # --- allocation loop --------------------------------------------------------------------
 
 def test_allocation_efficiency_every_run():
