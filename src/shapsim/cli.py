@@ -277,12 +277,22 @@ class ExperimentConfig:
                          "the adversary table")
         return dp_build(game, honest, R, C, decisions=True)
 
-    def stopping(self, game: Game, honest: int) -> StoppingRule:
-        """The rule of a run whose stopping is not adaptive."""
+    def stopping(self, game: Game, honest: int, *, theory_point: bool = False) -> StoppingRule:
+        """The rule of a run whose stopping is not adaptive.
+
+        Fixed stopping reads no ``gamma``, and ``eps`` and ``delta`` only as
+        a ``theory_point`` that takes both, or ``eps`` where a block adversary
+        sizes its blocks from it; any other value of them is refused.
+        """
         kind = self["stopping"]
         if kind in (None, "fixed"):
             if self["R"] is None:
                 raise ConfigError("fixed stopping needs R")
+            pair = theory_point and self["eps"] is not None and self["delta"] is not None
+            sized = self["adversary"] == "block" and self["block_len"] is None
+            for key, read in (("gamma", False), ("eps", pair or sized), ("delta", pair)):
+                if self[key] is not None and not read:
+                    raise ConfigError(f"field {key}: fixed stopping does not read it")
             return StoppingRule.fixed(self["R"])
         if self["R"] is not None:
             raise ConfigError(f"field R: stopping {kind!r} sets its own sample count")
@@ -457,7 +467,7 @@ def _cdf_runs(values: dict[str, object], runs) -> np.ndarray:
     """Honest allocations of the given run indices; also the ``--jobs`` worker."""
     cfg = ExperimentConfig(values)
     game, honest = cfg.build_game()
-    stopping = cfg.stopping(game, honest)
+    stopping = cfg.stopping(game, honest, theory_point=True)
     return run_many(game, cfg["protocol"],
                     cfg.adversary_factory(game, honest, stopping.planned_R), stopping, runs,
                     honest=honest, seed=cfg["seed"], punish=cfg["punish"])
@@ -468,7 +478,7 @@ def cmd_cdf(cfg: ExperimentConfig) -> int:
     eps, delta, M, jobs = cfg["eps"], cfg["delta"], cfg["M"], cfg["jobs"]
     if cfg["stopping"] == "adaptive":
         raise ConfigError("cdf needs a fixed, known or unknown stopping rule, not 'adaptive'")
-    stopping = cfg.stopping(game, honest)
+    stopping = cfg.stopping(game, honest, theory_point=True)
     _gate_full_scale(cfg, stopping.R * M, DESK_SAMPLE_BUDGET, "this experiment")
     phi = float(shapley_exact(game).phi[honest])
     if phi == 0:

@@ -313,6 +313,12 @@ class DPTable:
             return np.where(cells[i] == key, classes[i], -1)
         return rule
 
+    def check_play(self, R: int, C: float) -> None:
+        """Refuse, for both engines, a play of ``R`` samples at budget ``C`` the records miss."""
+        if self.decisions is None or R > self.R or C > self.C:
+            raise ValueError("the optimal adversary needs a table built with decisions=True "
+                             "for at least the run's budget and length")
+
     def worst_value(self, R: int | None = None, c: int | None = None) -> float:
         """Full-run value ``value[R-1][N][c]`` (defaults: all built samples, full budget).
 
@@ -352,14 +358,15 @@ class DPAdversary(Adversary):
     per chunk, and has the named class's smallest-id pool member other than the
     drawn player abort.  Behaves passively once the budget is exhausted or
     beyond the planning horizon.  Not defined for the full-permutation protocol.
+    :meth:`DPTable.check_play` refuses a budget above the table's ``C`` (so
+    ``Budget.unlimited()``), and at ``reset`` a planned run beyond its ``R``.
     """
 
     def __init__(self, table: DPTable, budget: Budget):
-        if table.decisions is None:
-            raise ValueError("the optimal adversary needs a table built with decisions=True")
         if budget.kind == "rate":  # the table's budget axis counts violations
             raise ValueError("the dp adversary needs a violation count (budget_kind known), "
                              "not a rate")
+        table.check_play(table.R, budget.limit)
         super().__init__(budget)
         self.table = table
         self.horizon = table.R
@@ -370,8 +377,7 @@ class DPAdversary(Adversary):
         super().reset(**kwargs)
         # plan against the run's announced length when one exists
         self.horizon = self.table.R if self.planned_samples is None else self.planned_samples
-        if self.horizon > self.table.R:
-            raise ValueError("planned run length exceeds the built table")
+        self.table.check_play(self.horizon, self.budget.limit)
 
     def begin_sample(self, index: int) -> None:
         super().begin_sample(index)
@@ -389,7 +395,7 @@ class DPAdversary(Adversary):
         if drawn == self.honest:
             return commitments
         pool = view.active_set
-        c = int(max(0, min(self.budget.limit - self.budget.used, self.table.C)))  # limit may be inf
+        c = int(self.budget.limit - self.budget.used)
         space = self.table.space
         if self._rule is None:  # one lookup per sample index, built at its first ask
             self._rule = self.table.abort_rule(self._T, self._T + 1)
@@ -417,16 +423,16 @@ class ParallelRunStats:
         return float(np.std(self.x_honest, ddof=1) / math.sqrt(len(self.x_honest)))
 
 
-def _play_rows(space: StateSpace, places: np.ndarray, rule: Callable | None = None,
-               T=None, budget=None) -> np.ndarray:
+def _play_rows(space: StateSpace, places: np.ndarray, rule: Callable | None,
+               T: np.ndarray, budget: np.ndarray) -> np.ndarray:
     """Play the elimination rounds of the (run, sample) rows, one column of ``places`` each.
 
     ``places[r, i]`` is row ``i``'s drawn place in round ``r``, over the pool
     ordered honest first then by class.  Returns each row's pool state when
-    the honest player was drawn.  With a ``rule`` (:meth:`DPTable.abort_rule`)
-    row ``i`` plays sample index ``T[i]`` and spends its own ``budget[i]``
-    across its rounds.  Each round asks the rule once, about the rows still
-    playing that have budget left.
+    the honest player was drawn.  Row ``i`` plays sample index ``T[i]`` and
+    spends its own ``budget[i]`` across its rounds.  Each round asks the
+    ``rule`` (:meth:`DPTable.abort_rule`) once, about the rows still playing
+    that have budget left; the others, and all rows without a rule, play passively.
     """
     n, rows = places.shape
     D = len(space.classes)
@@ -447,7 +453,7 @@ def _play_rows(space: StateSpace, places: np.ndarray, rule: Callable | None = No
         if rule is not None:
             ask = np.flatnonzero(live & (budget > 0))
             if len(ask):
-                d_abort = rule(T[ask], space.state_ids(counts)[ask], d[ask], budget[ask])
+                d_abort = rule(T[ask], space.state_ids(counts.take(ask, 1)), d[ask], budget[ask])
                 ask = ask[d_abort >= 0]
                 d[ask] = d_abort[d_abort >= 0]
                 budget[ask] -= 1
@@ -485,16 +491,15 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
     are sample-major, so the rows a round asks about at one sample index
     are adjacent and search one part of the lookup.  A run's samples are
     coupled only through its remaining budget, which changes at most ``C``
-    times, so a chunk is played speculatively at each run's budget at the
-    chunk start; runs without budget play it passively.  Each run keeps its
-    samples up to and including its first that aborts, and a replay plays
-    only the later ones, gathered, at the lowered budget, until no run has
-    samples pending; the result is the sample-by-sample play's, bit for bit.
+    times, so a first pass plays all of a chunk's rows in place at each run's
+    budget at the chunk start, with no lookup if no run holds any.  Each run
+    keeps its samples up to and including its first that aborts, and replays
+    play only the later ones, gathered, at the lowered budget, until none is
+    pending; the result is the sample-by-sample play's, bit for bit.
     """
     n = game.n
-    if table is not None and (table.decisions is None or C > table.C or R > table.R):
-        raise ValueError("the optimal adversary needs a table built with decisions=True "
-                         "for at least the run's budget and length")
+    if table is not None:
+        table.check_play(R, C)
     space = table.space if table is not None else StateSpace.build(game, honest)
 
     gens = [substream(seed, "run", m) for m in range(M)]
@@ -517,34 +522,28 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
         for s in range(k):  # per sample: one 3-D transposing copy measured slower
             grid[:, s] = cast[:, s].T
         places = grid[:, :k].reshape(n, k * M)
-        if table is None or not c_rem.any():  # no budget left, no abort
-            sid = _play_rows(space, places)
-        else:
-            rule = table.abort_rule(R - t - k, R - t)
-            T = np.repeat(R - 1 - t - sample[:k], M)
-            sid = np.empty(k * M, dtype=np.int64)
-            idle = np.tile(c_rem == 0, k)  # the rows of runs without budget play passively
-            if idle.any():
-                sid[idle] = _play_rows(space, places[:, idle])
-                rows = np.flatnonzero(~idle)
-            else:
-                rows = slice(None)  # the first pass plays every row in place
-            while True:
-                start = np.tile(c_rem, k)[rows]
-                budget = start.copy()
-                sid[rows] = _play_rows(space, places[:, rows], rule, T[rows], budget)
-                spent = np.zeros(k * M, dtype=budget.dtype)
-                spent[rows] = start - budget
-                spent = spent.reshape(k, M)
-                runs = np.flatnonzero(spent.any(axis=0))
-                j = (spent[:, runs] > 0).argmax(axis=0)  # a run's first abort is final
-                c_rem[runs] -= spent[j, runs]
-                later = np.zeros((k, M), dtype=bool)
-                later[:, runs] = sample[:k, None] > j
-                rows = np.flatnonzero(later)  # the runs' samples after their first abort
-                if not len(rows):
-                    break
-            del rule  # so the next chunk's lookup is not built beside this one
+        rule = table.abort_rule(R - t - k, R - t) if table is not None and c_rem.any() else None
+        T = np.repeat(R - 1 - t - sample[:k], M)
+        rows = slice(None)  # the first pass plays every row in place
+        start = np.tile(c_rem, k)
+        budget = start.copy()
+        sid = _play_rows(space, places, rule, T, budget)
+        while rule is not None:  # replays, of each run's samples after its first abort
+            spent = np.zeros(k * M, dtype=budget.dtype)
+            spent[rows] = start - budget
+            spent = spent.reshape(k, M)
+            runs = np.flatnonzero(spent.any(axis=0))
+            j = (spent[:, runs] > 0).argmax(axis=0)  # a run's first abort is final
+            c_rem[runs] -= spent[j, runs]
+            later = np.zeros((k, M), dtype=bool)
+            later[:, runs] = sample[:k, None] > j
+            rows = np.flatnonzero(later)
+            if not len(rows):
+                break
+            start = np.tile(c_rem, k)[rows]
+            budget = start.copy()
+            sid[rows] = _play_rows(space, places[:, rows], rule, T[rows], budget)
+        del rule  # so the next chunk's lookup is not built beside this one
         # in sample order, so each run's sum is the sample-by-sample one
         for mu in space.mu_star[sid].reshape(k, M):
             x_acc += mu

@@ -375,7 +375,7 @@ def test_adaptive_simulate_rejects_unused_flags(tmp_path, flag):
     assert not (tmp_path / "a.csv").exists()
 
 
-PAIRING = ["--game", "lb", "--n", "8", "--honest", "7", "--budget", "2", "--eps", "0.5"]
+PAIRING = ["--game", "lb", "--n", "8", "--honest", "7", "--budget", "2"]
 PAIRING_SIZES = {"simulate": ["--R", "5"], "cdf": ["--R", "5", "--M", "2"]}
 
 
@@ -409,8 +409,9 @@ def test_an_adversary_without_the_protocols_hooks_exits_2(tmp_path, capsys, monk
 def test_each_adversary_plays_the_protocols_whose_open_hook_it_defines(tmp_path, protocol,
                                                                        adversary):
     out = tmp_path / "o.csv"
-    assert run(["simulate", *PAIRING, *PAIRING_SIZES["simulate"], "--protocol", protocol,
-                "--adversary", adversary, "--out", out]) == EXIT_OK
+    sizes_blocks = ["--eps", "0.5"] if adversary == "block" else []  # read by nothing else
+    assert run(["simulate", *PAIRING, *PAIRING_SIZES["simulate"], *sizes_blocks,
+                "--protocol", protocol, "--adversary", adversary, "--out", out]) == EXIT_OK
     assert out.exists()
 
 
@@ -703,6 +704,22 @@ _NO_EFFECT = [
     ("unknown", "R", "7"),
 ]
 
+# fixed stopping reads no gamma; it reads eps and delta only as cdf's theory
+# point, which takes both, or eps where a block adversary sizes its blocks
+BLOCK = ["--adversary", "block"]
+_UNREAD_WHEN_FIXED = [
+    ("simulate", [], "gamma", "2"),
+    ("simulate", ["--stopping", "fixed"], "delta", "0.1"),
+    ("simulate", [], "eps", "0.2"),
+    ("simulate", [*BLOCK, "--block-len", "2"], "eps", "0.2"),
+    ("simulate", [*BLOCK, "--eps", "0.2"], "delta", "0.1"),
+    ("cdf", ["--eps", "0.2", "--delta", "0.1"], "gamma", "2"),
+    ("cdf", [], "eps", "0.2"),
+    ("cdf", [], "delta", "0.1"),
+    ("cdf", [*BLOCK, "--block-len", "2"], "eps", "0.2"),
+    ("cdf", BLOCK, "delta", "0.1"),
+]
+
 
 @pytest.mark.parametrize("command, args, key, bad", [
     *[pytest.param(command, _rule(rule), key, bad, id=f"{command}-{rule}-{key}-{bad}")
@@ -710,6 +727,9 @@ _NO_EFFECT = [
     pytest.param("simulate", _rule("adaptive"), "R", "7", id="simulate-adaptive-R-7"),
     pytest.param("simulate", ["--R", "5"], "max_samples", "0", id="max-samples-0"),
     pytest.param("simulate", ["--R", "5"], "max_samples", "-3", id="max-samples--3"),
+    *[pytest.param(command, ["--R", "5", *args], key, bad,
+                   id="-".join([command, "fixed", *(a.strip("-") for a in args), key]))
+      for command, args, key, bad in _UNREAD_WHEN_FIXED],
 ])
 def test_run_values_that_cannot_take_effect_exit_2(tmp_path, capsys, command, args, key, bad):
     out = tmp_path / "o.csv"
@@ -726,6 +746,17 @@ def test_run_values_that_cannot_take_effect_exit_2(tmp_path, capsys, command, ar
     assert exit_code(["--config", _config(tmp_path, {key: bad})]) == EXIT_CONFIG
     assert f"field {key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("simulate", [*BLOCK, "--eps", "0.2"]),
+    ("cdf", [*BLOCK, "--eps", "0.2"]),
+    ("cdf", ["--eps", "0.2", "--delta", "0.1"]),
+], ids=["simulate-block-eps", "cdf-block-eps", "cdf-theory-point"])
+def test_fixed_stopping_takes_eps_that_sizes_blocks_and_a_theory_point(tmp_path, command, args):
+    out = tmp_path / "o.csv"
+    assert run([command, *LB8, "--R", "5", *args, "--out", out]) == EXIT_OK
+    assert ("theory_point = 0.2,0.9" in read(out)) == ("--delta" in args)
 
 
 def test_cdf_names_the_stopping_rules_it_takes(tmp_path, capsys):

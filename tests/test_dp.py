@@ -396,13 +396,20 @@ def test_longer_table_replays_without_reading_values(monkeypatch):
     assert rec.violations <= C
 
 
+def _refusal(play) -> str:
+    with pytest.raises(ValueError) as refused:
+        play()
+    return str(refused.value)
+
+
 def test_engines_reject_a_table_without_decisions():
+    # one check, one message, for both engines; even where no run could abort
     g = make_pair_game(3)
     table = dp_build(g, 0, R=1, C=1)
-    with pytest.raises(ValueError, match="decisions"):
-        DPAdversary(table, Budget.known(1))
-    with pytest.raises(ValueError, match="decisions"):
-        parallel_runs(g, 0, R=1, C=1, M=1, seed=0, table=table)
+    refusals = {_refusal(lambda: DPAdversary(table, Budget.known(c))) for c in (0, 1)}
+    refusals |= {_refusal(lambda: parallel_runs(g, 0, R=1, C=c, M=1, seed=0, table=table))
+                 for c in (0, 1)}
+    assert len(refusals) == 1 and "decisions" in refusals.pop()
 
 
 def test_parallel_m1_matches_reference_loop():
@@ -473,6 +480,73 @@ def test_parallel_matches_reference_across_chunk_boundaries(g, R, C, table_R, ta
     if held:
         assert spread > 0
         assert min(rows / batch for rows, batch in replays) < 0.05
+
+
+@pytest.mark.parametrize("C", [0, 3], ids=["no-budget", "spends-out"])
+def test_parallel_plays_a_chunk_as_one_first_pass_then_pending_replays(C, monkeypatch):
+    # a chunk's first pass plays all its k*M rows in place, each at its run's
+    # budget, so runs that spent out play passively inside it; each replay
+    # plays only the rows pending after the pass before; and a chunk where no
+    # run holds budget (every chunk at C=0, the last ones at C=3, where some
+    # chunk also holds runs with and without budget) builds no lookup and
+    # ends with its first pass
+    g, R, M, seed = make_lb_game(8), 200, 16, 7
+    table = dp_build(g, 0, R, C, decisions=True)
+    events = []
+    play, lookup = dp._play_rows, DPTable.abort_rule
+
+    def playing(space, places, rule, T, budget):
+        start = budget.copy()
+        sid = play(space, places, rule, T, budget)
+        events.append((rule is not None, places, T.copy(), start, budget.copy()))
+        return sid
+
+    def looking_up(table, lo, hi):
+        events.append((lo, hi))
+        rule = lookup(table, lo, hi)
+
+        def asked(T, sid, d, c):
+            assert np.all(c > 0)  # a row without budget is never asked
+            return rule(T, sid, d, c)
+        return asked
+
+    monkeypatch.setattr(dp, "_play_rows", playing)
+    monkeypatch.setattr(DPTable, "abort_rule", looking_up)
+    stats = parallel_runs(g, 0, R, C, M, seed, table=table)
+
+    c_rem, firsts, mixed, quiet = np.full(M, C), [], 0, 0
+    for t in range(0, R, LOCKSTEP_CHUNK):
+        k = min(LOCKSTEP_CHUNK, R - t)
+        lo, hi = R - t - k, R - t
+        chunk_T = np.repeat(np.arange(hi - 1, lo - 1, -1), M)  # sample-major rows
+        held = bool(c_rem.any())
+        if held:
+            assert events.pop(0) == (lo, hi)
+        mixed += held and not c_rem.all()
+        quiet += not held
+        rows = np.arange(k * M)  # the first pass: every row, in place
+        while len(rows):
+            ruled, places, T, start, left = events.pop(0)
+            assert ruled == held and places.shape[1] == len(rows)
+            if len(rows) == k * M:
+                firsts.append(places)
+            else:  # a replay, gathered
+                assert not np.shares_memory(places, firsts[-1])
+            assert np.array_equal(T, chunk_T[rows])
+            assert np.array_equal(start, np.tile(c_rem, k)[rows])
+            spent = np.zeros(k * M, dtype=np.int64)
+            spent[rows] = start - left
+            spent = spent.reshape(k, M)
+            runs = np.flatnonzero(spent.any(axis=0))
+            first = (spent[:, runs] > 0).argmax(axis=0)
+            c_rem[runs] -= spent[first, runs]
+            later = np.zeros((k, M), dtype=bool)
+            later[:, runs] = np.arange(k)[:, None] > first
+            rows = np.flatnonzero(later)
+    assert not events
+    assert all(np.shares_memory(places, firsts[0]) for places in firsts)  # one chunk buffer
+    assert np.array_equal(stats.violations, C - c_rem)
+    assert quiet > 0 and (C == 0 or mixed > 0)
 
 
 @pytest.mark.parametrize("game, D", [(make_lb_game(20), 2), (strip_classes(make_pair_game(6)), 5)],
@@ -637,12 +711,26 @@ def test_decision_record_is_the_abort_rule_in_every_cell(game):
 
 
 def test_parallel_rejects_budget_beyond_table():
+    # and so does DPAdversary, with the same message: a budget above the
+    # table's C at construction (it used to clip it and spend past C), and
+    # at reset a planned run longer than the table's R
     g = make_pair_game(3)
     table = dp_build(g, 0, R=1, C=1, decisions=True)
-    with pytest.raises(ValueError):
-        parallel_runs(g, 0, R=1, C=2, M=1, seed=0, table=table)
-    with pytest.raises(ValueError):
-        parallel_runs(g, 0, R=2, C=1, M=1, seed=0, table=table)
+
+    def reset(adversary, planned):
+        adversary.reset(n=3, honest=0, rng=substream(0, "adversary"), game=g,
+                        planned_samples=planned)
+
+    refusals = {
+        _refusal(lambda: parallel_runs(g, 0, R=1, C=2, M=1, seed=0, table=table)),
+        _refusal(lambda: parallel_runs(g, 0, R=2, C=1, M=1, seed=0, table=table)),
+        _refusal(lambda: DPAdversary(table, Budget.known(2))),
+        _refusal(lambda: DPAdversary(table, Budget.unlimited())),
+        _refusal(lambda: reset(DPAdversary(table, Budget.known(1)), 2)),
+    }
+    assert len(refusals) == 1 and "decisions" in refusals.pop()
+    for planned in (None, 1):  # within the table
+        reset(DPAdversary(table, Budget.known(1)), planned)
 
 
 # --- dominance --------------------------------------------------------------------------
