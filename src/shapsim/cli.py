@@ -136,6 +136,12 @@ _KEYS = {
     "out": (None, {"help": "output CSV path ('-' for stdout)"}),
 }
 
+# The stopping keys each rule needs, and the others it may read; any other
+# that is set exits 2 (ExperimentConfig.stopping).
+_STOPPING_KEYS = {"fixed": (("R",), ()), "known": (("eps", "delta"), ("gamma",)),
+                  "unknown": (("eps", "delta"), ("gamma", "max_samples")),
+                  "adaptive": (("eps", "delta"), ("gamma",))}
+
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -200,6 +206,10 @@ class ExperimentConfig:
         named, hg_path, n = self["game"], self["hypergraph"], self["n"]
         if (named is None) == (hg_path is None):
             raise ConfigError("exactly one game spec: either 'game' or 'hypergraph'")
+        for key, read in (("n", hg_path is None), ("padding", hg_path is not None),
+                          ("i_star", named == "pair"), ("j_star", named == "pair")):
+            if not read and self[key] != _KEYS[key][0]:  # a default value passes
+                raise ConfigError(f"field {key}: the {named or 'hypergraph'} game does not read it")
         if hg_path is not None:
             try:
                 h = load_hypergraph(hg_path)
@@ -277,32 +287,31 @@ class ExperimentConfig:
                          "the adversary table")
         return dp_build(game, honest, R, C, decisions=True)
 
-    def stopping(self, game: Game, honest: int, *, theory_point: bool = False) -> StoppingRule:
-        """The rule of a run whose stopping is not adaptive.
+    def stopping(self, game: Game, honest: int, *,
+                 theory_point: bool = False) -> StoppingRule | None:
+        """The run's stopping rule (``None`` for adaptive) once its keys are checked.
 
-        Fixed stopping reads no ``gamma``, and ``eps`` and ``delta`` only as
-        a ``theory_point`` that takes both, or ``eps`` where a block adversary
-        sizes its blocks from it; any other value of them is refused.
+        Each rule needs and may read the keys ``_STOPPING_KEYS`` lists; fixed
+        stopping also reads ``eps`` where a block adversary sizes its blocks
+        from it, and ``eps`` with ``delta`` as a ``theory_point``.
         """
-        kind = self["stopping"]
-        if kind in (None, "fixed"):
-            if self["R"] is None:
-                raise ConfigError("fixed stopping needs R")
+        kind = self["stopping"] or "fixed"
+        needs, reads = _STOPPING_KEYS[kind]
+        if kind == "fixed":
             pair = theory_point and self["eps"] is not None and self["delta"] is not None
             sized = self["adversary"] == "block" and self["block_len"] is None
-            for key, read in (("gamma", False), ("eps", pair or sized), ("delta", pair)):
-                if self[key] is not None and not read:
-                    raise ConfigError(f"field {key}: fixed stopping does not read it")
-            return StoppingRule.fixed(self["R"])
-        if self["R"] is not None:
-            raise ConfigError(f"field R: stopping {kind!r} sets its own sample count")
-        eps, delta = self["eps"], self["delta"]
-        if eps is None or delta is None:
-            raise ConfigError(f"stopping {kind!r} needs eps and delta")
-        g = self.gamma_for(game, honest)
+            reads = ("eps", "delta") if pair else ("eps",) if sized else ()
+        for key in ("R", "eps", "delta", "gamma", "max_samples"):
+            if key in needs and self[key] is None:
+                raise ConfigError(f"stopping {kind!r} needs {key}")
+            if self[key] is not None and key not in needs + reads:
+                raise ConfigError(f"field {key}: stopping {kind!r} does not read it")
+        if kind in ("fixed", "adaptive"):  # run_adaptive takes its keys itself
+            return StoppingRule.fixed(self["R"]) if kind == "fixed" else None
+        eps, delta, g = self["eps"], self["delta"], self.gamma_for(game, honest)
         if kind == "known":
             return StoppingRule.known_budget(eps, delta, _count(self["budget"]), g)
-        return StoppingRule.unknown_budget(eps, delta, g)
+        return StoppingRule.unknown_budget(eps, delta, g, cap=self["max_samples"])
 
     def out_path(self, default_name: str) -> str | None:
         out = self["out"]
@@ -359,26 +368,19 @@ def cmd_dp_table(cfg: ExperimentConfig) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     game, honest = cfg.build_game()
-    if cfg["stopping"] == "adaptive":
-        eps, delta = cfg["eps"], cfg["delta"]
-        if eps is None or delta is None:
-            raise ConfigError("adaptive stopping needs eps and delta")
+    stopping = cfg.stopping(game, honest)
+    if stopping is None:  # adaptive
         if cfg["punish"] != "count_only":
             raise ConfigError("adaptive stopping supports only count_only punishment")
-        if cfg["max_samples"] is not None:
-            raise ConfigError("adaptive stopping takes no max_samples cap")
-        if cfg["R"] is not None:
-            raise ConfigError("field R: stopping 'adaptive' sets its own sample count")
         adversary = cfg.adversary_factory(game, honest, None)()
-        record = run_adaptive(game, adversary, eps, delta, cfg.gamma_for(game, honest),
-                              honest=honest, seed=cfg["seed"], protocol=cfg["protocol"])
+        record = run_adaptive(game, adversary, cfg["eps"], cfg["delta"],
+                              cfg.gamma_for(game, honest), honest=honest, seed=cfg["seed"],
+                              protocol=cfg["protocol"])
     else:
-        stopping = cfg.stopping(game, honest)
         _gate_full_scale(cfg, stopping.R, DESK_SAMPLE_BUDGET, "this simulation")
         adversary = cfg.adversary_factory(game, honest, stopping.planned_R)()
         record = run_allocation(game, cfg["protocol"], adversary, stopping,
-                                honest=honest, seed=cfg["seed"], punish=cfg["punish"],
-                                hard_cap=cfg["max_samples"])
+                                honest=honest, seed=cfg["seed"], punish=cfg["punish"])
     write_text(cfg.out_path("simulate.csv"), record.to_csv())
     return EXIT_OK
 

@@ -493,9 +493,9 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
     coupled only through its remaining budget, which changes at most ``C``
     times, so a first pass plays all of a chunk's rows in place at each run's
     budget at the chunk start, with no lookup if no run holds any.  Each run
-    keeps its samples up to and including its first that aborts, and replays
-    play only the later ones, gathered, at the lowered budget, until none is
-    pending; the result is the sample-by-sample play's, bit for bit.
+    keeps its samples through its first that aborts; replays play its later
+    ones (of a spent run, only those that aborted), gathered, at the lowered
+    budget, until none is pending: bit for bit the sample-by-sample play.
     """
     n = game.n
     if table is not None:
@@ -535,8 +535,8 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
             runs = np.flatnonzero(spent.any(axis=0))
             j = (spent[:, runs] > 0).argmax(axis=0)  # a run's first abort is final
             c_rem[runs] -= spent[j, runs]
-            later = np.zeros((k, M), dtype=bool)
-            later[:, runs] = sample[:k, None] > j
+            later = np.zeros((k, M), dtype=bool)  # a spent run's rows that did not abort stay
+            later[:, runs] = (sample[:k, None] > j) & ((spent[:, runs] > 0) | (c_rem[runs] > 0))
             rows = np.flatnonzero(later)
             if not len(rows):
                 break

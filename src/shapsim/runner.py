@@ -32,7 +32,7 @@ PUNISHMENTS = ("count_only", "perpetual")
 
 
 class SampleCapExceeded(RuntimeError):
-    """The stopping rule was not satisfied within the configured hard cap."""
+    """The stopping rule was not satisfied within its sample cap."""
 
 
 def _check_accuracy(eps: float, delta: float, gamma: float) -> None:
@@ -53,12 +53,14 @@ class StoppingRule:
     ``known_budget(eps, delta, C, gamma)`` resolves, at construction, to the
     fixed count ``max(ceil(8*gamma/eps^2 * ln(1/delta)), ceil(2*C*gamma/eps))``.
 
-    ``unknown_budget(eps, delta, gamma)`` stops at the first sample count
-    ``R >= R0`` whose observed violating-sample fraction is at most
-    ``eps / (2*gamma)``, with
+    ``unknown_budget(eps, delta, gamma, cap=None)`` stops at the first
+    sample count ``R >= R0`` whose observed violating-sample fraction is at
+    most ``eps / (2*gamma)``, with
     ``R0 = ceil(8*gamma/eps^2 * (ln(16*gamma/eps^2) + ln(1/delta)))``.
 
-    Both real-valued formula results and the integers used are kept.
+    A run gives up at ``cap`` samples: ``R`` for the two count rules, which
+    are always satisfied there, and ``10 * R0`` by default for the unknown
+    one.  Both real-valued formula results and the integers used are kept.
     """
 
     kind: str
@@ -67,28 +69,32 @@ class StoppingRule:
     C: int = 0
     gamma: float = math.nan
     R: int = 0
+    cap: int = 0
     formula_values: tuple[float, ...] = ()
 
     @classmethod
     def fixed(cls, R: int) -> "StoppingRule":
         if R < 1:
             raise ValueError("need R >= 1")
-        return cls(kind="fixed", R=R)
+        return cls(kind="fixed", R=R, cap=R)
 
     @classmethod
     def known_budget(cls, eps: float, delta: float, C: int, gamma: float) -> "StoppingRule":
         _check_accuracy(eps, delta, gamma)
         a = 8.0 * gamma / eps**2 * math.log(1.0 / delta)
         b = 2.0 * C * gamma / eps
-        return cls(kind="known_budget", eps=eps, delta=delta, C=C, gamma=gamma,
-                   R=max(math.ceil(a), math.ceil(b)), formula_values=(a, b))
+        R = max(math.ceil(a), math.ceil(b))
+        return cls(kind="known_budget", eps=eps, delta=delta, C=C, gamma=gamma, R=R, cap=R,
+                   formula_values=(a, b))
 
     @classmethod
-    def unknown_budget(cls, eps: float, delta: float, gamma: float) -> "StoppingRule":
+    def unknown_budget(cls, eps: float, delta: float, gamma: float,
+                       cap: int | None = None) -> "StoppingRule":
         _check_accuracy(eps, delta, gamma)
         r0 = 8.0 * gamma / eps**2 * (math.log(16.0 * gamma / eps**2) + math.log(1.0 / delta))
-        return cls(kind="unknown_budget", eps=eps, delta=delta, gamma=gamma,
-                   R=math.ceil(r0), formula_values=(r0,))
+        R = math.ceil(r0)
+        return cls(kind="unknown_budget", eps=eps, delta=delta, gamma=gamma, R=R,
+                   cap=10 * R if cap is None else cap, formula_values=(r0,))
 
     @property
     def planned_R(self) -> int | None:
@@ -98,11 +104,6 @@ class StoppingRule:
         if self.kind in ("fixed", "known_budget"):
             return samples >= self.R
         return samples >= self.R and violating_samples <= self.eps / (2.0 * self.gamma) * samples
-
-    def default_cap(self) -> int:
-        if self.kind in ("fixed", "known_budget"):
-            return self.R
-        return 10 * self.R  # violating-fraction rules may need headroom past R0
 
 
 @dataclass
@@ -214,7 +215,6 @@ def run_allocation(
     honest: int,
     seed: int,
     punish: str = "count_only",
-    hard_cap: int | None = None,
     stream_labels: tuple = (),
 ) -> RunRecord:
     """Loop P-samples until the stopping rule fires; return the allocation.
@@ -225,18 +225,16 @@ def run_allocation(
     order), which makes the remaining players effectively play the game with
     the violators always counted as predecessors.
 
-    Never satisfying the stopping rule within the hard cap (possible only
-    for violating-fraction rules against high-rate adversaries) raises
-    :class:`SampleCapExceeded` with a diagnostic.
+    Reaching the rule's ``cap`` unsatisfied (possible only for the
+    violating-fraction rule, against high-rate adversaries) raises
+    :class:`SampleCapExceeded` with a diagnostic.  The record's
+    ``epsilon_hat`` is the rule's ``eps`` (NaN for a fixed count).
     """
-    cap = hard_cap if hard_cap is not None else stopping.default_cap()
-    # a run banks at least one P-sample before the rule is consulted, and no
-    # rule is satisfied before its R samples
-    first = max(stopping.R, 1)
+    R, cap = stopping.R, stopping.cap  # no rule is satisfied before its R samples
     for bank in _p_samples(game, protocol, adversary, honest=honest, seed=seed,
                            stream_labels=stream_labels, planned_samples=stopping.planned_R,
                            punish=punish):
-        if bank.samples >= first and stopping.satisfied(bank.samples, bank.violating_samples):
+        if bank.samples >= R and stopping.satisfied(bank.samples, bank.violating_samples):
             break
         if bank.samples >= cap:
             raise SampleCapExceeded(
@@ -245,8 +243,7 @@ def run_allocation(
                 f"exceed eps/(2*gamma)"
             )
 
-    eps_hat = stopping.eps if stopping.kind != "fixed" else math.nan
-    return RunRecord(x=np.array(bank.z) / bank.samples, epsilon_hat=eps_hat,
+    return RunRecord(x=np.array(bank.z) / bank.samples, epsilon_hat=stopping.eps,
                      per_sample=bank.per_sample, samples_used=bank.samples,
                      violations=bank.violations, seed=seed, honest=honest)
 

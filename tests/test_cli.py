@@ -759,6 +759,94 @@ def test_fixed_stopping_takes_eps_that_sizes_blocks_and_a_theory_point(tmp_path,
     assert ("theory_point = 0.2,0.9" in read(out)) == ("--delta" in args)
 
 
+@pytest.mark.parametrize("args", [
+    pytest.param(["--R", "6"], id="fixed-cap-below-R"),
+    pytest.param(["--R", "5"], id="fixed-cap-at-R"),
+    pytest.param(["--stopping", "fixed", "--R", "4"], id="fixed-cap-above-R"),
+    pytest.param(_rule("known"), id="known"),
+])
+def test_max_samples_under_a_count_rule_exits_2(tmp_path, capsys, args):
+    # a count rule stops at its R, so a cap below R would only end the run
+    # early and one at or above R would do nothing
+    out = tmp_path / "o.csv"
+    argv = ["simulate", *LB8, *args, "--out", out]
+    assert run(argv) == EXIT_OK
+    out.unlink()
+    assert run(argv + ["--max-samples", "5"]) == EXIT_CONFIG
+    assert "field max_samples" in capsys.readouterr().err
+    assert run(argv + ["--config", _config(tmp_path, {"max_samples": "5"})]) == EXIT_CONFIG
+    assert "field max_samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_unknown_rule_gives_up_at_max_samples_with_exit_3(tmp_path, capsys):
+    # a cyclic adversary with violation rate above eps/(2 gamma) keeps the
+    # violating-fraction rule unsatisfied until its cap
+    argv = ["simulate", *CYCLIC[:-2], "--budget-kind", "rate", "--budget", "0.9",
+            "--stopping", "unknown", "--eps", "0.1", "--delta", "0.5", "--gamma", "2.0",
+            "--out", tmp_path / "o.csv"]
+    assert run(argv + ["--max-samples", "150"]) == EXIT_CAP
+    assert "unsatisfied after 150 P-samples" in capsys.readouterr().err
+    assert run(argv + ["--config", _config(tmp_path, {"max_samples": "90"})]) == EXIT_CAP
+    assert "unsatisfied after 90 P-samples" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_readme_stopping_keys_match_the_rule_table():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("Each stopping rule needs"):readme.index("Fixed stopping also")]
+
+    def keys(text):
+        return {flag.replace("-", "_") for flag in re.findall(r"`--([\w-]+)`", text)}
+
+    documented = {}
+    for item in section.split("\n- ")[1:]:
+        needs, _, reads = item.partition("may read")
+        documented[re.match(r"`(\w+)`", item).group(1)] = (keys(needs), keys(reads))
+    assert documented == {kind: (set(needs), set(reads))
+                          for kind, (needs, reads) in cli._STOPPING_KEYS.items()}
+    assert list(documented) == cli._KEYS["stopping"][1]["choices"]
+
+
+HG = ["--hypergraph", DATA, "--honest", "0"]
+
+
+@pytest.mark.parametrize("command, args, key, value", [
+    ("simulate", ["--game", "lb", "--n", "8", "--R", "5"], "i_star", "3"),
+    ("simulate", ["--game", "lb", "--n", "8", "--R", "5"], "j_star", "3"),
+    ("simulate", ["--game", "lb", "--n", "8", "--R", "5"], "padding", "3"),
+    ("shapley", ["--game", "collab", "--n", "14"], "i_star", "1"),
+    ("shapley", ["--game", "max-gamma", "--n", "4"], "padding", "2"),
+    ("shapley", HG, "n", "20"),
+    ("shapley", HG, "j_star", "0"),
+    ("dp-table", [*HG, "--padding", "2", "--R", "3"], "i_star", "2"),
+], ids=["lb-i-star", "lb-j-star", "lb-padding", "collab-i-star", "max-gamma-padding",
+        "hypergraph-n", "hypergraph-j-star", "dp-table-hypergraph-i-star"])
+def test_game_values_the_game_does_not_read_exit_2(tmp_path, capsys, command, args, key, value):
+    out, same = tmp_path / "o.csv", tmp_path / "default.csv"
+    assert run([command, *args, "--out", out]) == EXIT_OK
+    default = cli._KEYS[key][0]
+    if default is not None:  # the default value passes, with the same bytes
+        assert run([command, *args, _flag(key), default, "--out", same]) == EXIT_OK
+        assert read(same) == read(out)
+    out.unlink()
+    assert run([command, *args, _flag(key), value, "--out", out]) == EXIT_CONFIG
+    assert f"field {key}" in capsys.readouterr().err
+    assert run([command, *args, "--config", _config(tmp_path, {key: value}),
+                "--out", out]) == EXIT_CONFIG
+    assert f"field {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_sweep_over_n_of_a_hypergraph_game_exits_2(tmp_path, capsys):
+    # every row would scan one and the same game
+    out = tmp_path / "o.csv"
+    assert run(["min-samples", *HG, "--eps", "0.3", "--budget", "1", "--sweep", "n=20,30",
+                "--out", out]) == EXIT_CONFIG
+    assert "field n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cdf_names_the_stopping_rules_it_takes(tmp_path, capsys):
     assert run(["cdf", *BASE["cdf"], "--stopping", "adaptive", "--eps", "0.5", "--delta", "0.5",
                 "--out", tmp_path / "o.csv"]) == EXIT_CONFIG

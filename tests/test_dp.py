@@ -486,7 +486,8 @@ def test_parallel_matches_reference_across_chunk_boundaries(g, R, C, table_R, ta
 def test_parallel_plays_a_chunk_as_one_first_pass_then_pending_replays(C, monkeypatch):
     # a chunk's first pass plays all its k*M rows in place, each at its run's
     # budget, so runs that spent out play passively inside it; each replay
-    # plays only the rows pending after the pass before; and a chunk where no
+    # plays only the rows pending after the pass before, which for a run left
+    # with no budget are its later rows that aborted; and a chunk where no
     # run holds budget (every chunk at C=0, the last ones at C=3, where some
     # chunk also holds runs with and without budget) builds no lookup and
     # ends with its first pass
@@ -540,8 +541,9 @@ def test_parallel_plays_a_chunk_as_one_first_pass_then_pending_replays(C, monkey
             runs = np.flatnonzero(spent.any(axis=0))
             first = (spent[:, runs] > 0).argmax(axis=0)
             c_rem[runs] -= spent[first, runs]
-            later = np.zeros((k, M), dtype=bool)
-            later[:, runs] = np.arange(k)[:, None] > first
+            later = np.zeros((k, M), dtype=bool)  # of a spent run, only the rows that aborted
+            later[:, runs] = (np.arange(k)[:, None] > first) & ((spent[:, runs] > 0)
+                                                                | (c_rem[runs] > 0))
             rows = np.flatnonzero(later)
     assert not events
     assert all(np.shares_memory(places, firsts[0]) for places in firsts)  # one chunk buffer

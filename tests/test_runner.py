@@ -233,10 +233,29 @@ def test_run_rejects_bad_inputs():
 def test_hard_cap_diagnostic():
     g = make_pair_game(3, i_star=2, j_star=0)
     adv = CyclicShiftAdversary(Budget.rate(0.9))
-    rule = StoppingRule.unknown_budget(0.1, 0.5, 2.0)
+    rule = StoppingRule.unknown_budget(0.1, 0.5, 2.0, cap=200)
     with pytest.raises(SampleCapExceeded) as exc:
-        run_allocation(g, "naive", adv, rule, honest=2, seed=39, hard_cap=200)
+        run_allocation(g, "naive", adv, rule, honest=2, seed=39)
     assert "violation rate" in str(exc.value)
+
+
+def test_the_unknown_budget_rule_gives_up_at_ten_times_r0_by_default():
+    rule = StoppingRule.unknown_budget(0.5, 0.5, 2.0)
+    assert rule.cap == 10 * rule.R
+    assert StoppingRule.unknown_budget(0.5, 0.5, 2.0, cap=7).cap == 7
+
+
+@pytest.mark.parametrize("rule", [StoppingRule.fixed(40),
+                                  StoppingRule.known_budget(0.5, 0.5, 0, 2.0)],
+                         ids=["fixed", "known_budget"])
+def test_a_count_rule_never_gives_up(rule):
+    # against an adversary that aborts nearly every sample, a count rule
+    # stops at its R, which is its cap
+    g = make_pair_game(3, i_star=2, j_star=0)
+    adv = CyclicShiftAdversary(Budget.rate(0.9))
+    assert rule.cap == rule.R
+    rec = run_allocation(g, "naive", adv, rule, honest=2, seed=39)
+    assert rec.samples_used == rule.R and rec.violations > rule.R // 2
 
 
 def test_unknown_budget_terminates_within_bound():
