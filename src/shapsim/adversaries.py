@@ -53,11 +53,6 @@ class Budget:
         cap = self.limit * self.samples_seen if self.kind == "rate" else self.limit
         return self.used + 1 <= cap
 
-    def spend(self) -> None:
-        if not self.allows():
-            raise RuntimeError("violation budget overspent")
-        self.used += 1
-
 
 class _UniformBuffer:
     """Chunked uniform floats from one generator, for cheap tiny draws."""
@@ -122,7 +117,7 @@ class Adversary:
         else spend one unit and return a copy that maps ``victim`` to ``None``."""
         if victim is None or not self.budget.allows():
             return commitments
-        self.budget.used += 1  # allows() just passed: spend() would check it again
+        self.budget.used += 1
         opened = commitments.copy()
         opened[victim] = None
         return opened
@@ -144,8 +139,13 @@ class Adversary:
 
     # Elimination protocol hooks.
     def commit_draws(self, view: PhaseView, susceptible, k: int) -> np.ndarray:
-        # a float factor skips numpy's scalar conversion; exact for k < 2**53
-        return (self._floats.take(len(susceptible)) * float(k)).astype(np.int64)
+        # the floats are read in place unless the buffer must refill; a float factor
+        # skips numpy's scalar conversion, and is exact for k < 2**53
+        floats, s = self._floats, len(susceptible)
+        if floats.pos + s > len(floats.buf):
+            return (floats.take(s) * float(k)).astype(np.int64)
+        floats.pos += s
+        return (floats.buf[floats.pos - s:floats.pos] * float(k)).astype(np.int64)
 
     def open_draws(self, view: PhaseView, susceptible, commitments: Mapping, k: int) -> Mapping:
         return commitments  # faithful open

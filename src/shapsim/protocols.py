@@ -29,12 +29,14 @@ the adversary callback API rather than as simulated cryptography:
   shape or dtype) makes every susceptible player a detected violator.  In a
   well-shaped array the check is per entry: a draw outside ``[0, k)``, or a
   row that is not a bijection of ``0..m-1``, makes only that player
-  violate.  The protocol copies the array into values it holds itself
-  (Python ints, tuples for permutation rows) and computes the outcome from
-  those alone.  The open hook receives a read-only mapping from each kept
-  player to its committed value: a :class:`types.MappingProxyType` of the
-  protocol's dict in :func:`naive_perm`, and in :func:`rand_elim` a
-  :class:`_Record` over the protocol's tuples of players and draws.
+  violate (one ``max`` finds the draws out of range, read through a
+  ``uint64`` cast that takes every negative draw to ``2**63`` or more).
+  The protocol copies the array into values it holds itself (Python ints,
+  tuples for permutation rows) and computes the outcome from those alone.
+  The open hook receives a read-only mapping from each kept player to its
+  committed value: a :class:`types.MappingProxyType` of the protocol's dict
+  in :func:`naive_perm`, and in :func:`rand_elim` a :class:`_Record` over
+  the protocol's tuples of players and draws.
   Openings are judged against the protocol's own values, never against the
   object handed out, so nothing the hook does, to that object or to the
   array it committed, can change what was committed.  One rule,
@@ -291,18 +293,20 @@ def rand_elim(
 
     commitments = adversary.commit_draws(PhaseView(pool, None), susceptible, k)
     if _is_commit_array(commitments, (len(susceptible),)):
-        players, draws = susceptible, tuple(commitments.tolist())  # protocol-held values
-        if draws and (min(draws) < 0 or max(draws) >= k):  # checked in bulk: rarely true
-            players = tuple(p for p, draw in zip(susceptible, draws) if 0 <= draw < k)
-            draws = tuple(draw for draw in draws if 0 <= draw < k)
+        # protocol-held values; the unsigned cast takes every negative draw to >= 2**63
+        players, draws = susceptible, tuple(commitments.astype(np.uint64).tolist())
+        if draws and max(draws) >= k:  # one bulk bounds pass: rarely true
+            players = tuple(p for p, draw in zip(susceptible, draws) if draw < k)
+            draws = tuple(draw for draw in draws if draw < k)
     else:
         players, draws = (), ()
 
     record = _Record(players, draws)
     opened = adversary.open_draws(PhaseView(pool, honest_draw), susceptible, record, k)
-    dev = _detected(opened, record, susceptible, players, draws)
-    if dev:
-        return min(dev), dev
+    if opened is not record or players is not susceptible:  # else a faithful open of everyone
+        dev = _detected(opened, record, susceptible, players, draws)
+        if dev:
+            return min(dev), dev
     return pool[((honest_draw or 0) + sum(draws)) % k], _NO_DEV
 
 
@@ -327,24 +331,22 @@ def seq_perm(
     dev_total: set[int] = set()
     pool = list(active)  # kept ascending
     # One batched draw per sample covers the honest player's per-round
-    # randomness; round r maps floats[r] onto the current pool size.
-    floats = honest_rng.random(len(active)).tolist()
+    # randomness; it plays the first rounds, and round r maps float r onto the pool.
+    floats = iter(honest_rng.random(len(active)).tolist())
     current_honest = honest
-    r = 0
     while pool:
-        draw = None if current_honest is None else int(floats[r] * len(pool))
+        draw = None if current_honest is None else int(next(floats) * len(pool))
         # a module-level lookup, so a wrapper bound to ``protocols.rand_elim`` sees every round
         eliminated, dev = rand_elim(pool, current_honest, adversary, honest_rng,
                                     honest_draw=draw)
-        if dev:  # the eliminated player is the lowest-id violator
-            out = sorted(dev)
-            dev_total.update(dev)
-        else:
-            out = (eliminated,)
+        if not dev:
             if eliminated == honest:
                 current_honest = None
-        for p in out:
+            del pool[bisect_left(pool, eliminated)]
+            order.append(eliminated)
+            continue
+        dev_total.update(dev)  # the lowest-id violator was eliminated: all go at once
+        for p in sorted(dev):
             del pool[bisect_left(pool, p)]
-        order.extend(out)
-        r += 1
+            order.append(p)
     return PSampleOutcome(tuple(order), frozenset(dev_total))

@@ -16,6 +16,7 @@ never exceeds ``violations * u_max``.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -91,6 +92,8 @@ class StoppingRule:
     def unknown_budget(cls, eps: float, delta: float, gamma: float,
                        cap: int | None = None) -> "StoppingRule":
         _check_accuracy(eps, delta, gamma)
+        if cap is not None and cap < 1:
+            raise ValueError(f"need cap >= 1, got {cap!r}")
         r0 = 8.0 * gamma / eps**2 * (math.log(16.0 * gamma / eps**2) + math.log(1.0 / delta))
         R = math.ceil(r0)
         return cls(kind="unknown_budget", eps=eps, delta=delta, gamma=gamma, R=R,
@@ -123,12 +126,17 @@ class RunRecord:
         return float(self.x[self.honest])
 
     def to_csv(self) -> str:
-        # the rows render_csv would write, formatted one f-string per row
-        rows = "".join([f"{j},{format_number(y)},{format_number(z)},{len(dev)}\n"
-                        for j, (y, z, dev) in enumerate(self.per_sample, start=1)])
+        # render_csv's rows; the text after "j," is made once per run for each (Y, Z, dev
+        # count), keyed by the floats' bits so that 0.0 and -0.0 differ, or per non-float row
+        memo, rows = {}, []
+        for j, (y, z, dev) in enumerate(self.per_sample, start=1):
+            key = struct.pack("ddn", y, z, len(dev)) if type(y) is type(z) is float else j
+            if (text := memo.get(key)) is None:
+                text = memo[key] = f"{format_number(y)},{format_number(z)},{len(dev)}\n"
+            rows.append(f"{j},{text}")
         trailer = [str(self.samples_used), str(self.violations), format_number(self.x_honest),
                    format_number(self.epsilon_hat), str(self.seed)]
-        return (render_csv(["j", "Y", "Z", "dev"], ()) + rows
+        return (render_csv(["j", "Y", "Z", "dev"], ()) + "".join(rows)
                 + "# trailer: R,V,x_honest,eps_hat,seed\n" + ",".join(trailer) + "\n")
 
 

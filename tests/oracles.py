@@ -20,6 +20,14 @@ from shapsim import (Adversary, Game, Hypergraph, ShapleyReport, as_mask, make_s
 from shapsim.games import MAX_CHECK_PLAYERS, value_table
 
 
+def spend(budget) -> None:
+    """Spend one violation of ``budget``, refusing one it does not allow (a
+    strategy spends by ``budget.used += 1`` after its own ``allows`` check)."""
+    if not budget.allows():
+        raise RuntimeError("violation budget overspent")
+    budget.used += 1
+
+
 # --- random game generators -------------------------------------------------
 
 def random_monotone_game(rng: np.random.Generator, n: int) -> Game:

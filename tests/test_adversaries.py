@@ -22,6 +22,7 @@ from shapsim import (
     substream,
 )
 from shapsim.protocols import _Record
+from oracles import spend
 
 
 # --- budgets -------------------------------------------------------------------
@@ -29,11 +30,11 @@ from shapsim.protocols import _Record
 def test_budget_known_cap():
     b = Budget.known(2)
     assert b.allows()
-    b.spend()
-    b.spend()
+    spend(b)
+    spend(b)
     assert not b.allows()
     with pytest.raises(RuntimeError):
-        b.spend()
+        spend(b)
 
 
 def test_budget_rate_prefix():
@@ -42,7 +43,7 @@ def test_budget_rate_prefix():
     assert not b.allows()  # 1 > 0.5 * 1
     b.samples_seen = 2
     assert b.allows()
-    b.spend()
+    spend(b)
     assert not b.allows()
     b.samples_seen = 4
     assert b.allows()
@@ -55,7 +56,7 @@ def test_budget_rate_rejects_bad_fraction():
 
 def test_budget_reset_clears_counters():
     b = Budget.known(1)
-    b.spend()
+    spend(b)
     b.reset()
     assert b.used == 0 and b.allows()
 

@@ -544,22 +544,37 @@ def test_elimination_malformed_commitment_is_violation(value):
     assert sorted(out.order) == [0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint8, np.uint64])
+def _out_of_range_draws(dtype, k: int) -> list[int]:
+    """-1, the dtype's least and greatest values, and ``k``: those the dtype
+    holds and that lie outside ``[0, k)``."""
+    info = np.iinfo(dtype)
+    return sorted({v for v in (-1, int(info.min), k, int(info.max))
+                   if info.min <= v and not 0 <= v < k})
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint8, np.uint64,
+                                   np.int16, np.int32, np.uint16, np.uint32])
 @pytest.mark.parametrize("bad", [(), (0,), (2,), (0, 3), (0, 1, 2, 3)])
 def test_each_malformed_entry_makes_exactly_its_player_violate(bad, dtype):
+    # Malformer opens faithfully: it hands back the record it got, which
+    # leaves out the players dropped at commit, so a faithful open must
+    # still detect exactly them
+    draws = _out_of_range_draws(dtype, 5)
     for seed in range(20):
         adv = Malformer(bad, [4] * 5, dtype)
         adv.reset(n=5, honest=4, rng=substream(32, seed, "adversary"))
         out = naive_perm(range(5), 4, adv, substream(32, seed, "honest"))
         assert out.dev == frozenset(bad) and out.violations_used == len(bad)
         assert sorted(out.order) == list(range(5))
-        adv = Malformer(bad, 5, dtype)
-        adv.reset(n=5, honest=4, rng=substream(32, seed, "adversary"))
-        eliminated, dev = rand_elim(range(5), 4, adv, substream(32, seed, "honest"))
-        assert dev == frozenset(bad) and (not bad or eliminated == min(bad))
+        for value in draws:
+            adv = Malformer(bad, value, dtype)
+            adv.reset(n=5, honest=4, rng=substream(32, seed, "adversary"))
+            eliminated, dev = rand_elim(range(5), 4, adv, substream(32, seed, "honest"))
+            assert dev == frozenset(bad) and (not bad or eliminated == min(bad))
     # unsigned and narrow integer arrays are accepted like int64 ones
-    for protocol, value in [(naive_perm, [4] * 5), (seq_perm, 5)]:
-        twin, adv = Malformer(bad, value), Malformer(bad, value, dtype)
+    cases = [(naive_perm, [4] * 5, [4] * 5)] + [(seq_perm, value, 5) for value in draws]
+    for protocol, value, twin_value in cases:
+        twin, adv = Malformer(bad, twin_value), Malformer(bad, value, dtype)
         for a in (twin, adv):
             a.reset(n=5, honest=4, rng=substream(33, "adversary"))
         assert (protocol(range(5), 4, adv, substream(33, "honest"))

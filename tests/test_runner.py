@@ -245,6 +245,16 @@ def test_the_unknown_budget_rule_gives_up_at_ten_times_r0_by_default():
     assert StoppingRule.unknown_budget(0.5, 0.5, 2.0, cap=7).cap == 7
 
 
+def test_the_unknown_budget_rule_refuses_a_cap_below_one():
+    for cap in (0, -1, -100):
+        with pytest.raises(ValueError, match="cap"):
+            StoppingRule.unknown_budget(0.5, 0.5, 2.0, cap=cap)
+    # a cap of one sample, below R, is allowed and gives up after that sample
+    rule = StoppingRule.unknown_budget(0.5, 0.5, 2.0, cap=1)
+    with pytest.raises(SampleCapExceeded, match="after 1 P-samples"):
+        run_allocation(make_pair_game(3), "seq", PassiveAdversary(), rule, honest=0, seed=1)
+
+
 @pytest.mark.parametrize("rule", [StoppingRule.fixed(40),
                                   StoppingRule.known_budget(0.5, 0.5, 0, 2.0)],
                          ids=["fixed", "known_budget"])
@@ -390,3 +400,16 @@ def test_run_record_csv_rows_are_the_generic_renderer_rows():
     for x in values + [True, np.int64(4), np.float32(0.1)]:
         if not isinstance(x, int) or isinstance(x, bool):
             assert format_number(x) == f"{float(x):.12g}"
+
+
+def test_run_record_csv_keeps_signed_zeros_and_nans_apart_from_their_equals():
+    # rows equal under ``==`` (0.0 and -0.0), or unequal to themselves (NaN),
+    # repeated and interleaved, each write their own text
+    pairs = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (math.nan, 0.0),
+             (-math.nan, -0.0), (1.5, 0.0), (1.5, -0.0), (0, 0.0), (-0.0, 0)]
+    per_sample = [(y, z, frozenset(range(j % 2))) for j, (y, z) in enumerate(pairs * 3)]
+    rec = RunRecord(x=np.array([0.0, 1.0]), epsilon_hat=math.nan, per_sample=per_sample,
+                    samples_used=len(per_sample), violations=15, seed=3, honest=0)
+    rows = rec.to_csv().splitlines()[2:2 + len(per_sample)]
+    text = ["0,0", "-0,0", "0,-0", "-0,-0", "nan,0", "nan,-0", "1.5,0", "1.5,-0", "0,0", "-0,0"]
+    assert rows == [f"{j},{t},{(j - 1) % 2}" for j, t in enumerate(text * 3, start=1)]
