@@ -141,6 +141,11 @@ _KEYS = {
 _STOPPING_KEYS = {"fixed": (("R",), ()), "known": (("eps", "delta"), ("gamma",)),
                   "unknown": (("eps", "delta"), ("gamma", "max_samples")),
                   "adaptive": (("eps", "delta"), ("gamma",))}
+# The adversary keys each strategy reads; a value other than the default of
+# any other exits 2 (ExperimentConfig.stopping).
+_BUDGET_KEYS, _BLOCK_KEYS = ("budget_kind", "budget"), ("block_len", "block_greedy")
+_ADVERSARY_KEYS = {"passive": (), "cyclic": _BUDGET_KEYS, "eager": _BUDGET_KEYS, "dp": _BUDGET_KEYS,
+                   "block": _BUDGET_KEYS + _BLOCK_KEYS}
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -260,10 +265,8 @@ class ExperimentConfig:
         budget = self.budget  # called per adversary: each run spends its own budget
         if kind == "passive":
             return PassiveAdversary
-        if kind == "cyclic":
-            return lambda: CyclicShiftAdversary(budget())
-        if kind == "eager":
-            return lambda: EagerAbortAdversary(budget())
+        if kind in ("cyclic", "eager"):
+            return lambda: _STRATEGIES[kind](budget())
         if kind == "block":
             block_len = self["block_len"]
             if block_len is None:
@@ -289,23 +292,26 @@ class ExperimentConfig:
 
     def stopping(self, game: Game, honest: int, *,
                  theory_point: bool = False) -> StoppingRule | None:
-        """The run's stopping rule (``None`` for adaptive) once its keys are checked.
+        """The run's stopping rule (``None`` for adaptive) once the run's keys are checked.
 
         Each rule needs and may read the keys ``_STOPPING_KEYS`` lists; fixed
         stopping also reads ``eps`` where a block adversary sizes its blocks
-        from it, and ``eps`` with ``delta`` as a ``theory_point``.
+        from it, and ``eps`` with ``delta`` as a ``theory_point``.  The
+        adversary reads its ``_ADVERSARY_KEYS``, and known stopping ``budget``.
         """
-        kind = self["stopping"] or "fixed"
+        kind, adversary = self["stopping"] or "fixed", self["adversary"]
         needs, reads = _STOPPING_KEYS[kind]
         if kind == "fixed":
             pair = theory_point and self["eps"] is not None and self["delta"] is not None
-            sized = self["adversary"] == "block" and self["block_len"] is None
+            sized = adversary == "block" and self["block_len"] is None
             reads = ("eps", "delta") if pair else ("eps",) if sized else ()
-        for key in ("R", "eps", "delta", "gamma", "max_samples"):
+        reads += _ADVERSARY_KEYS[adversary] + (("budget",) if kind == "known" else ())
+        for key in ("R", "eps", "delta", "gamma", "max_samples", *_BUDGET_KEYS, *_BLOCK_KEYS):
             if key in needs and self[key] is None:
                 raise ConfigError(f"stopping {kind!r} needs {key}")
-            if self[key] is not None and key not in needs + reads:
-                raise ConfigError(f"field {key}: stopping {kind!r} does not read it")
+            if self[key] != _KEYS[key][0] and key not in needs + reads:  # a default value passes
+                raise ConfigError(f"field {key}: neither stopping {kind!r} nor the {adversary} "
+                                  "adversary reads it")
         if kind in ("fixed", "adaptive"):  # run_adaptive takes its keys itself
             return StoppingRule.fixed(self["R"]) if kind == "fixed" else None
         eps, delta, g = self["eps"], self["delta"], self.gamma_for(game, honest)
@@ -465,19 +471,14 @@ def cmd_min_samples(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _cdf_runs(values: dict[str, object], runs) -> np.ndarray:
-    """Honest allocations of the given run indices; also the ``--jobs`` worker."""
-    cfg = ExperimentConfig(values)
-    game, honest = cfg.build_game()
-    stopping = cfg.stopping(game, honest, theory_point=True)
-    return run_many(game, cfg["protocol"],
-                    cfg.adversary_factory(game, honest, stopping.planned_R), stopping, runs,
-                    honest=honest, seed=cfg["seed"], punish=cfg["punish"])
+def _forked_allocations(runs: range) -> np.ndarray:
+    return _allocations(runs)  # cmd_cdf's, set before the workers fork: nothing is pickled
 
 
 def cmd_cdf(cfg: ExperimentConfig) -> int:
+    global _allocations
     game, honest = cfg.build_game()
-    eps, delta, M, jobs = cfg["eps"], cfg["delta"], cfg["M"], cfg["jobs"]
+    eps, delta, M, jobs, seed = cfg["eps"], cfg["delta"], cfg["M"], cfg["jobs"], cfg["seed"]
     if cfg["stopping"] == "adaptive":
         raise ConfigError("cdf needs a fixed, known or unknown stopping rule, not 'adaptive'")
     stopping = cfg.stopping(game, honest, theory_point=True)
@@ -485,27 +486,31 @@ def cmd_cdf(cfg: ExperimentConfig) -> int:
     phi = float(shapley_exact(game).phi[honest])
     if phi == 0:
         raise ConfigError(f"honest player {honest} has phi = 0: eps_hat = 1 - x/phi is undefined")
-    adversary_kind = cfg["adversary"]
 
-    fast = (adversary_kind in ("passive", "dp") and cfg["protocol"] == "seq"
-            and cfg["punish"] == "count_only" and stopping.planned_R is not None)
-    if fast and jobs > 1:
-        raise ConfigError("jobs > 1: the lockstep engine (seq, passive or dp, count_only, "
-                          "fixed R) runs in one process")
-    if fast:
-        R = stopping.planned_R
-        table = cfg.dp_table(game, honest, R) if adversary_kind == "dp" else None
-        C = table.C if table is not None else 0
-        stats = parallel_runs(game, honest, R, C, M, cfg["seed"], table=table)
-        x = stats.x_honest
-    elif jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only here
+    # everything a run reads is built here, once, before any worker forks
+    R, kind, protocol, punish = stopping.planned_R, cfg["adversary"], cfg["protocol"], cfg["punish"]
+    if kind in ("passive", "dp") and protocol == "seq" and punish == "count_only" and R is not None:
+        table = cfg.dp_table(game, honest, R) if kind == "dp" else None  # the lockstep engine
 
-        chunks = np.array_split(np.arange(M), jobs)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            x = np.concatenate(list(pool.map(_cdf_runs, [cfg.values] * len(chunks), chunks)))
+        def allocations(runs: range) -> np.ndarray:
+            return parallel_runs(game, honest, R, table.C if table is not None else 0, len(runs),
+                                 seed, table=table, first=runs.start).x_honest
     else:
-        x = _cdf_runs(cfg.values, range(M))
+        factory = cfg.adversary_factory(game, honest, R)
+
+        def allocations(runs: range) -> np.ndarray:
+            return run_many(game, protocol, factory, stopping, runs, honest=honest, seed=seed,
+                            punish=punish)
+    if jobs == 1:
+        x = allocations(range(M))
+    else:  # multiprocessing loads only here; "fork" is named, as Python 3.14 changes the default
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        _allocations, parts = allocations, min(jobs, M)
+        bounds = [M * i // parts for i in range(parts + 1)]
+        with ProcessPoolExecutor(parts, mp_context=get_context("fork")) as pool:
+            x = np.concatenate(list(pool.map(_forked_allocations, map(range, bounds, bounds[1:]))))
 
     eps_hat = np.maximum(0.0, 1.0 - x / phi)
     order = np.sort(eps_hat)

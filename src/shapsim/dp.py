@@ -164,10 +164,6 @@ class StateSpace:
                    player_strides=player_strides, mu_star=mu_star, work_row=work_row,
                    mu_work=mu_star[order], order=order, starts=starts)
 
-    @property
-    def full_state(self) -> int:
-        return int(self.totals @ self.strides)
-
     def state_of(self, pool: Sequence[int]) -> int:
         return sum(map(self.player_strides.__getitem__, pool))  # the honest player's is 0
 
@@ -463,8 +459,8 @@ def _play_rows(space: StateSpace, places: np.ndarray, rule: Callable | None,
 
 
 def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
-                  table: DPTable | None = None) -> ParallelRunStats:
-    """Advance ``M`` fixed-length runs together, one chunk of P-sample indices at a time.
+                  table: DPTable | None = None, first: int = 0) -> ParallelRunStats:
+    """Advance runs ``first .. first + M - 1`` together, one chunk of sample indices at a time.
 
     A chunk of ``k <= LOCKSTEP_CHUNK`` sample indices is one batch of
     ``M * k`` (run, sample) rows, and each elimination round is one
@@ -472,9 +468,10 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
     round removes exactly one player whether or not an abort replaces the
     drawn one.  Each run's sample values are added in sample order.
 
-    Randomness contract: run ``m`` reads the float stream
-    ``substream(seed, "run", m).random()`` positionally, using index
-    ``t * n + r`` for P-sample ``t`` and round ``r``; the round's eliminated
+    Randomness contract: run ``m`` reads only ``substream(seed, "run", m)``,
+    so its allocation and violations are the same in any ``first=`` range
+    that holds it.  It reads the stream's floats positionally, index ``t *
+    n + r`` for P-sample ``t`` and round ``r``; the round's eliminated
     member is ``floor(u * pool_size)`` over the pool ordered honest-first
     then by class.  A single uniform stands in for the opened commitment
     sum, which has the same law.  Positional indexing keeps runs aligned no
@@ -502,7 +499,7 @@ def parallel_runs(game: Game, honest: int, R: int, C: int, M: int, seed: int, *,
         table.check_play(R, C)
     space = table.space if table is not None else StateSpace.build(game, honest)
 
-    gens = [substream(seed, "run", m) for m in range(M)]
+    gens = [substream(seed, "run", m) for m in range(first, first + M)]
     x_acc = np.zeros(M)
     c_rem = np.full(M, C, dtype=np.min_scalar_type(C))
     block = np.empty(M * LOCKSTEP_CHUNK * n)

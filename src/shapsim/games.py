@@ -93,9 +93,6 @@ class Game:
     def value(self, subset: int | Iterable[int]) -> float:
         return float(self.utility(as_mask(subset)))
 
-    def grand_value(self) -> float:
-        return float(self.utility(self.full_mask))
-
     def values(self, masks: np.ndarray) -> np.ndarray:
         """The utility at each mask of a 1-d array, as float64, bit-identical to ``utility``."""
         masks = np.asarray(masks)

@@ -61,15 +61,6 @@ class Hypergraph:
             raise ValueError(f"cannot pad from n={self.n} down to {n_total}")
         return Hypergraph(n=n_total, edges=self.edges)
 
-    def to_text(self) -> str:
-        lines = [f"n {self.n}"]
-        for verts, w in self.edges:
-            lines.append(" ".join([f"{w:.12g}"] + [str(v) for v in sorted(verts)]))
-        return "\n".join(lines) + "\n"
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8")
-
 
 def parse_hypergraph(text: str) -> Hypergraph:
     n: int | None = None

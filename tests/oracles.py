@@ -228,6 +228,19 @@ def worst_case_value(game: Game, honest: int, R: int, C: int, *,
     return start(R, C)
 
 
+def full_state(space) -> int:
+    """The state index of the full pool: every class at its total."""
+    return int(space.totals @ space.strides)
+
+
+def hypergraph_text(h: Hypergraph) -> str:
+    """``h`` in the hypergraph file format, one edge per line."""
+    lines = [f"n {h.n}"]
+    for verts, w in h.edges:
+        lines.append(" ".join([f"{w:.12g}"] + [str(v) for v in sorted(verts)]))
+    return "\n".join(lines) + "\n"
+
+
 def _counts_of(space, sid: int) -> np.ndarray:
     """Per-class remaining counts of pool state ``sid`` (mixed-radix digits)."""
     out = np.empty(len(space.classes), dtype=np.int64)
@@ -311,7 +324,7 @@ def lockstep_reference(table, R: int, C: int, seed: int, run: int = 0) -> tuple[
     for t in range(R):
         sl = table.slice_at(R - 1 - t)
         counts = list(space.totals)
-        sid = space.full_state
+        sid = full_state(space)
         for r in range(n):
             u = int(floats[t * n + r] * (n - r))
             if u == 0:

@@ -302,9 +302,11 @@ def test_min_samples_third_constant_at_reduced_scale():
     assert abs(min_r - target) <= 0.25 * target, (min_r, target)
 
 
-@pytest.mark.parametrize("protocol, adversary", [("naive", "cyclic"), ("seq", "passive")])
+@pytest.mark.parametrize("protocol, adversary, budget", [
+    ("naive", "cyclic", ["--budget", "5"]), ("seq", "passive", []),  # passive reads no budget
+], ids=["naive-cyclic", "seq-passive"])
 def test_cdf_rejects_a_zero_value_honest_player(tmp_path, capsys, monkeypatch,
-                                                protocol, adversary):
+                                                protocol, adversary, budget):
     # pair n=4 pays only players 0 and 1, so phi of player 3 is 0 and the
     # relative error 1 - x/phi is undefined; neither engine may start
     import shapsim.cli
@@ -316,22 +318,56 @@ def test_cdf_rejects_a_zero_value_honest_player(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(shapsim.cli, "parallel_runs", not_run)
     out = tmp_path / "c.csv"
     assert run(["cdf", "--game", "pair", "--n", "4", "--honest", "3", "--protocol", protocol,
-                "--adversary", adversary, "--budget", "5", "--R", "50", "--M", "20",
+                "--adversary", adversary, *budget, "--R", "50", "--M", "20",
                 "--out", out]) == EXIT_CONFIG
     assert "phi = 0" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_cdf_rejects_jobs_on_the_lockstep_engine(tmp_path):
-    # the lockstep engine runs in one process, so --jobs would not take effect
-    lockstep = ["cdf", "--game", "lb", "--n", "8", "--protocol", "seq", "--adversary", "passive",
-                "--R", "50", "--M", "20", "--out", tmp_path / "c.csv"]
-    assert run(lockstep + ["--jobs", "2"]) == EXIT_CONFIG
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("jobs = 2\n")
-    assert run(lockstep + ["--config", cfg]) == EXIT_CONFIG
-    assert not (tmp_path / "c.csv").exists()
-    assert run(lockstep + ["--jobs", "1"]) == EXIT_OK
+# cdf runs of both engines, passive and with a budget; M = 7 runs split
+# into at most M contiguous ranges, so --jobs 9 plays one run per worker
+CDF_ENGINES = {
+    "lockstep-passive": ["--game", "lb", "--n", "8", "--protocol", "seq",
+                         "--adversary", "passive", "--R", "40"],
+    "lockstep-dp": ["--game", "lb", "--n", "8", "--protocol", "seq", "--adversary", "dp",
+                    "--budget", "2", "--R", "60"],
+    "callback-naive-cyclic": ["--game", "pair", "--n", "4", "--i-star", "3", "--j-star", "2",
+                              "--protocol", "naive", "--adversary", "cyclic", "--budget", "3",
+                              "--R", "30"],
+    "callback-seq-dp-perpetual": ["--game", "lb", "--n", "6", "--protocol", "seq",
+                                  "--adversary", "dp", "--budget", "2", "--R", "20",
+                                  "--punish", "perpetual"],
+}
+
+
+@pytest.mark.parametrize("engine", list(CDF_ENGINES))
+def test_cdf_bytes_are_the_same_for_every_jobs(tmp_path, engine):
+    # run m reads only substream(seed, "run", m), so no split of the runs
+    # over workers changes a byte
+    outs = []
+    for jobs in (1, 2, 3, 9):
+        outs.append(tmp_path / f"j{jobs}.csv")
+        assert run(["cdf", *CDF_ENGINES[engine], "--M", "7", "--seed", "5", "--jobs", jobs,
+                    "--out", outs[-1]]) == EXIT_OK
+    assert len({read(out) for out in outs}) == 1
+    assert read(outs[0]).count("\n") == 6 + 1 + 7  # six comment lines, the header, 7 runs
+
+
+@pytest.mark.parametrize("engine", ["lockstep-dp", "callback-seq-dp-perpetual"])
+def test_cdf_workers_build_no_table(tmp_path, monkeypatch, engine):
+    # the parent builds the table before the workers fork, and they share it
+    parent, build = os.getpid(), cli.dp_build
+
+    def parent_only(*args, **kwargs):
+        if os.getpid() != parent:
+            raise AssertionError("a worker built a table")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "dp_build", parent_only)
+    out, alone = tmp_path / "j2.csv", tmp_path / "j1.csv"
+    assert run(["cdf", *CDF_ENGINES[engine], "--M", "4", "--jobs", "2", "--out", out]) == EXIT_OK
+    assert run(["cdf", *CDF_ENGINES[engine], "--M", "4", "--out", alone]) == EXIT_OK
+    assert read(out) == read(alone)
 
 
 def test_cdf_jobs_fanout_deterministic(tmp_path):
@@ -375,7 +411,7 @@ def test_adaptive_simulate_rejects_unused_flags(tmp_path, flag):
     assert not (tmp_path / "a.csv").exists()
 
 
-PAIRING = ["--game", "lb", "--n", "8", "--honest", "7", "--budget", "2"]
+PAIRING = ["--game", "lb", "--n", "8", "--honest", "7"]
 PAIRING_SIZES = {"simulate": ["--R", "5"], "cdf": ["--R", "5", "--M", "2"]}
 
 
@@ -393,7 +429,7 @@ def test_an_adversary_without_the_protocols_hooks_exits_2(tmp_path, capsys, monk
     for name in ("dp_build", "run_allocation", "run_adaptive", "run_many", "parallel_runs"):
         monkeypatch.setattr(cli, name, not_run)
     out = tmp_path / "o.csv"
-    args = [command, *PAIRING, *PAIRING_SIZES[command], "--out", out]
+    args = [command, *PAIRING, "--budget", "2", *PAIRING_SIZES[command], "--out", out]
     assert run(args + ["--protocol", protocol, "--adversary", adversary]) == EXIT_CONFIG
     assert f"adversary {adversary!r} plays only" in capsys.readouterr().err
     cfg = _config(tmp_path, {"protocol": protocol, "adversary": adversary})
@@ -410,7 +446,8 @@ def test_each_adversary_plays_the_protocols_whose_open_hook_it_defines(tmp_path,
                                                                        adversary):
     out = tmp_path / "o.csv"
     sizes_blocks = ["--eps", "0.5"] if adversary == "block" else []  # read by nothing else
-    assert run(["simulate", *PAIRING, *PAIRING_SIZES["simulate"], *sizes_blocks,
+    budget = [] if adversary == "passive" else ["--budget", "2"]  # read by every other
+    assert run(["simulate", *PAIRING, *budget, *PAIRING_SIZES["simulate"], *sizes_blocks,
                 "--protocol", protocol, "--adversary", adversary, "--out", out]) == EXIT_OK
     assert out.exists()
 
@@ -596,12 +633,64 @@ def test_file_keys_a_subcommand_does_not_register_are_ignored(tmp_path, command)
     assert read(tmp_path / "f.csv") == read(out)
 
 
-def test_passive_run_refuses_file_values_it_would_not_read(tmp_path):
-    args = ["simulate", *BASE["simulate"], "--adversary", "passive", "--out", tmp_path / "o.csv"]
+# lb n=8 with its last player honest, whom every adversary may play against
+LB8_RUN = {"simulate": ["--game", "lb", "--n", "8", "--honest", "7", "--R", "5"],
+           "cdf": ["--game", "lb", "--n", "8", "--honest", "7", "--R", "5", "--M", "2"]}
+
+
+def test_passive_run_refuses_file_values_it_would_not_read(tmp_path, capsys):
+    args = ["simulate", *LB8_RUN["simulate"], "--out", tmp_path / "o.csv"]
     for line in ({"block_len": "x"}, {"block_greedy": "maybe"}):
         assert run(args + ["--config", _config(tmp_path, line)]) == EXIT_CONFIG
-    assert run(args + ["--config", _config(tmp_path, {"block_len": "2",
-                                                      "block_greedy": "Yes"})]) == EXIT_OK
+    valid = _config(tmp_path, {"block_len": "2", "block_greedy": "Yes"})
+    assert run(args + ["--adversary", "passive", "--config", valid]) == EXIT_CONFIG
+    assert "field block_len" in capsys.readouterr().err
+    assert run(args + ["--adversary", "block", "--config", valid]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command, args, key, value", [
+    ("simulate", ["--adversary", "passive"], "block_len", "3"),
+    ("cdf", ["--protocol", "naive", "--adversary", "cyclic", "--budget", "1"], "block_len", "3"),
+    ("simulate", ["--adversary", "eager", "--budget", "1"], "block_greedy", None),
+    ("simulate", ["--adversary", "passive"], "budget_kind", "rate"),
+    ("cdf", ["--adversary", "passive"], "budget_kind", "rate"),
+    ("simulate", ["--adversary", "passive"], "budget", "2"),
+    ("cdf", ["--adversary", "passive"], "budget", "2"),
+], ids=["simulate-passive-block-len", "cdf-cyclic-block-len", "eager-block-greedy",
+        "simulate-passive-budget-kind", "cdf-passive-budget-kind", "simulate-passive-budget",
+        "cdf-passive-budget"])
+def test_adversary_values_the_adversary_does_not_read_exit_2(tmp_path, capsys, command, args,
+                                                              key, value):
+    # a passive adversary reads no budget, and only block reads block_len and
+    # block_greedy; a default value passes with the same bytes
+    base = [command, *LB8_RUN[command], *args]
+    out, same = tmp_path / "o.csv", tmp_path / "default.csv"
+    assert run([*base, "--out", out]) == EXIT_OK
+    default = cli._KEYS[key][0]
+    if default is not None:
+        assert run([*base, "--config", _config(tmp_path, {key: default}),
+                    "--out", same]) == EXIT_OK
+        assert read(same) == read(out)
+    out.unlink()
+    flag = [_flag(key)] if value is None else [_flag(key), value]
+    assert run([*base, *flag, "--out", out]) == EXIT_CONFIG
+    assert f"field {key}" in capsys.readouterr().err
+    assert run([*base, "--config", _config(tmp_path, {key: value or "true"}),
+                "--out", out]) == EXIT_CONFIG
+    assert f"field {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", *LB8_RUN["simulate"], "--adversary", "block", "--block-len", "2",
+     "--block-greedy", "--budget", "1"],
+    ["cdf", *LB8_RUN["cdf"], "--protocol", "naive", "--adversary", "cyclic",
+     "--budget-kind", "rate", "--budget", "0.5"],
+    ["simulate", "--game", "lb", "--n", "8", "--stopping", "known", "--eps", "0.5",
+     "--delta", "0.5", "--budget", "2"],
+], ids=["block", "cyclic-rate", "known-stopping-passive"])
+def test_adversary_values_are_taken_where_read(tmp_path, args):
+    assert run([*args, "--out", tmp_path / "o.csv"]) == EXIT_OK
 
 
 @pytest.mark.parametrize("command, key, value", [

@@ -29,7 +29,7 @@ from shapsim import (
 )
 import shapsim.dp as dp
 from shapsim.dp import LOCKSTEP_CHUNK, StateSpace
-from oracles import _counts_of, abort_class, lockstep_reference, worst_case_value
+from oracles import _counts_of, abort_class, full_state, lockstep_reference, worst_case_value
 
 
 def strip_classes(game: Game) -> Game:
@@ -212,7 +212,7 @@ def test_check_row_rejects_each_broken_boundary(monkeypatch):
         def build(table, T, decisions=False):
             space = table.space
             sl = np.zeros((space.n_states, table.C + 1))  # in work order: the full pool last
-            sl[space.work_row[space.full_state]] = row
+            sl[space.work_row[full_state(space)]] = row
             return sl, None
         return build
 
@@ -262,7 +262,7 @@ def test_slice_rebuild_equals_stored():
     g = make_lb_game(6)
     table = dp_build(g, 0, R=6, C=2)
     for T in range(6):
-        assert np.array_equal(table.slice_at(T)[table.space.full_state], table.rows[T])
+        assert np.array_equal(table.slice_at(T)[full_state(table.space)], table.rows[T])
 
 
 def test_extend_to_continues_in_place():
@@ -480,6 +480,32 @@ def test_parallel_matches_reference_across_chunk_boundaries(g, R, C, table_R, ta
     if held:
         assert spread > 0
         assert min(rows / batch for rows, batch in replays) < 0.05
+
+
+@pytest.mark.parametrize("C", [0, 3], ids=["passive", "dp"])
+def test_parallel_runs_split_into_first_ranges_match_one_call(C, monkeypatch):
+    # run m reads only substream(seed, "run", m), so runs played in
+    # contiguous first= ranges are the single call's runs bit for bit, also
+    # where runs abort and their later samples replay
+    g, R, M, seed = make_lb_game(8), 150, 11, 7
+    table = dp_build(g, 0, R, C, decisions=True) if C else None
+    passes, play = [], dp._play_rows
+
+    def counting(space, places, rule, *args):
+        passes.append(rule is not None)
+        return play(space, places, rule, *args)
+
+    monkeypatch.setattr(dp, "_play_rows", counting)
+    whole = parallel_runs(g, 0, R, C, M, seed, table=table)
+    chunks = -(-R // LOCKSTEP_CHUNK)
+    assert sum(passes) > chunks if C else not any(passes)  # replays, or a passive play
+    parts = [parallel_runs(g, 0, R, C, hi - lo, seed, table=table, first=lo)
+             for lo, hi in [(0, 3), (3, 4), (4, 11)]]
+    for field in ("x_honest", "violations"):
+        joined = np.concatenate([getattr(part, field) for part in parts])
+        assert joined.dtype == getattr(whole, field).dtype
+        assert joined.tobytes() == getattr(whole, field).tobytes()
+    assert whole.violations.any() == bool(C)
 
 
 @pytest.mark.parametrize("C", [0, 3], ids=["no-budget", "spends-out"])
@@ -939,7 +965,7 @@ def test_vectorized_builder_matches_reference_bitwise(game):
             assert np.array_equal(got, _abort_rule_at(space, a, *cells)), (game.name, C)
             # with one class an abort leaves the pool an accept leaves, one unit poorer
             assert np.any(got >= 0) == (C >= 1 and len(space.classes) > 1), (game.name, C)
-            prev = a[space.full_state]
+            prev = a[full_state(space)]
     if game.name in ("three", "pair(n=6)-bitset"):
         assert _tied_minima(space, a) > 0
 

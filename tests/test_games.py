@@ -124,7 +124,7 @@ def test_efficiency_and_permutation_equivalence(seed):
     n = int(rng.integers(2, 7))
     g = random_monotone_game(rng, n)
     report = shapley_exact(g)
-    assert float(np.sum(report.phi)) == pytest.approx(g.grand_value(), rel=1e-9)
+    assert float(np.sum(report.phi)) == pytest.approx(g.value(g.full_mask), rel=1e-9)
     assert report.phi == pytest.approx(shapley_via_permutations(g), rel=1e-9, abs=1e-12)
 
 

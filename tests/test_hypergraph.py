@@ -2,6 +2,7 @@ import pytest
 
 from shapsim import Hypergraph, HypergraphFormatError, load_hypergraph, parse_hypergraph
 from shapsim.builtin_games import collab_stand_in_hypergraph
+from oracles import hypergraph_text
 
 
 def test_parse_basic():
@@ -46,7 +47,7 @@ def test_bad_weight_token_rejected():
 def test_roundtrip_through_text(tmp_path):
     h = collab_stand_in_hypergraph(20)
     path = tmp_path / "collab.hg"
-    h.save(path)
+    path.write_text(hypergraph_text(h), encoding="utf-8")
     again = load_hypergraph(path)
     assert again.n == h.n
     assert again.edges == h.edges

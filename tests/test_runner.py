@@ -105,7 +105,7 @@ def test_allocation_efficiency_every_run():
         for protocol in ("naive", "seq"):
             rec = run_allocation(game, protocol, PassiveAdversary(),
                                  StoppingRule.fixed(40), honest=honest, seed=31)
-            assert float(np.sum(rec.x)) == pytest.approx(game.grand_value(), rel=1e-9)
+            assert float(np.sum(rec.x)) == pytest.approx(game.value(game.full_mask), rel=1e-9)
 
 
 def test_allocation_efficiency_with_violations_and_perpetual():
@@ -113,7 +113,7 @@ def test_allocation_efficiency_with_violations_and_perpetual():
     adv = EagerAbortAdversary(Budget.known(5))
     rec = run_allocation(g, "seq", adv, StoppingRule.fixed(30), honest=0,
                          seed=32, punish="perpetual")
-    assert float(np.sum(rec.x)) == pytest.approx(g.grand_value(), rel=1e-9)
+    assert float(np.sum(rec.x)) == pytest.approx(g.value(g.full_mask), rel=1e-9)
     # perpetual removal strands the spender once only a duel pool remains:
     # n - 2 pins exhaust its abort candidates
     assert rec.violations == 2
@@ -121,7 +121,7 @@ def test_allocation_efficiency_with_violations_and_perpetual():
     adv = EagerAbortAdversary(Budget.known(5))
     rec = run_allocation(g, "seq", adv, StoppingRule.fixed(30), honest=0,
                          seed=32, punish="count_only")
-    assert float(np.sum(rec.x)) == pytest.approx(g.grand_value(), rel=1e-9)
+    assert float(np.sum(rec.x)) == pytest.approx(g.value(g.full_mask), rel=1e-9)
     assert rec.violations == 5
 
 
@@ -308,7 +308,7 @@ def test_adaptive_passive_reaches_target():
                        honest=0, seed=42)
     assert rec.epsilon_hat <= 0.25
     assert rec.violations == 0
-    assert float(np.sum(rec.x)) == pytest.approx(g.grand_value(), rel=1e-9)
+    assert float(np.sum(rec.x)) == pytest.approx(g.value(g.full_mask), rel=1e-9)
 
 
 def test_adaptive_snapshot_semantics():
